@@ -20,7 +20,17 @@ Table file layout (all integers little-endian)::
     | sha256 of all preceding bytes (32B)
 
 Deserialization checks the trailing hash before anything else, so any
-bit-level corruption surfaces as :class:`IntegrityMismatch`.
+bit-level corruption surfaces as :class:`IntegrityMismatch`.  It then
+recomputes every stored point from its scalar (r_i*G, and r_i*X for a
+designated table) through the batched fixed-base engine and compares the
+canonical encodings byte for byte, so a loaded table is already verified:
+an entry that is well formed but wrong raises :class:`TableIntegrity`, and
+bytes that are malformed, non-canonical or carry a torsion component
+raise :class:`MalformedElement`.  This costs k scalar multiplications for
+a plain table and 2k for a designated one, each at most 64 additions on a
+comb of G (or X) built once per load; no stored point is decompressed
+unless it fails to match.  :func:`verify_table` runs the same
+recomputation for tables held in memory.
 """
 
 from __future__ import annotations
@@ -44,11 +54,12 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    batch_scalar_mult,
     decode_element,
     decode_scalar,
+    encode_batch,
     point_add,
     random_scalar,
-    scalar_mult,
 )
 
 MAGIC = b"IODCBPV1"
@@ -140,6 +151,19 @@ class DesignatedTable:
         )
 
 
+def _recompute(scalars, designated_point, ctr):
+    """Table columns from the scalars: the scalars, r_i*G, then r_i*X if designated."""
+    columns = [scalars, batch_scalar_mult(G, scalars, ctr)]
+    if designated_point is not None:
+        columns.append(batch_scalar_mult(designated_point, scalars, ctr))
+    return columns
+
+
+def _mismatch(idx: int, column: int) -> TableIntegrity:
+    kind = "generator" if column == 1 else "designated"
+    return TableIntegrity(f"entry {idx}: {kind} point does not match its scalar")
+
+
 def sample_subset(params: BpvParams, rng) -> SubsetSelection:
     """Uniform random v-subset of [0, k-1], by rejection of repeats."""
     chosen: set[int] = set()
@@ -150,11 +174,8 @@ def sample_subset(params: BpvParams, rng) -> SubsetSelection:
 
 def bpv_offline(params: BpvParams, rng, ctr: OpCounter | None = None) -> PrecompTable:
     """Build a fresh table of k (scalar, scalar * G) pairs: k scalar mults."""
-    entries = []
-    for _ in range(params.k):
-        r_i = random_scalar(rng)
-        entries.append((r_i, scalar_mult(r_i, G, ctr)))
-    return PrecompTable(params=params, entries=entries)
+    scalars = [random_scalar(rng) for _ in range(params.k)]
+    return PrecompTable(params=params, entries=list(zip(*_recompute(scalars, None, ctr))))
 
 
 def bpv_online(table: PrecompTable, rng, ctr: OpCounter | None = None) -> tuple[Scalar, GroupElement]:
@@ -180,17 +201,12 @@ def dbpv_offline(
     """Build a receiver-bound table of k triples: 2k scalar mults."""
     if designated_point.is_identity():
         raise InvalidDesignatedPoint("designated point must not be the identity")
-    entries = []
-    for _ in range(params.k):
-        r_i = random_scalar(rng)
-        entries.append(
-            (r_i, scalar_mult(r_i, G, ctr), scalar_mult(r_i, designated_point, ctr))
-        )
+    scalars = [random_scalar(rng) for _ in range(params.k)]
     return DesignatedTable(
         params=params,
         designated_point=designated_point,
         owner_binding=bytes(owner_binding),
-        entries=entries,
+        entries=list(zip(*_recompute(scalars, designated_point, ctr))),
     )
 
 
@@ -213,19 +229,16 @@ def dbpv_online(
 def verify_table(table: PrecompTable | DesignatedTable, ctr: OpCounter | None = None) -> None:
     """Recompute every entry's points from its scalar; raise TableIntegrity on drift.
 
-    Costs k (or 2k) scalar multiplications, so it is opt-in rather than
-    part of regular loads.
+    Costs k (or 2k) scalar multiplications through the batched fixed-base
+    engine.  Loading a table file already runs this check, so it is for
+    tables held in memory.
     """
-    if isinstance(table, DesignatedTable):
-        for idx, (r_i, point_g, point_d) in enumerate(table.entries):
-            if scalar_mult(r_i, G, ctr) != point_g:
-                raise TableIntegrity(f"entry {idx}: generator point mismatch")
-            if scalar_mult(r_i, table.designated_point, ctr) != point_d:
-                raise TableIntegrity(f"entry {idx}: designated point mismatch")
-    else:
-        for idx, (r_i, point_g) in enumerate(table.entries):
-            if scalar_mult(r_i, G, ctr) != point_g:
-                raise TableIntegrity(f"entry {idx}: generator point mismatch")
+    designated_point = table.designated_point if isinstance(table, DesignatedTable) else None
+    columns = _recompute([entry[0] for entry in table.entries], designated_point, ctr)
+    for idx, (entry, fresh) in enumerate(zip(table.entries, zip(*columns))):
+        for column in range(1, len(fresh)):
+            if entry[column] != fresh[column]:
+                raise _mismatch(idx, column)
 
 
 def subset_space_bits(params: BpvParams) -> float:
@@ -245,29 +258,40 @@ def subset_space_bits(params: BpvParams) -> float:
 
 
 def serialize_table(table: PrecompTable | DesignatedTable) -> bytes:
-    """Serialize to the integrity-hashed binary layout described above."""
+    """Serialize to the integrity-hashed binary layout described above.
+
+    All points of the table are encoded together with one field inversion.
+    """
     designated = isinstance(table, DesignatedTable)
+    head = [table.designated_point] if designated else []
+    codes = iter(encode_batch(head + [point for entry in table.entries for point in entry[1:]]))
     out = bytearray(MAGIC)
     out.append(GROUP_ID)
     out.append(KIND_DESIGNATED if designated else KIND_STANDARD)
     out += table.params.k.to_bytes(4, "little")
     out += table.params.v.to_bytes(4, "little")
     if designated:
-        out += table.designated_point.encode()
+        out += next(codes)
         out += table.owner_binding
     for entry in table.entries:
         out += entry[0].encode()
-        for point in entry[1:]:
-            out += point.encode()
+        for _ in entry[1:]:
+            out += next(codes)
     out += hashlib.sha256(out).digest()
     return bytes(out)
 
 
-def deserialize_table(data: bytes) -> PrecompTable | DesignatedTable:
-    """Parse table bytes; the trailing hash is checked before any field.
+def deserialize_table(data: bytes, ctr: OpCounter | None = None) -> PrecompTable | DesignatedTable:
+    """Parse table bytes and recompute every stored point from its scalar.
 
-    Raises TruncatedFile, IntegrityMismatch, BadMagic, or
-    UnsupportedVersion depending on what is wrong.
+    The trailing hash is checked before any field, then the header, the
+    length and every scalar; then r_i*G (and r_i*X for a designated
+    table) is recomputed and compared byte for byte with the stored
+    point, counting k (or 2k) scalar multiplications.  Raises
+    TruncatedFile, IntegrityMismatch, BadMagic, UnsupportedVersion or
+    MalformedScalar for a bad file, MalformedElement for a stored point
+    that does not decode to a group element, and TableIntegrity for one
+    that decodes but is not its scalar's product.
     """
     min_len = len(MAGIC) + 1 + 1 + 4 + 4 + 32
     if len(data) < min_len:
@@ -289,32 +313,31 @@ def deserialize_table(data: bytes) -> PrecompTable | DesignatedTable:
     v = int.from_bytes(data[off + 4 : off + 8], "little")
     off += 8
     params = BpvParams(v=v, k=k, allow_unsafe=True)
-    designated = kind == KIND_DESIGNATED
-    if designated:
+    designated_point = None
+    if kind == KIND_DESIGNATED:
         if len(data) < off + 64 + 32:
             raise TruncatedFile("designated header incomplete")
         designated_point = decode_element(data[off : off + 32])
         owner_binding = data[off + 32 : off + 64]
         off += 64
-    entry_len = 96 if designated else 64
+    entry_len = 64 if designated_point is None else 96
     expected = off + k * entry_len + 32
     if len(data) != expected:
         raise TruncatedFile(f"expected {expected} bytes for k={k}, got {len(data)}")
-    entries = []
-    for _ in range(k):
-        r_i = decode_scalar(data[off : off + 32])
-        point_g = decode_element(data[off + 32 : off + 64])
-        if designated:
-            point_d = decode_element(data[off + 64 : off + 96])
-            entries.append((r_i, point_g, point_d))
-        else:
-            entries.append((r_i, point_g))
-        off += entry_len
-    if designated:
-        return DesignatedTable(
-            params=params,
-            designated_point=designated_point,
-            owner_binding=owner_binding,
-            entries=entries,
-        )
-    return PrecompTable(params=params, entries=entries)
+    starts = range(off, off + k * entry_len, entry_len)
+    columns = _recompute([decode_scalar(data[s : s + 32]) for s in starts], designated_point, ctr)
+    for column in range(1, len(columns)):
+        for idx, (start, code) in enumerate(zip(starts, encode_batch(columns[column]))):
+            stored = data[start + 32 * column : start + 32 * (column + 1)]
+            if stored != code:
+                decode_element(stored)  # malformed or torsion bytes raise MalformedElement
+                raise _mismatch(idx, column)
+    entries = list(zip(*columns))
+    if designated_point is None:
+        return PrecompTable(params=params, entries=entries)
+    return DesignatedTable(
+        params=params,
+        designated_point=designated_point,
+        owner_binding=owner_binding,
+        entries=entries,
+    )

@@ -55,7 +55,13 @@ from .encrypt import (
     reference_encrypt,
     serialize_ciphertext_file,
 )
-from .errors import IodCryptError, KeyVerFailed, UnsupportedParams, VerifyFailed
+from .errors import (
+    IodCryptError,
+    KeyVerFailed,
+    TableIntegrity,
+    UnsupportedParams,
+    VerifyFailed,
+)
 from .selfcert import (
     aq_hang_finalize,
     aq_hang_initiate,
@@ -274,6 +280,8 @@ def cmd_encrypt(args) -> int:
         table = deserialize_table(_read(table_path))
         if not isinstance(table, DesignatedTable):
             raise UnsupportedParams(f"{table_path} is not a designated table")
+        if table.designated_point != reconstruct_pub(record, system_public):
+            raise TableIntegrity(f"{table_path} was not built under this system key")
         ctx = SenderContext(table=table, receiver=record)
         ct = encrypt(ctx, message, rng)
         mode = "table"

@@ -14,6 +14,9 @@ Two layers of API:
 * :func:`scalar_mult` and :func:`point_add` are the instrumented entry
   points used by the protocol layers; they tick an :class:`OpCounter` so
   that per-operation group-op budgets can be asserted exactly.
+  :func:`batch_scalar_mult` is the counted entry point for many products
+  of one base (the precomputation tables): a signed radix-16 comb of the
+  base, then at most 64 additions and no doublings per product.
 
 Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
@@ -45,10 +48,12 @@ __all__ = [
     "IDENTITY",
     "DESCRIPTOR",
     "scalar_mult",
+    "batch_scalar_mult",
     "point_add",
     "hash_to_scalar",
     "random_scalar",
     "encode_element",
+    "encode_batch",
     "decode_element",
 ]
 
@@ -120,6 +125,93 @@ def _mul_raw(coords, k, window):
         if nib:
             acc = window[nib - 1] if acc is None else add(acc, window[nib - 1])
     return acc if acc is not None else _IDENT_COORDS
+
+
+def _normalize(coords_list):
+    # Affine (x, y) of every point with a single field inversion
+    # (Montgomery's simultaneous-inversion trick).  Z is never 0 on
+    # this curve, so the running product is invertible.
+    prefix = []
+    acc = 1
+    for coords in coords_list:
+        prefix.append(acc)
+        acc = acc * coords[2] % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(coords_list)
+    for i in range(len(coords_list) - 1, -1, -1):
+        x, y, z, _ = coords_list[i]
+        zi = inv * prefix[i] % P
+        inv = inv * z % P
+        out[i] = (x * zi % P, y * zi % P)
+    return out
+
+
+def _encode_affine(x, y):
+    return (y | ((x & 1) << 255)).to_bytes(ELEMENT_LEN, "little")
+
+
+# Fixed-base comb: row i holds j * 16^i * B for j = 1..8, so a scalar below
+# N written in 64 signed radix-16 digits (|d_i| <= 8) is the sum of one row
+# entry (or its negation) per nonzero digit.
+_COMB_ROWS = 64
+_COMB_COLS = 8
+
+
+def _comb_table(coords):
+    # 64 * (7 additions + 1 doubling) plus one batch normalisation.  Each
+    # entry is kept as (y+x, y-x, 2d*x*y) of its affine point; a row is
+    # laid out [None, +1..+8, -8..-1] so that row[d] serves d in [-8, 8]
+    # through Python's negative indexing.
+    points = []
+    row_base = coords
+    for _ in range(_COMB_ROWS):
+        cur = row_base
+        points.append(cur)
+        for _ in range(_COMB_COLS - 1):
+            cur = _add_raw(cur, row_base)
+            points.append(cur)
+        row_base = _dbl_raw(cur)
+    rows = []
+    affine = _normalize(points)
+    for i in range(0, len(affine), _COMB_COLS):
+        pos = [((y + x) % P, (y - x) % P, x * y % P * _2D % P)
+               for x, y in affine[i : i + _COMB_COLS]]
+        neg = [(ym, yp, (P - t2d) % P) for yp, ym, t2d in reversed(pos)]
+        rows.append([None, *pos, *neg])
+    return rows
+
+
+def _signed_digits(k):
+    # k = sum(d_i * 16^i) with d_i in [-8, 7]; the top digit takes the
+    # final carry, which fits because k < N < 2^253.
+    digits = []
+    carry = 0
+    for _ in range(_COMB_ROWS):
+        d = (k & 15) + carry
+        k >>= 4
+        carry = (d + 8) >> 4
+        digits.append(d - (carry << 4))
+    return digits
+
+
+def _comb_mul(rows, k):
+    # Mixed addition of each nonzero digit's row entry (Z2 = 1): the
+    # unified law of _add_raw with the second operand pre-transformed.
+    acc = _IDENT_COORDS
+    for row, d in zip(rows, _signed_digits(k)):
+        if d:
+            x1, y1, z1, t1 = acc
+            yp, ym, t2d = row[d]
+            a = (y1 - x1) * ym % P
+            b = (y1 + x1) * yp % P
+            c = t1 * t2d % P
+            zz = 2 * z1
+            e = b - a
+            f = zz - c
+            g = zz + c
+            h = b + a
+            acc = (e * f % P, g * h % P, f * g % P, e * h % P)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +346,16 @@ class GroupElement:
         """Canonical 32-byte encoding: little-endian y, sign of x in bit 255."""
         x, y, z, _ = self.coords
         zi = pow(z, P - 2, P)
-        xa = x * zi % P
-        ya = y * zi % P
-        return (ya | ((xa & 1) << 255)).to_bytes(ELEMENT_LEN, "little")
+        return _encode_affine(x * zi % P, y * zi % P)
 
 
 def encode_element(point: GroupElement) -> bytes:
     return point.encode()
+
+
+def encode_batch(points) -> list[bytes]:
+    """Canonical encodings of many elements, sharing one field inversion."""
+    return [_encode_affine(x, y) for x, y in _normalize([p.coords for p in points])]
 
 
 def decode_element(data: bytes) -> GroupElement:
@@ -356,6 +451,25 @@ def scalar_mult(k: Scalar, point: GroupElement, ctr: OpCounter | None = None) ->
     if ctr is not None:
         ctr.scalar_mults += 1
     return k * point
+
+
+def batch_scalar_mult(
+    base: GroupElement, scalars: list[Scalar], ctr: OpCounter | None = None
+) -> list[GroupElement]:
+    """Return [k * base for k in scalars], counting one scalar multiplication each.
+
+    One signed radix-16 comb of ``base`` is built per call (512 points,
+    about 700 group operations); each product then costs at most 64
+    additions and no doublings.  All outputs are normalised to Z = 1 with
+    a single shared field inversion.  An empty batch builds nothing.
+    """
+    if ctr is not None:
+        ctr.scalar_mults += len(scalars)
+    if not scalars:
+        return []
+    rows = _comb_table(base.coords)
+    products = [_comb_mul(rows, k.v) for k in scalars]
+    return [GroupElement((x, y, 1, x * y % P)) for x, y in _normalize(products)]
 
 
 def point_add(a: GroupElement, b: GroupElement, ctr: OpCounter | None = None) -> GroupElement:

@@ -28,12 +28,13 @@ from iodcrypt.errors import (
     BadMagic,
     IntegrityMismatch,
     InvalidDesignatedPoint,
+    MalformedElement,
     TableIntegrity,
     TruncatedFile,
     UnsupportedParams,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, OpCounter, Scalar, random_scalar
+from iodcrypt.group import G, IDENTITY, N, P, GroupElement, OpCounter, Scalar, random_scalar
 
 TOY = BpvParams(v=2, k=4, allow_unsafe=True)
 
@@ -321,6 +322,89 @@ def test_truncation_detected():
         deserialize_table(_rehash(raw))
 
 
+def test_loading_counts_one_mult_per_recomputed_point():
+    designated, _, _ = toy_designated()
+    for table, mults in ((toy_table(), TOY.k), (designated, 2 * TOY.k)):
+        ctr = OpCounter()
+        assert deserialize_table(serialize_table(table), ctr) == table
+        assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
+
+
+# --------------------------------------------------------------------------
+# Load-time recomputation: faults planted in re-hashed files
+# --------------------------------------------------------------------------
+
+
+def _times(n, point):
+    # Double-and-add on the complete addition law, valid for any curve
+    # point (scalar multiplication by the operators reduces modulo N).
+    acc = IDENTITY
+    for bit in bin(n)[2:]:
+        acc = acc + acc
+        if bit == "1":
+            acc = acc + point
+    return acc
+
+
+def _order_8_point():
+    """N * Q for the first curve point Q (by y) whose torsion part has order 8."""
+    d = (-121665 * pow(121666, -1, P)) % P
+    for y in range(2, 1000):
+        xx = (y * y - 1) * pow(d * y * y + 1, -1, P) % P
+        x = pow(xx, (P + 3) // 8, P)
+        if x * x % P != xx:
+            x = x * pow(2, (P - 1) // 4, P) % P
+        if x * x % P != xx:
+            continue
+        torsion = _times(N, GroupElement((x, y, 1, x * y % P)))
+        if not _times(4, torsion).is_identity():
+            return torsion
+    raise AssertionError("no order-8 point found")
+
+
+T8 = _order_8_point()
+HEADER_LEN = 18  # magic, group id, kind, k, v
+
+
+def _plant(table, idx, column, point_bytes):
+    """The table's file with one stored point replaced, hash recomputed."""
+    designated = isinstance(table, DesignatedTable)
+    first = HEADER_LEN + (64 if designated else 0)
+    start = first + idx * (96 if designated else 64) + 32 * column
+    raw = bytearray(serialize_table(table))
+    raw[start : start + 32] = point_bytes
+    return _rehash(raw)
+
+
+def _point_columns():
+    designated, _, _ = toy_designated()
+    return [(toy_table(), 1), (designated, 1), (designated, 2)]
+
+
+def test_order_8_point_is_torsion_of_order_exactly_8():
+    assert _times(8, T8).is_identity()
+    assert not _times(4, T8).is_identity()
+
+
+@pytest.mark.parametrize("fault,error", [
+    ("swapped", TableIntegrity),
+    ("drifted", TableIntegrity),
+    ("order-8-torsion", MalformedElement),
+    ("y-not-below-P", MalformedElement),
+])
+@pytest.mark.parametrize("table,column", _point_columns(), ids=["plain-R", "designated-R", "designated-S"])
+def test_load_rejects_a_planted_point(table, column, fault, error):
+    point = table.entries[1][column]
+    planted = {
+        "swapped": table.entries[0][column].encode(),
+        "drifted": (point + G).encode(),
+        "order-8-torsion": (point + T8).encode(),
+        "y-not-below-P": (P + 1).to_bytes(32, "little"),
+    }[fault]
+    with pytest.raises(error):
+        deserialize_table(_plant(table, 1, column, planted))
+
+
 def test_kind_byte_distinguishes_table_flavours():
     assert isinstance(deserialize_table(serialize_table(toy_table())), PrecompTable)
     table, _, _ = toy_designated()
@@ -336,6 +420,14 @@ def test_verify_table_accepts_honest_tables():
     verify_table(toy_table())
     table, _, _ = toy_designated()
     verify_table(table)
+
+
+def test_verify_table_counts_one_mult_per_recomputed_point():
+    designated, _, _ = toy_designated()
+    for table, mults in ((toy_table(), TOY.k), (designated, 2 * TOY.k)):
+        ctr = OpCounter()
+        verify_table(table, ctr)
+        assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
 
 
 def test_verify_table_flags_swapped_points():

@@ -203,6 +203,25 @@ def test_table_gen_rejects_unvetted_params(realm, capsys):
     assert capsys.readouterr().err.startswith("UnsupportedParams:")
 
 
+def test_encrypt_refuses_table_built_under_another_system_key(realm, tmp_path, capsys):
+    # bravo's own record, but the table was built over the key that record
+    # reconstructs to under a different KGC
+    foreign_home = tmp_path / "other-kgc"
+    assert main(["kgc", "init", "--home", str(foreign_home),
+                 "--test-seed", "311", "--insecure-test"]) == 0
+    table_path = tmp_path / "bravo-other.dtbl"
+    assert cli(realm, "table", "gen", "--designated", "--recipient", "bravo",
+               "--system", str(foreign_home / "system.pub"), "--out", str(table_path),
+               "--test-seed", "312", "--insecure-test") == 0
+    capsys.readouterr()
+    out = tmp_path / "msg.enc"
+    rc = cli(realm, "encrypt", "--to", "bravo", "--table", str(table_path),
+             "--out", str(out), str(realm["message"]), "--test-seed", "313", "--insecure-test")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("TableIntegrity:")
+    assert not out.exists()
+
+
 def test_foreign_key_fails_keyver_and_exchange(realm, tmp_path, capsys):
     foreign_home = tmp_path / "foreign"
     assert main(["kgc", "init", "--home", str(foreign_home),

@@ -22,8 +22,10 @@ from iodcrypt.group import (
     P,
     OpCounter,
     Scalar,
+    batch_scalar_mult,
     decode_element,
     decode_scalar,
+    encode_batch,
     encode_element,
     hash_to_scalar,
     point_add,
@@ -115,6 +117,39 @@ def test_scalar_mult_matches_affine_oracle(k):
 @given(points, points)
 def test_addition_matches_affine_oracle(p1, p2):
     assert _affine(p1 + p2) == _affine_add(_affine(p1), _affine(p2))
+
+
+# Digit-boundary scalars for the signed radix-16 comb: every nibble 8
+# (a carry out of every digit) and every nibble 15.
+_COMB_EDGES = [0, 1, 8, 2**252 - 1, int("8" * 63, 16), N - 1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=N - 1), max_size=3),
+       st.integers(min_value=1, max_value=N - 1))
+def test_batch_scalar_mult_matches_affine_oracle(ks, b):
+    ks = _COMB_EDGES + ks
+    for base in (G, Scalar(b) * G):
+        out = batch_scalar_mult(base, [Scalar(k) for k in ks])
+        assert [point.coords[2] for point in out] == [1] * len(ks)
+        assert [_affine(point) for point in out] == [_affine_mul(k, _affine(base)) for k in ks]
+
+
+def test_batch_scalar_mult_counts_one_mult_per_output():
+    ctr = OpCounter()
+    assert batch_scalar_mult(G, [], ctr) == []
+    assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
+    out = batch_scalar_mult(G, [Scalar(3), Scalar(5), Scalar(3)], ctr)
+    assert (ctr.scalar_mults, ctr.point_adds) == (3, 0)
+    assert out == [Scalar(3) * G, Scalar(5) * G, Scalar(3) * G]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(points, max_size=6))
+def test_encode_batch_matches_pointwise_encode(pts):
+    pts = pts + [IDENTITY, -G, G + G]
+    assert encode_batch(pts) == [point.encode() for point in pts]
+    assert encode_batch([]) == []
 
 
 # --------------------------------------------------------------------------
