@@ -54,12 +54,13 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    addends,
     batch_scalar_mult,
     decode_element,
     decode_scalar,
     encode_batch,
-    point_add,
     random_scalar,
+    subset_sum,
 )
 
 MAGIC = b"IODCBPV1"
@@ -106,10 +107,19 @@ class SubsetSelection:
 
 @dataclass
 class PrecompTable:
-    """k pairs (r_i, R_i) with R_i = r_i * G."""
+    """k pairs (r_i, R_i) with R_i = r_i * G.
+
+    The points are also held in the stored form of
+    :func:`~iodcrypt.group.subset_sum`, taken once when the table is
+    made, so the entries are not to be changed after that.
+    """
 
     params: BpvParams
     entries: list[tuple[Scalar, GroupElement]]
+    stored: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stored = addends([entry[1] for entry in self.entries])
 
     @property
     def entry_bytes(self) -> int:
@@ -136,6 +146,12 @@ class DesignatedTable:
     designated_point: GroupElement
     owner_binding: bytes
     entries: list[tuple[Scalar, GroupElement, GroupElement]]
+    stored: list = field(init=False, repr=False)
+    stored_designated: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stored = addends([entry[1] for entry in self.entries])
+        self.stored_designated = addends([entry[2] for entry in self.entries])
 
     @property
     def entry_bytes(self) -> int:
@@ -180,15 +196,9 @@ def bpv_offline(params: BpvParams, rng, ctr: OpCounter | None = None) -> Precomp
 
 def bpv_online(table: PrecompTable, rng, ctr: OpCounter | None = None) -> tuple[Scalar, GroupElement]:
     """Fresh (r, R = r*G) from a secret v-subset sum: v-1 adds, no mults."""
-    sel = sample_subset(table.params, rng)
-    it = iter(sel.indices)
-    first = next(it)
-    r, point = table.entries[first]
-    for i in it:
-        r_i, point_i = table.entries[i]
-        r = r + r_i
-        point = point_add(point, point_i, ctr)
-    return r, point
+    indices = sample_subset(table.params, rng).indices
+    r = Scalar(sum(table.entries[i][0].v for i in indices))
+    return r, subset_sum(table.stored, indices, ctr)
 
 
 def dbpv_offline(
@@ -214,16 +224,13 @@ def dbpv_online(
     table: DesignatedTable, rng, ctr: OpCounter | None = None
 ) -> tuple[Scalar, GroupElement, GroupElement]:
     """Fresh (r, r*G, r*designated_point) by subset sums: 2(v-1) adds, no mults."""
-    sel = sample_subset(table.params, rng)
-    it = iter(sel.indices)
-    first = next(it)
-    r, point_g, point_d = table.entries[first]
-    for i in it:
-        r_i, g_i, d_i = table.entries[i]
-        r = r + r_i
-        point_g = point_add(point_g, g_i, ctr)
-        point_d = point_add(point_d, d_i, ctr)
-    return r, point_g, point_d
+    indices = sample_subset(table.params, rng).indices
+    r = Scalar(sum(table.entries[i][0].v for i in indices))
+    return (
+        r,
+        subset_sum(table.stored, indices, ctr),
+        subset_sum(table.stored_designated, indices, ctr),
+    )
 
 
 def verify_table(table: PrecompTable | DesignatedTable, ctr: OpCounter | None = None) -> None:

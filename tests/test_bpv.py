@@ -34,7 +34,9 @@ from iodcrypt.errors import (
     UnsupportedParams,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, N, P, GroupElement, OpCounter, Scalar, random_scalar
+from iodcrypt.group import G, IDENTITY, P, OpCounter, Scalar, random_scalar
+
+from curve_oracle import T8, times
 
 TOY = BpvParams(v=2, k=4, allow_unsafe=True)
 
@@ -335,34 +337,6 @@ def test_loading_counts_one_mult_per_recomputed_point():
 # --------------------------------------------------------------------------
 
 
-def _times(n, point):
-    # Double-and-add on the complete addition law, valid for any curve
-    # point (scalar multiplication by the operators reduces modulo N).
-    acc = IDENTITY
-    for bit in bin(n)[2:]:
-        acc = acc + acc
-        if bit == "1":
-            acc = acc + point
-    return acc
-
-
-def _order_8_point():
-    """N * Q for the first curve point Q (by y) whose torsion part has order 8."""
-    d = (-121665 * pow(121666, -1, P)) % P
-    for y in range(2, 1000):
-        xx = (y * y - 1) * pow(d * y * y + 1, -1, P) % P
-        x = pow(xx, (P + 3) // 8, P)
-        if x * x % P != xx:
-            x = x * pow(2, (P - 1) // 4, P) % P
-        if x * x % P != xx:
-            continue
-        torsion = _times(N, GroupElement((x, y, 1, x * y % P)))
-        if not _times(4, torsion).is_identity():
-            return torsion
-    raise AssertionError("no order-8 point found")
-
-
-T8 = _order_8_point()
 HEADER_LEN = 18  # magic, group id, kind, k, v
 
 
@@ -382,8 +356,8 @@ def _point_columns():
 
 
 def test_order_8_point_is_torsion_of_order_exactly_8():
-    assert _times(8, T8).is_identity()
-    assert not _times(4, T8).is_identity()
+    assert times(8, T8).is_identity()
+    assert not times(4, T8).is_identity()
 
 
 @pytest.mark.parametrize("fault,error", [

@@ -1,15 +1,20 @@
 """Group backend tests: laws, encodings, counters, and hashing.
 
-The reference oracle here is an independent affine-coordinate
-implementation of twisted Edwards arithmetic (plain modular inverses,
-no projective coordinates, no windowing), so agreement is meaningful.
+The reference oracle is the independent affine-coordinate implementation
+in ``curve_oracle`` (plain modular inverses, no projective coordinates,
+no windowing), so agreement is meaningful.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iodcrypt import group
 from iodcrypt.errors import MalformedElement, MalformedScalar
 from iodcrypt.group import (
     DESCRIPTOR,
@@ -22,6 +27,7 @@ from iodcrypt.group import (
     P,
     OpCounter,
     Scalar,
+    addends,
     batch_scalar_mult,
     decode_element,
     decode_scalar,
@@ -31,41 +37,10 @@ from iodcrypt.group import (
     point_add,
     random_scalar,
     scalar_mult,
+    subset_sum,
 )
 
-# --------------------------------------------------------------------------
-# Affine reference implementation (oracle)
-# --------------------------------------------------------------------------
-
-_A = -1
-_D = (-121665 * pow(121666, -1, P)) % P
-
-
-def _affine(point):
-    x, y, z, _t = point.coords
-    zinv = pow(z, -1, P)
-    return (x * zinv) % P, (y * zinv) % P
-
-
-def _affine_add(p1, p2):
-    x1, y1 = p1
-    x2, y2 = p2
-    dxy = (_D * x1 * x2 * y1 * y2) % P
-    x3 = (x1 * y2 + y1 * x2) * pow(1 + dxy, -1, P)
-    y3 = (y1 * y2 - _A * x1 * x2) * pow(1 - dxy, -1, P)
-    return x3 % P, y3 % P
-
-
-def _affine_mul(k, p):
-    acc = (0, 1)
-    addend = p
-    while k:
-        if k & 1:
-            acc = _affine_add(acc, addend)
-        addend = _affine_add(addend, addend)
-        k >>= 1
-    return acc
-
+from curve_oracle import T8, affine, affine_add, affine_mul, times
 
 scalars = st.integers(min_value=0, max_value=N - 1).map(Scalar)
 nonzero_scalars = st.integers(min_value=1, max_value=N - 1).map(Scalar)
@@ -108,31 +83,61 @@ def test_base_plus_base_matches_doubling_by_scalar():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=N - 1))
-def test_scalar_mult_matches_affine_oracle(k):
-    assert _affine(Scalar(k) * G) == _affine_mul(k, _affine(G))
+@given(st.integers(min_value=0, max_value=N - 1), st.integers(min_value=1, max_value=N - 1))
+def test_scalar_mult_matches_affine_oracle(k, b):
+    assert affine(Scalar(k) * G) == affine_mul(k, affine(G))
+    base = Scalar(b) * G
+    assert affine(Scalar(k) * base) == affine_mul(k, affine(base))
 
 
 @settings(max_examples=50, deadline=None)
 @given(points, points)
 def test_addition_matches_affine_oracle(p1, p2):
-    assert _affine(p1 + p2) == _affine_add(_affine(p1), _affine(p2))
+    assert affine(p1 + p2) == affine_add(affine(p1), affine(p2))
 
 
-# Digit-boundary scalars for the signed radix-16 comb: every nibble 8
-# (a carry out of every digit) and every nibble 15.
-_COMB_EDGES = [0, 1, 8, 2**252 - 1, int("8" * 63, 16), N - 1]
+# Digit-boundary scalars for both paths: every nibble 8 (a carry out of
+# every comb digit), every nibble 15 (the top window entry), 2 and 8.
+_EDGE_SCALARS = [0, 1, 2, 8, 2**252 - 1, int("8" * 63, 16), N - 1]
+_OTHER_BASE = Scalar(0x5EED_BA5E) * G
+
+
+@pytest.mark.parametrize("k", _EDGE_SCALARS)
+@pytest.mark.parametrize("base", [G, -G, _OTHER_BASE], ids=["G", "-G", "random"])
+def test_product_at_edge_scalars_matches_affine_oracle(base, k):
+    assert affine(Scalar(k) * base) == affine_mul(k, affine(base))
+
+
+def test_g_comb_is_built_once_per_process(monkeypatch):
+    built = []
+    real = group._comb_table
+    monkeypatch.setattr(group, "_G_COMB", None)
+    monkeypatch.setattr(group, "_comb_table", lambda coords: built.append(coords) or real(coords))
+    k = Scalar(0xABCDEF)
+    expected = affine_mul(k.value, affine(G))
+    decoded_g = decode_element(G.encode())
+    for out in (k * G, k * decoded_g, scalar_mult(k, G), *batch_scalar_mult(G, [k, k])):
+        assert affine(out) == expected
+    assert built == [G.coords]
+    batch_scalar_mult(_OTHER_BASE, [k])
+    assert built == [G.coords, _OTHER_BASE.coords]
+
+
+def test_nothing_is_built_at_import_time():
+    code = "import iodcrypt.cli, iodcrypt.group as g; assert g._G_COMB is None"
+    env = {**os.environ, "PYTHONPATH": str(Path(group.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=N - 1), max_size=3),
        st.integers(min_value=1, max_value=N - 1))
 def test_batch_scalar_mult_matches_affine_oracle(ks, b):
-    ks = _COMB_EDGES + ks
+    ks = _EDGE_SCALARS + ks
     for base in (G, Scalar(b) * G):
         out = batch_scalar_mult(base, [Scalar(k) for k in ks])
         assert [point.coords[2] for point in out] == [1] * len(ks)
-        assert [_affine(point) for point in out] == [_affine_mul(k, _affine(base)) for k in ks]
+        assert [affine(point) for point in out] == [affine_mul(k, affine(base)) for k in ks]
 
 
 def test_batch_scalar_mult_counts_one_mult_per_output():
@@ -142,6 +147,27 @@ def test_batch_scalar_mult_counts_one_mult_per_output():
     out = batch_scalar_mult(G, [Scalar(3), Scalar(5), Scalar(3)], ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (3, 0)
     assert out == [Scalar(3) * G, Scalar(5) * G, Scalar(3) * G]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(points, min_size=1, max_size=6), st.data())
+def test_subset_sum_matches_affine_oracle(pts, data):
+    pts = pts + [IDENTITY, G, -G, G + G]
+    stored = addends(pts)
+    indices = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts)))
+    expected = affine(pts[indices[0]])
+    for i in indices[1:]:
+        expected = affine_add(expected, affine(pts[i]))
+    assert affine(subset_sum(stored, indices)) == expected
+
+
+def test_subset_sum_counts_one_add_fewer_than_indices():
+    stored = addends([Scalar(k) * G for k in (3, 5, 7)])
+    for indices, adds in (([1], 0), ([0, 2], 1), ([2, 0, 1], 2)):
+        ctr = OpCounter()
+        subset_sum(stored, indices, ctr)
+        assert (ctr.scalar_mults, ctr.point_adds) == (0, adds)
+    assert subset_sum(stored, [2, 0, 1]) == Scalar(15) * G
 
 
 @settings(max_examples=20, deadline=None)
@@ -263,6 +289,20 @@ def test_decode_rejects_points_outside_prime_order_subgroup():
     ident_neg[31] |= 0x80
     with pytest.raises(MalformedElement):
         decode_element(bytes(ident_neg))
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_decode_rejects_every_torsion_component(j):
+    # j * T8 has order 8, 4 or 2; adding it to a subgroup point moves the
+    # point out of the prime-order subgroup.
+    torsion = times(j, T8)
+    assert not torsion.is_identity()
+    with pytest.raises(MalformedElement):
+        decode_element(torsion.encode())
+    for q in (G, -G, _OTHER_BASE, Scalar(N - 2) * G):
+        assert decode_element(q.encode()) == q
+        with pytest.raises(MalformedElement):
+            decode_element((q + torsion).encode())
 
 
 def test_identity_round_trips():

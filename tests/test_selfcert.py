@@ -204,6 +204,19 @@ def test_handshake_with_precomputed_table_still_agrees_and_adds_only(setup):
     assert aq_hang_finalize(a, sa, sb.message).key == aq_hang_finalize(b, sb, sa.message).key
 
 
+def test_handshake_costs_without_a_table(setup):
+    _, a, b = setup
+    rng = random.Random(13)
+    ctr = OpCounter()
+    sa = aq_hang_initiate(a, rng, ctr=ctr)
+    assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+    sb = aq_hang_initiate(b, rng)
+    assert a.cached_term is not None
+    ctr = OpCounter()
+    aq_hang_finalize(a, sa, sb.message, ctr=ctr)
+    assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
+
+
 def test_handshake_keys_are_fresh_per_session(setup):
     _, a, b = setup
     rng = random.Random(12)

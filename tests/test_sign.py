@@ -117,6 +117,14 @@ def test_verification_budget(setup):
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
+def test_reference_verification_budget(setup):
+    _, ctx, vctx = setup
+    sig = sign(ctx, b"reference", random.Random(79))
+    ctr = OpCounter()
+    assert reference_verify(vctx.cached_key, b"reference", sig, ctr)
+    assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
+
+
 def test_reference_sign_costs_one_multiplication(setup):
     _, ctx, _ = setup
     ctr = OpCounter()
