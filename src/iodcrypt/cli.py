@@ -38,14 +38,7 @@ from .bench import (
     host_report,
     run_bench,
 )
-from .bpv import (
-    BpvParams,
-    DesignatedTable,
-    PrecompTable,
-    bpv_offline,
-    deserialize_table,
-    serialize_table,
-)
+from .bpv import BpvParams, bpv_offline, deserialize_table, serialize_table
 from .encrypt import (
     SenderContext,
     decrypt,
@@ -218,7 +211,7 @@ def cmd_table_gen(args) -> int:
         record = deserialize_record(_read(_resolve(args, args.recipient, ".rec")))
         system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
         ctx = enc_kg_sender(record, system_public, params, rng)
-        table: PrecompTable | DesignatedTable = ctx.table
+        table = ctx.table
         out = Path(args.out) if args.out else home / f"{args.recipient}.dtbl"
     else:
         table = bpv_offline(params, rng)
@@ -236,7 +229,7 @@ def cmd_table_gen(args) -> int:
 def cmd_sign(args) -> int:
     keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
     table = deserialize_table(_read(_resolve(args, args.table, ".tbl")))
-    if isinstance(table, DesignatedTable):
+    if len(table.bases) != 1:
         raise UnsupportedParams("signing needs a standard table, not a designated one")
     ctx = SignerContext(keypair=keypair, table=table)
     message = _read(Path(args.infile))
@@ -278,9 +271,9 @@ def cmd_encrypt(args) -> int:
     )
     if table_path.exists():
         table = deserialize_table(_read(table_path))
-        if not isinstance(table, DesignatedTable):
+        if len(table.bases) != 2:
             raise UnsupportedParams(f"{table_path} is not a designated table")
-        if table.designated_point != reconstruct_pub(record, system_public):
+        if table.bases[1] != reconstruct_pub(record, system_public):
             raise TableIntegrity(f"{table_path} was not built under this system key")
         ctx = SenderContext(table=table, receiver=record)
         ct = encrypt(ctx, message, rng)

@@ -38,21 +38,20 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
-from .bpv import BpvParams, DesignatedTable, dbpv_offline, dbpv_online
+from .bpv import BpvParams, PrecompTable, dbpv_offline, dbpv_online
 from .errors import (
-    BadMagic,
     InvalidDesignatedPoint,
     InvalidSharedPoint,
     MacMismatch,
     TableIntegrity,
     TruncatedFile,
-    UnsupportedVersion,
 )
 from .group import (
     G,
     GROUP_ID,
     GroupElement,
     OpCounter,
+    _check_header,
     decode_element,
     random_scalar,
     scalar_mult,
@@ -101,9 +100,9 @@ class SymKeys:
 
 @dataclass(frozen=True)
 class SenderContext:
-    """Designated table bound to the recipient it encrypts to."""
+    """A (G, X) table bound to the recipient X it encrypts to."""
 
-    table: DesignatedTable
+    table: PrecompTable
     receiver: IdentityRecord
 
     def __post_init__(self):
@@ -218,23 +217,20 @@ def serialize_ciphertext_file(ct: Ciphertext) -> bytes:
     )
 
 
+_CT_FILE_MIN = len(MAGIC_CIPHERTEXT) + 1 + 32 + 4 + TAG_LEN
+
+
+def _ciphertext_file_len(data: bytes) -> int:
+    body_len_at = len(MAGIC_CIPHERTEXT) + 1 + 32
+    return _CT_FILE_MIN + int.from_bytes(data[body_len_at : body_len_at + 4], "little")
+
+
 def deserialize_ciphertext_file(data: bytes) -> Ciphertext:
-    prefix = len(MAGIC_CIPHERTEXT)
-    if len(data) < prefix + 1 + 32 + 4 + TAG_LEN:
-        raise TruncatedFile(f"ciphertext file shorter than header ({len(data)} bytes)")
-    if data[: prefix - 1] != MAGIC_CIPHERTEXT[:-1]:
-        raise BadMagic("not a ciphertext file")
-    if data[prefix - 1] != MAGIC_CIPHERTEXT[-1]:
-        raise UnsupportedVersion(f"unknown ciphertext version byte {data[prefix - 1]:#x}")
-    if data[prefix] != GROUP_ID:
-        raise UnsupportedVersion(f"unknown group id {data[prefix]:#x}")
-    off = prefix + 1
+    off = _check_header(data, MAGIC_CIPHERTEXT, _CT_FILE_MIN, _ciphertext_file_len)
     ephemeral = decode_element(data[off : off + 32])
     off += 32
     body_len = int.from_bytes(data[off : off + 4], "little")
     off += 4
-    if len(data) != off + body_len + TAG_LEN:
-        raise TruncatedFile(f"expected {off + body_len + TAG_LEN} bytes, got {len(data)}")
     return Ciphertext(
         ephemeral=ephemeral,
         body=data[off : off + body_len],

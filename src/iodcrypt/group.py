@@ -42,9 +42,10 @@ order ``N``.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import MalformedElement, MalformedScalar
+from .errors import BadMagic, MalformedElement, MalformedScalar, TruncatedFile, UnsupportedVersion
 
 __all__ = [
     "P",
@@ -56,11 +57,9 @@ __all__ = [
     "DOMAIN_SIG",
     "Scalar",
     "GroupElement",
-    "GroupDescriptor",
     "OpCounter",
     "G",
     "IDENTITY",
-    "DESCRIPTOR",
     "scalar_mult",
     "batch_scalar_mult",
     "point_add",
@@ -68,7 +67,6 @@ __all__ = [
     "subset_sum",
     "hash_to_scalar",
     "random_scalar",
-    "encode_element",
     "encode_batch",
     "decode_element",
 ]
@@ -83,6 +81,36 @@ _SQRT_M1 = pow(2, (P - 1) // 4, P)
 ELEMENT_LEN = 32
 SCALAR_LEN = 32
 GROUP_ID = 0x01
+
+
+def _check_header(
+    data: bytes, magic: bytes, min_len: int, total_len: int | Callable[[bytes], int]
+) -> int:
+    """Check a magic-prefixed file against the one header rule; return the header length.
+
+    Every file format applies the same checks in this order: fewer than
+    ``min_len`` bytes raise TruncatedFile; bytes 0-6 other than the
+    family of ``magic`` raise BadMagic; a version byte (byte 7) other
+    than ``magic``'s or an unknown group id (byte 8) raises
+    UnsupportedVersion; and a length other than ``total_len`` raises
+    TruncatedFile.  ``total_len`` is the exact length, or a function that
+    computes it from the data once the checks before it have passed
+    (reading only below ``min_len``).
+    """
+    if len(data) < min_len:
+        raise TruncatedFile(f"file shorter than its header ({len(data)} bytes)")
+    family = len(magic) - 1
+    if data[:family] != magic[:family]:
+        raise BadMagic(f"expected magic {magic!r}")
+    if data[family] != magic[family]:
+        raise UnsupportedVersion(f"unknown version byte {data[family]:#x} for {magic!r}")
+    if data[family + 1] != GROUP_ID:
+        raise UnsupportedVersion(f"unknown group id {data[family + 1]:#x}")
+    expected = total_len(data) if callable(total_len) else total_len
+    if len(data) != expected:
+        raise TruncatedFile(f"expected {expected} bytes, got {len(data)}")
+    return family + 2
+
 
 # Domain-separation tags for hash_to_scalar.
 DOMAIN_KEY = 0x01  # identity-record hashing during key issuance / reconstruction
@@ -391,13 +419,27 @@ class GroupElement:
         return _encode_affine(x * zi % P, y * zi % P)
 
 
-def encode_element(point: GroupElement) -> bytes:
-    return point.encode()
-
-
 def encode_batch(points) -> list[bytes]:
     """Canonical encodings of many elements, sharing one field inversion."""
     return [_encode_affine(x, y) for x, y in _normalize([p.coords for p in points])]
+
+
+def _recover_x(y: int) -> int | None:
+    """A square root x of (y^2 - 1) / (d*y^2 + 1), or None when there is none.
+
+    The candidate u*v^3 * (u*v^7)^((P-5)/8) is right up to a factor
+    sqrt(-1), which is applied when it squares to -u/v.
+    """
+    y2 = y * y % P
+    u = (y2 - 1) % P
+    v = (_D * y2 + 1) % P
+    x = u * pow(v, 3, P) % P * pow(u * pow(v, 7, P) % P, (P - 5) // 8, P) % P
+    vx2 = v * x * x % P
+    if vx2 == u:
+        return x
+    if vx2 == (P - u) % P:
+        return x * _SQRT_M1 % P
+    return None
 
 
 def decode_element(data: bytes) -> GroupElement:
@@ -414,17 +456,8 @@ def decode_element(data: bytes) -> GroupElement:
     y = val & ((1 << 255) - 1)
     if y >= P:
         raise MalformedElement("non-canonical y coordinate")
-    # x^2 = (y^2 - 1) / (d*y^2 + 1); candidate root via x = u*v^3 * (u*v^7)^((P-5)/8)
-    y2 = y * y % P
-    u = (y2 - 1) % P
-    v = (_D * y2 + 1) % P
-    x = u * pow(v, 3, P) % P * pow(u * pow(v, 7, P) % P, (P - 5) // 8, P) % P
-    vx2 = v * x * x % P
-    if vx2 == u:
-        pass
-    elif vx2 == (P - u) % P:
-        x = x * _SQRT_M1 % P
-    else:
+    x = _recover_x(y)
+    if x is None:
         raise MalformedElement("not a curve point")
     if x == 0 and sign:
         raise MalformedElement("non-canonical sign bit")
@@ -437,13 +470,10 @@ def decode_element(data: bytes) -> GroupElement:
 
 
 def _base_point() -> GroupElement:
+    # Not through decode_element: its subgroup check would cost a full
+    # product at import.
     y = 4 * pow(5, P - 2, P) % P
-    y2 = y * y % P
-    u = (y2 - 1) % P
-    v = (_D * y2 + 1) % P
-    x = u * pow(v, 3, P) % P * pow(u * pow(v, 7, P) % P, (P - 5) // 8, P) % P
-    if (v * x * x - u) % P:
-        x = x * _SQRT_M1 % P
+    x = _recover_x(y)
     if x % 2:  # the standard base point has even x
         x = P - x
     return GroupElement((x, y, 1, x * y % P))
@@ -451,20 +481,6 @@ def _base_point() -> GroupElement:
 
 IDENTITY = GroupElement(_IDENT_COORDS)
 G = _base_point()
-
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Static description of the backend group."""
-
-    group_id: int
-    order: int
-    generator: GroupElement
-    element_len: int = ELEMENT_LEN
-    scalar_len: int = SCALAR_LEN
-
-
-DESCRIPTOR = GroupDescriptor(group_id=GROUP_ID, order=N, generator=G)
 
 
 # ---------------------------------------------------------------------------

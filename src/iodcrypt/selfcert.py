@@ -39,14 +39,7 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .bpv import PrecompTable, bpv_online
-from .errors import (
-    BadMagic,
-    InvalidEphemeral,
-    InvalidIdentity,
-    KeyVerFailed,
-    TruncatedFile,
-    UnsupportedVersion,
-)
+from .errors import InvalidEphemeral, InvalidIdentity, TruncatedFile
 from .group import (
     DOMAIN_KEY,
     G,
@@ -54,6 +47,7 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    _check_header,
     decode_element,
     decode_scalar,
     hash_to_scalar,
@@ -287,24 +281,14 @@ def aq_hang_finalize(
 # ---------------------------------------------------------------------------
 
 
-def _check_header(data: bytes, magic: bytes, total_len: int | None = None) -> None:
-    if len(data) < len(magic) + 1:
-        raise TruncatedFile(f"file shorter than its header ({len(data)} bytes)")
-    if data[: len(magic)] != magic:
-        raise BadMagic(f"expected magic {magic!r}")
-    if data[len(magic)] != GROUP_ID:
-        raise UnsupportedVersion(f"unknown group id {data[len(magic)]:#x}")
-    if total_len is not None and len(data) != total_len:
-        raise TruncatedFile(f"expected {total_len} bytes, got {len(data)}")
-
-
 def serialize_system_public(public: GroupElement) -> bytes:
     return MAGIC_SYSTEM + bytes([GROUP_ID]) + public.encode()
 
 
 def deserialize_system_public(data: bytes) -> GroupElement:
-    _check_header(data, MAGIC_SYSTEM, total_len=len(MAGIC_SYSTEM) + 1 + 32)
-    return decode_element(data[len(MAGIC_SYSTEM) + 1 :])
+    total = len(MAGIC_SYSTEM) + 1 + 32
+    off = _check_header(data, MAGIC_SYSTEM, total, total)
+    return decode_element(data[off:])
 
 
 def serialize_kgc_keypair(kgc: KgcKeypair) -> bytes:
@@ -312,8 +296,8 @@ def serialize_kgc_keypair(kgc: KgcKeypair) -> bytes:
 
 
 def deserialize_kgc_keypair(data: bytes) -> KgcKeypair:
-    _check_header(data, MAGIC_KGC, total_len=len(MAGIC_KGC) + 1 + 64)
-    off = len(MAGIC_KGC) + 1
+    total = len(MAGIC_KGC) + 1 + 64
+    off = _check_header(data, MAGIC_KGC, total, total)
     return KgcKeypair(
         secret=decode_scalar(data[off : off + 32]),
         public=decode_element(data[off + 32 :]),
@@ -335,17 +319,17 @@ def serialize_drone_keypair(keypair: SelfCertKeypair) -> bytes:
     )
 
 
-def deserialize_drone_keypair(data: bytes) -> SelfCertKeypair:
-    _check_header(data, MAGIC_DRONE)
-    off = len(MAGIC_DRONE) + 1
-    if len(data) < off + 1:
-        raise TruncatedFile("missing identity length byte")
-    id_len = data[off]
+def _drone_key_len(data: bytes) -> int:
+    id_len = data[len(MAGIC_DRONE) + 1]
     if id_len == 0:
         raise InvalidIdentity("identity length must be at least 1")
+    return len(MAGIC_DRONE) + 2 + id_len + 96
+
+
+def deserialize_drone_keypair(data: bytes) -> SelfCertKeypair:
+    off = _check_header(data, MAGIC_DRONE, len(MAGIC_DRONE) + 2, _drone_key_len)
+    id_len = data[off]
     off += 1
-    if len(data) != off + id_len + 96:
-        raise TruncatedFile(f"expected {off + id_len + 96} bytes, got {len(data)}")
     drone_id = data[off : off + id_len]
     off += id_len
     secret = decode_scalar(data[off : off + 32])

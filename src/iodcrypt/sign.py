@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bpv import BpvParams, PrecompTable, bpv_offline, bpv_online
-from .errors import BadMagic, InvalidIdentity, MalformedScalar, TruncatedFile, UnsupportedVersion
+from .errors import InvalidIdentity, MalformedScalar
 from .group import (
     DOMAIN_SIG,
     G,
@@ -37,6 +37,7 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    _check_header,
     decode_scalar,
     hash_to_scalar,
     point_add,
@@ -181,22 +182,17 @@ def serialize_signature_file(signer_id: bytes, sig: Signature) -> bytes:
     )
 
 
-def deserialize_signature_file(data: bytes) -> tuple[bytes, Signature]:
-    """Returns (signer id, signature)."""
-    prefix = len(MAGIC_SIGNATURE)
-    if len(data) < prefix + 2:
-        raise TruncatedFile(f"signature file shorter than header ({len(data)} bytes)")
-    if data[: prefix - 1] != MAGIC_SIGNATURE[:-1]:
-        raise BadMagic("not a detached signature file")
-    if data[prefix - 1] != MAGIC_SIGNATURE[-1]:
-        raise UnsupportedVersion(f"unknown signature file version byte {data[prefix - 1]:#x}")
-    if data[prefix] != GROUP_ID:
-        raise UnsupportedVersion(f"unknown group id {data[prefix]:#x}")
-    id_len = data[prefix + 1]
+def _signature_file_len(data: bytes) -> int:
+    id_len = data[len(MAGIC_SIGNATURE) + 1]
     if id_len == 0:
         raise InvalidIdentity("identity length must be at least 1")
-    off = prefix + 2
-    if len(data) != off + id_len + SIGNATURE_LEN:
-        raise TruncatedFile(f"expected {off + id_len + SIGNATURE_LEN} bytes, got {len(data)}")
+    return len(MAGIC_SIGNATURE) + 2 + id_len + SIGNATURE_LEN
+
+
+def deserialize_signature_file(data: bytes) -> tuple[bytes, Signature]:
+    """Returns (signer id, signature)."""
+    off = _check_header(data, MAGIC_SIGNATURE, len(MAGIC_SIGNATURE) + 2, _signature_file_len)
+    id_len = data[off]
+    off += 1
     signer_id = data[off : off + id_len]
     return signer_id, decode_signature(data[off + id_len :])

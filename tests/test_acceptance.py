@@ -25,12 +25,19 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 
 import pytest
 
 import iodcrypt.encrypt as encrypt_module
-from iodcrypt.bench import PROFILES, REFERENCE_ROWS, project_energy, run_bench
+from iodcrypt.bench import (
+    PROFILES,
+    REFERENCE_ROWS,
+    WARMUP_ITERATIONS,
+    _prepare_workload,
+    project_energy,
+)
 from iodcrypt.bpv import (
     BpvParams,
     bpv_offline,
@@ -316,15 +323,27 @@ def test_criterion_07_hybrid_encryption_correctness(
 
 def test_criterion_08_desk_scale_speedup():
     start = time.perf_counter()
-    fast = run_bench("sign", 100, random.Random(9108))
-    slow = run_bench("reference_sign", 100, random.Random(9109))
-    ratio = slow.median_seconds / fast.median_seconds
+    works = (_prepare_workload("sign", random.Random(9108)),
+             _prepare_workload("reference_sign", random.Random(9109)))
+    for work in works:
+        for _ in range(WARMUP_ITERATIONS):
+            work(None)
+    # The two workloads run in alternating iterations, so a swing in host
+    # speed lands on both medians alike instead of on one of them.
+    samples = ([], [])
+    for _ in range(100):
+        for work, times in zip(works, samples):
+            begin = time.perf_counter()
+            work(None)
+            times.append(time.perf_counter() - begin)
+    fast, slow = (statistics.median(times) for times in samples)
+    ratio = slow / fast
     elapsed = time.perf_counter() - start
-    assert fast.median_seconds < slow.median_seconds
+    assert fast < slow
     assert ratio >= 1.2
     assert elapsed < 60.0
-    _pass(8, f"median sign {fast.median_seconds * 1e3:.3f} ms vs reference "
-             f"{slow.median_seconds * 1e3:.3f} ms: {ratio:.1f}x faster "
+    _pass(8, f"median sign {fast * 1e3:.3f} ms vs reference "
+             f"{slow * 1e3:.3f} ms: {ratio:.1f}x faster "
              f"({elapsed:.1f}s)")
 
 
@@ -353,7 +372,7 @@ def test_criterion_10_serialization_robustness(kgc, signer_ctx, sender_ctx, reci
     ct = encrypt(sender_ctx, message, rng)
     small = bpv_offline(BpvParams(4, 16, allow_unsafe=True), rng)
     small_designated = dbpv_offline(
-        BpvParams(4, 16, allow_unsafe=True), sender_ctx.table.designated_point,
+        BpvParams(4, 16, allow_unsafe=True), sender_ctx.table.bases[1],
         sender_ctx.table.owner_binding, rng)
 
     round_trips = [

@@ -10,10 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from iodcrypt.bpv import (
     BpvParams,
-    DesignatedTable,
-    PrecompTable,
     SUPPORTED_PARAMS,
-    SubsetSelection,
     bpv_offline,
     bpv_online,
     dbpv_offline,
@@ -198,15 +195,10 @@ def test_subsets_are_distinct_in_range_and_right_sized():
     params = BpvParams(18, 1024)
     rng = random.Random(15)
     for _ in range(100):
-        sel = sample_subset(params, rng)
-        assert len(sel.indices) == params.v
-        assert len(set(sel.indices)) == params.v
-        assert all(0 <= i < params.k for i in sel.indices)
-
-
-def test_subset_selection_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SubsetSelection((1, 2, 2))
+        indices = sample_subset(params, rng)
+        assert len(indices) == params.v
+        assert len(set(indices)) == params.v
+        assert all(0 <= i < params.k for i in indices)
 
 
 def test_index_frequencies_are_uniform():
@@ -215,7 +207,7 @@ def test_index_frequencies_are_uniform():
     draws = 10_000
     counts = [0] * params.k
     for _ in range(draws):
-        for i in sample_subset(params, rng).indices:
+        for i in sample_subset(params, rng):
             counts[i] += 1
     expect = draws * params.v / params.k
     sd = math.sqrt(draws * (params.v / params.k) * (1 - params.v / params.k))
@@ -269,7 +261,7 @@ def test_designated_table_round_trips_bit_exact():
     blob = serialize_table(table)
     again = deserialize_table(blob)
     assert again == table
-    assert again.designated_point == point
+    assert again.bases == (G, point)
     assert again.owner_binding == table.owner_binding
     assert serialize_table(again) == blob
 
@@ -342,9 +334,9 @@ HEADER_LEN = 18  # magic, group id, kind, k, v
 
 def _plant(table, idx, column, point_bytes):
     """The table's file with one stored point replaced, hash recomputed."""
-    designated = isinstance(table, DesignatedTable)
-    first = HEADER_LEN + (64 if designated else 0)
-    start = first + idx * (96 if designated else 64) + 32 * column
+    extra_bases = len(table.bases) - 1
+    first = HEADER_LEN + 64 * extra_bases
+    start = first + idx * 32 * (2 + extra_bases) + 32 * column
     raw = bytearray(serialize_table(table))
     raw[start : start + 32] = point_bytes
     return _rehash(raw)
@@ -380,9 +372,32 @@ def test_load_rejects_a_planted_point(table, column, fault, error):
 
 
 def test_kind_byte_distinguishes_table_flavours():
-    assert isinstance(deserialize_table(serialize_table(toy_table())), PrecompTable)
-    table, _, _ = toy_designated()
-    assert isinstance(deserialize_table(serialize_table(table)), DesignatedTable)
+    plain = serialize_table(toy_table())
+    assert plain[9] == 0x00
+    assert deserialize_table(plain).bases == (G,)
+    table, _, point = toy_designated()
+    designated = serialize_table(table)
+    assert designated[9] == 0x01
+    assert deserialize_table(designated).bases == (G, point)
+
+
+# Digests of serialize_table output for two seeded k=16 tables, taken from the
+# two-class implementation that preceded the single table type: the file
+# format must not move.
+@pytest.mark.parametrize("kind,digest", [
+    ("plain", "537bf33fc0639e2dfd45e37708b1421b9aa2f0d9209f1b6c1b4ad2b469df634f"),
+    ("designated", "7beb08728393d7512cad3d9a09e22a29257e3f73ec4acc69820b8fb62b8fded0"),
+])
+def test_serialized_tables_keep_their_pinned_bytes(kind, digest):
+    params = BpvParams(v=4, k=16, allow_unsafe=True)
+    if kind == "plain":
+        table = bpv_offline(params, random.Random(2024))
+    else:
+        binding = hashlib.sha256(b"receiver-record").digest()
+        table = dbpv_offline(params, Scalar(123457) * G, binding, random.Random(2025))
+    blob = serialize_table(table)
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert serialize_table(deserialize_table(blob)) == blob
 
 
 # --------------------------------------------------------------------------

@@ -196,6 +196,15 @@ def test_sign_refuses_designated_table(realm, capsys):
     assert capsys.readouterr().err.startswith("UnsupportedParams:")
 
 
+def test_encrypt_refuses_a_signing_table(realm, tmp_path, capsys):
+    out = tmp_path / "msg.enc"
+    rc = cli(realm, "encrypt", "--to", "bravo", "--table", str(realm["home"] / "bpv.tbl"),
+             "--out", str(out), str(realm["message"]), "--test-seed", "210", "--insecure-test")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("UnsupportedParams:")
+    assert not out.exists()
+
+
 def test_table_gen_rejects_unvetted_params(realm, capsys):
     rc = cli(realm, "table", "gen", "--params", "2,4",
              "--test-seed", "209", "--insecure-test")

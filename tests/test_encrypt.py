@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 import iodcrypt.encrypt as encrypt_module
-from iodcrypt.bpv import BpvParams
+from iodcrypt.bpv import BpvParams, bpv_offline
 from iodcrypt.encrypt import (
     Ciphertext,
     SenderContext,
@@ -148,7 +148,7 @@ def test_kdf_matches_direct_hkdf_over_the_encoded_point():
 
 def test_sender_table_is_built_over_the_reconstructed_key(setup):
     kgc, _, bob, ctx = setup
-    assert ctx.table.designated_point == reconstruct_pub(bob.record, kgc.public)
+    assert ctx.table.bases == (G, reconstruct_pub(bob.record, kgc.public))
     assert ctx.table.owner_binding == bob.record.binding()
 
 
@@ -164,6 +164,13 @@ def test_context_rejects_tables_bound_to_someone_else(setup):
     _, alice, _, ctx = setup
     with pytest.raises(TableIntegrity):
         SenderContext(table=ctx.table, receiver=alice.record)
+
+
+def test_context_rejects_a_signing_table(setup):
+    _, _, bob, _ = setup
+    plain = bpv_offline(BpvParams(2, 4, allow_unsafe=True), random.Random(406))
+    with pytest.raises(TableIntegrity):
+        SenderContext(table=plain, receiver=bob.record)
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,29 @@ accepts must round-trip byte for byte, and every group element it yields
 must lie in the prime-order subgroup according to the affine oracle.
 """
 
+import hashlib
+import random
+
 from hypothesis import given, settings, strategies as st
 
+from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, deserialize_table, serialize_table
 from iodcrypt.encrypt import Ciphertext, deserialize_ciphertext_file, serialize_ciphertext_file
 from iodcrypt.errors import IodCryptError
 from iodcrypt.group import G, N, Scalar, decode_element
-from iodcrypt.selfcert import IdentityRecord, parse_record
+from iodcrypt.selfcert import (
+    IdentityRecord,
+    KgcKeypair,
+    SelfCertKeypair,
+    deserialize_drone_keypair,
+    deserialize_kgc_keypair,
+    deserialize_record,
+    deserialize_system_public,
+    parse_record,
+    serialize_drone_keypair,
+    serialize_kgc_keypair,
+    serialize_record,
+    serialize_system_public,
+)
 from iodcrypt.sign import (
     Signature,
     decode_signature,
@@ -29,7 +46,8 @@ points = scalars.map(lambda k: k * G)
 torsion_points = st.tuples(points, st.integers(min_value=1, max_value=7)).map(
     lambda args: args[0] + times(args[1], T8)
 )
-element_bytes = st.one_of(points, torsion_points).map(lambda point: point.encode())
+any_points = st.one_of(points, torsion_points)
+element_bytes = any_points.map(lambda point: point.encode())
 ids = st.binary(min_size=1, max_size=12)
 signatures = st.builds(Signature, s=scalars, e=scalars)
 
@@ -112,3 +130,73 @@ def test_parse_record_fails_closed(data):
         record, consumed = parsed
         _check_element(record.commitment)
         assert record.wire() == data[:consumed]
+
+
+@_FUZZ
+@given(_near(st.builds(IdentityRecord, ids, points).map(IdentityRecord.wire)))
+def test_deserialize_record_fails_closed(data):
+    record = _accepted(deserialize_record, data)
+    if record is not None:
+        _check_element(record.commitment)
+        assert serialize_record(record) == data
+
+
+@_FUZZ
+@given(_near(any_points.map(serialize_system_public)))
+def test_deserialize_system_public_fails_closed(data):
+    public = _accepted(deserialize_system_public, data)
+    if public is not None:
+        _check_element(public)
+        assert serialize_system_public(public) == data
+
+
+@_FUZZ
+@given(_near(st.builds(KgcKeypair, scalars, any_points).map(serialize_kgc_keypair)))
+def test_deserialize_kgc_keypair_fails_closed(data):
+    kgc = _accepted(deserialize_kgc_keypair, data)
+    if kgc is not None:
+        _check_element(kgc.public)
+        assert serialize_kgc_keypair(kgc) == data
+
+
+drone_keys = st.builds(
+    lambda drone_id, commitment, secret, cached: serialize_drone_keypair(
+        SelfCertKeypair(IdentityRecord(drone_id, commitment), secret, cached)
+    ),
+    ids, any_points, scalars, any_points,
+)
+
+
+@_FUZZ
+@given(_near(drone_keys))
+def test_deserialize_drone_keypair_fails_closed(data):
+    keypair = _accepted(deserialize_drone_keypair, data)
+    if keypair is not None:
+        _check_element(keypair.record.commitment)
+        _check_element(keypair.cached_term)
+        assert serialize_drone_keypair(keypair) == data
+
+
+# Two small tables, built once: each example then costs one k=16 load.
+_TOY_PARAMS = BpvParams(v=4, k=16, allow_unsafe=True)
+_TABLE_BLOBS = (
+    serialize_table(bpv_offline(_TOY_PARAMS, random.Random(31))),
+    serialize_table(dbpv_offline(_TOY_PARAMS, Scalar(977) * G, bytes(range(32)), random.Random(32))),
+)
+
+
+def _rehash(blob):
+    """The blob with its trailing 32 bytes replaced by the SHA-256 of the rest."""
+    if len(blob) < 32:
+        return blob
+    return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
+
+
+@_FUZZ
+@given(st.one_of(_near(st.sampled_from(_TABLE_BLOBS)), _near(st.sampled_from(_TABLE_BLOBS)).map(_rehash)))
+def test_deserialize_table_fails_closed(data):
+    table = _accepted(deserialize_table, data)
+    if table is not None:
+        for point in table.bases[1:]:
+            _check_element(point)
+        assert serialize_table(table) == data

@@ -17,14 +17,15 @@ from hypothesis import given, settings, strategies as st
 from iodcrypt import group
 from iodcrypt.errors import MalformedElement, MalformedScalar
 from iodcrypt.group import (
-    DESCRIPTOR,
     DOMAIN_KEY,
     DOMAIN_SIG,
+    ELEMENT_LEN,
     G,
     GROUP_ID,
     IDENTITY,
     N,
     P,
+    SCALAR_LEN,
     OpCounter,
     Scalar,
     addends,
@@ -32,7 +33,6 @@ from iodcrypt.group import (
     decode_element,
     decode_scalar,
     encode_batch,
-    encode_element,
     hash_to_scalar,
     point_add,
     random_scalar,
@@ -62,11 +62,12 @@ def test_group_order_times_base_is_identity():
 
 
 def test_descriptor_fields():
-    assert DESCRIPTOR.group_id == GROUP_ID == 0x01
-    assert DESCRIPTOR.order == N
-    assert DESCRIPTOR.element_len == 32
-    assert DESCRIPTOR.scalar_len == 32
-    assert DESCRIPTOR.generator == G
+    assert GROUP_ID == 0x01
+    assert N == 2**252 + 27742317777372353535851937790883648493
+    assert ELEMENT_LEN == SCALAR_LEN == 32
+    assert len(G.encode()) == ELEMENT_LEN
+    assert len(Scalar(N - 1).encode()) == SCALAR_LEN
+    assert G == decode_element(bytes.fromhex("58" + "66" * 31))
 
 
 def test_order_minus_one_times_base_is_negation():
@@ -253,7 +254,7 @@ def test_element_encode_decode_round_trip():
     rng = random.Random(202)
     for _ in range(50):
         p = random_scalar(rng) * G
-        b = encode_element(p)
+        b = p.encode()
         assert len(b) == 32
         assert decode_element(b) == p
 
