@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bpv import BpvParams, bpv_offline, bpv_online, dbpv_online
-from .encrypt import decrypt, enc_kg_sender, encrypt
+from .encrypt import decode_ciphertext, decrypt, enc_kg_sender, encrypt
 from .errors import InvalidMeasurement, UnknownOp
 from .group import OpCounter
 from .selfcert import (
@@ -184,8 +184,11 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
         sender = enc_kg_sender(receiver.record, kgc.public, _BENCH_PARAMS, rng)
         if op_name == "encrypt":
             return lambda ctr: encrypt(sender, b"benchmark message", rng, ctr)
-        ct = encrypt(sender, b"benchmark message", rng)
-        return lambda ctr: decrypt(receiver, ct, ctr)
+        # Decoded on every iteration, as a receiver does: a decoded
+        # ephemeral point keeps its ladder, so reusing one would time only
+        # the product on a ladder already built.
+        wire = encrypt(sender, b"benchmark message", rng).encode()
+        return lambda ctr: decrypt(receiver, decode_ciphertext(wire), ctr)
     if op_name == "aq_shared":
         a = aq_kg(kgc, b"bench-a", rng)
         b = aq_kg(kgc, b"bench-b", rng)

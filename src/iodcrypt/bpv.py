@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from .errors import (
     IntegrityMismatch,
     InvalidDesignatedPoint,
+    InvalidOwnerBinding,
     TableIntegrity,
     TruncatedFile,
     UnsupportedParams,
@@ -106,7 +107,8 @@ class PrecompTable:
     for encryption to a receiver key X; ``owner_binding`` is then the
     32-byte hash of that receiver's identity record, so a loaded table
     can be matched to the receiver it was built for, and is empty for a
-    ``(G,)`` table.
+    ``(G,)`` table.  Any other length raises :class:`InvalidOwnerBinding`
+    when the table is made, since the file has room for exactly that.
 
     Each point column is also held in the stored form of
     :func:`~iodcrypt.group.subset_sum`, taken once when the table is
@@ -120,6 +122,12 @@ class PrecompTable:
     stored: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        expected = 32 * (len(self.bases) - 1)
+        if len(self.owner_binding) != expected:
+            raise InvalidOwnerBinding(
+                f"owner binding must be {expected} bytes over {len(self.bases)} "
+                f"base(s), got {len(self.owner_binding)}"
+            )
         self.stored = [
             addends([entry[column] for entry in self.entries])
             for column in range(1, len(self.bases) + 1)

@@ -30,6 +30,10 @@ class InvalidDesignatedPoint(IodCryptError):
     """The designated point of a receiver-bound table is degenerate (identity)."""
 
 
+class InvalidOwnerBinding(IodCryptError):
+    """A table's owner binding is not 32 bytes over (G, X), or not empty over (G,)."""
+
+
 class InvalidIdentity(IodCryptError):
     """Identity string empty or oversized, or an identity record carries a bad key."""
 

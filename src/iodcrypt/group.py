@@ -23,11 +23,17 @@ Products run on two paths:
 * **G**: a signed radix-16 comb (64 rows of 8 affine points, Lim-Lee),
   built on first use and kept for the life of the process; a product is
   at most 64 mixed additions and no doublings.
-* **any other base**: a fixed 4-bit window over the multiples 1..15 of
-  the base, cached on the element on first use; about 252 doublings and
-  63 additions.  The subgroup check of :func:`decode_element` is this
-  path with the unreduced scalar N, and the window it builds serves the
-  decoded element's later products.
+* **any other base**: a ladder of the 64 points 16^i * B, built by the
+  element's first product (252 doublings) and kept on the element.
+  Every product then sums the ladder rows by the comb's signed radix-16
+  digits into eight buckets (Yao's method): one addition per nonzero
+  digit after the first in its bucket (about 52 for a random scalar),
+  at most 14 to combine the buckets, and no doublings.  The subgroup
+  check of :func:`decode_element` is this path with the unreduced scalar
+  N = 2^252 + c, c < 2^125, whose 31 nonzero digits cost 24 + 14
+  additions once the ladder exists; the ladder it builds serves the
+  decoded element's later products (the x*R of decryption, the t*T of
+  a handshake).
 
 :func:`batch_scalar_mult` over a base other than G builds a comb of that
 base for the one call.
@@ -75,6 +81,7 @@ __all__ = [
 P = 2**255 - 19
 _D = (-121665 * pow(121666, P - 2, P)) % P
 _2D = 2 * _D % P
+_INV_D = pow(_D, -1, P)
 N = 2**252 + 27742317777372353535851937790883648493
 _SQRT_M1 = pow(2, (P - 1) // 4, P)
 
@@ -148,27 +155,6 @@ def _dbl_raw(p1):
     f = (g - c) % P
     h = (-b - a) % P
     return (e * f % P, g * h % P, f * g % P, e * h % P)
-
-
-def _mul_raw(coords, k, window):
-    # Fixed 4-bit window, most-significant nibble first.  k is used as
-    # given (no mod-N reduction) so the subgroup membership test N*P can
-    # be expressed through it.
-    if k == 0:
-        return _IDENT_COORDS
-    nibbles = []
-    while k:
-        nibbles.append(k & 15)
-        k >>= 4
-    acc = None
-    dbl = _dbl_raw
-    add = _add_raw
-    for nib in reversed(nibbles):
-        if acc is not None:
-            acc = dbl(dbl(dbl(dbl(acc))))
-        if nib:
-            acc = window[nib - 1] if acc is None else add(acc, window[nib - 1])
-    return acc if acc is not None else _IDENT_COORDS
 
 
 def _normalize(coords_list):
@@ -282,6 +268,65 @@ def _g_comb():
     return _G_COMB
 
 
+def _ladder_table(coords):
+    # Row i is 16^i * B for i = 0..63: 252 doublings, T computed only in
+    # the last doubling of each group of four (the doubling never reads
+    # it).  Rows stay unnormalised, in the form (Y+X, Y-X, 2Z, 2d*T),
+    # because one inversion for the ladder costs more than it saves.
+    x, y, z, t = coords
+    rows = []
+    for i in range(_COMB_ROWS):
+        if i:
+            for _ in range(4):
+                a = x * x % P
+                b = y * y % P
+                c = 2 * z * z % P
+                e = 2 * x * y % P
+                g = b - a
+                f = g - c
+                h = -b - a
+                x, y, z = e * f % P, g * h % P, f * g % P
+            t = e * h % P
+        rows.append(((y + x) % P, (y - x) % P, 2 * z % P, t * _2D % P))
+    return rows
+
+
+def _ladder_mul(rows, k):
+    # Yao's bucket method over the signed radix-16 digits of k (k < 2^253,
+    # unreduced, so N itself serves the subgroup check): bucket j collects
+    # +-row_i for every |d_i| = j, then sum(j * bucket_j) comes from two
+    # running sums.  At most 63 + 14 additions and no doublings.
+    buckets = [None] * (_COMB_COLS + 1)
+    for (yp, ym, z2, t2d), d in zip(rows, _signed_digits(k)):
+        if not d:
+            continue
+        if d < 0:
+            d = -d
+            yp, ym, t2d = ym, yp, -t2d
+        acc = buckets[d]
+        if acc is None:
+            # The row as (2X, 2Y, 2Z, 2T).
+            buckets[d] = ((yp - ym) % P, (yp + ym) % P, z2, t2d * _INV_D % P)
+            continue
+        x1, y1, z1, t1 = acc
+        a = (y1 - x1) * ym % P
+        b = (y1 + x1) * yp % P
+        c = t1 * t2d % P
+        zz = z1 * z2 % P
+        e = b - a
+        f = zz - c
+        g = zz + c
+        h = b + a
+        buckets[d] = (e * f % P, g * h % P, f * g % P, e * h % P)
+    running = total = None
+    for acc in buckets[:0:-1]:
+        if acc is not None:
+            running = acc if running is None else _add_raw(running, acc)
+        if running is not None:
+            total = running if total is None else _add_raw(total, running)
+    return _IDENT_COORDS if total is None else total
+
+
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------
@@ -352,26 +397,22 @@ class GroupElement:
     """Point in the prime-order subgroup, in extended twisted Edwards coordinates.
 
     Immutable in value.  ``k * G`` runs on the process-wide comb of G;
-    ``k * P`` for any other point runs on a per-element window table
-    cached lazily (idempotent, so safe to share across readers).
+    ``k * P`` for any other point runs on a per-element ladder built
+    lazily by the first product (idempotent, so safe to share across
+    readers).
     """
 
-    __slots__ = ("coords", "_window")
+    __slots__ = ("coords", "_ladder")
 
     def __init__(self, coords):
         self.coords = coords
-        self._window = None
+        self._ladder = None
 
-    def _win(self):
-        win = self._window
-        if win is None:
-            win = [self.coords]
-            cur = self.coords
-            for _ in range(14):
-                cur = _add_raw(cur, self.coords)
-                win.append(cur)
-            self._window = win
-        return win
+    def _rows(self):
+        rows = self._ladder
+        if rows is None:
+            rows = self._ladder = _ladder_table(self.coords)
+        return rows
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(_add_raw(self.coords, other.coords))
@@ -393,7 +434,7 @@ class GroupElement:
             return IDENTITY
         if self.coords == G.coords:
             return GroupElement(_comb_mul(_g_comb(), k))
-        return GroupElement(_mul_raw(self.coords, k, self._win()))
+        return GroupElement(_ladder_mul(self._rows(), k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -464,7 +505,7 @@ def decode_element(data: bytes) -> GroupElement:
     if x & 1 != sign:
         x = P - x
     point = GroupElement((x, y, 1, x * y % P))
-    if not GroupElement(_mul_raw(point.coords, N, point._win())).is_identity():
+    if not GroupElement(_ladder_mul(point._rows(), N)).is_identity():
         raise MalformedElement("point outside the prime-order subgroup")
     return point
 

@@ -12,6 +12,7 @@ from iodcrypt.bench import (
     PROFILES,
     REFERENCE_OP_ORDER,
     REFERENCE_ROWS,
+    _prepare_workload,
     device_report,
     format_ldjson,
     format_text_table,
@@ -19,6 +20,7 @@ from iodcrypt.bench import (
     project_energy,
     run_bench,
 )
+from iodcrypt import encrypt as encrypt_module
 from iodcrypt.errors import InvalidMeasurement, UnknownOp
 
 AVR = PROFILES["avr"]
@@ -124,6 +126,17 @@ def test_bench_counts_match_the_analytical_budgets():
         assert result.iterations == 10
         assert result.median_seconds > 0
         assert (result.scalar_mults, result.point_adds) == (mults, adds), op_name
+
+
+def test_decrypt_workload_decodes_the_ciphertext_every_iteration(monkeypatch):
+    work = _prepare_workload("decrypt", random.Random(5))
+    decoded = []
+    real = encrypt_module.decode_element
+    monkeypatch.setattr(encrypt_module, "decode_element",
+                        lambda data: decoded.append(data) or real(data))
+    outputs = [work(None) for _ in range(3)]
+    assert outputs == [b"benchmark message"] * 3
+    assert len(decoded) == 3 and len(set(decoded)) == 1
 
 
 def test_precomputed_signing_beats_the_reference_signer():

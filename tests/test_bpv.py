@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iodcrypt.bpv import (
+    PrecompTable,
     BpvParams,
     SUPPORTED_PARAMS,
     bpv_offline,
@@ -25,6 +26,7 @@ from iodcrypt.errors import (
     BadMagic,
     IntegrityMismatch,
     InvalidDesignatedPoint,
+    InvalidOwnerBinding,
     MalformedElement,
     TableIntegrity,
     TruncatedFile,
@@ -109,6 +111,26 @@ def test_designated_offline_entries_and_cost():
 def test_designated_offline_rejects_identity_point():
     with pytest.raises(InvalidDesignatedPoint):
         dbpv_offline(TOY, IDENTITY, b"\x00" * 32, random.Random(0))
+
+
+# The file has room for exactly a 32-byte binding after X and none in a
+# (G,) table; these bindings used to give hash-valid files that failed to
+# load with TruncatedFile (469 bytes where 498 were expected, 338 where 306).
+@pytest.mark.parametrize("binding", [b"", b"abc", b"\x00" * 31, b"\x00" * 33])
+def test_designated_table_needs_a_32_byte_owner_binding(binding):
+    point = Scalar(123457) * G
+    with pytest.raises(InvalidOwnerBinding):
+        dbpv_offline(TOY, point, binding, random.Random(0))
+    table, _, _ = toy_designated()
+    with pytest.raises(InvalidOwnerBinding):
+        PrecompTable(TOY, table.bases, table.entries, binding)
+
+
+def test_signing_table_takes_no_owner_binding():
+    table = toy_table()
+    with pytest.raises(InvalidOwnerBinding):
+        PrecompTable(TOY, table.bases, table.entries, b"\x11" * 32)
+    assert PrecompTable(TOY, table.bases, table.entries) == table
 
 
 def test_entry_bytes_accounting():

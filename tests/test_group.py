@@ -23,6 +23,7 @@ from iodcrypt.group import (
     G,
     GROUP_ID,
     IDENTITY,
+    GroupElement,
     N,
     P,
     SCALAR_LEN,
@@ -124,8 +125,68 @@ def test_g_comb_is_built_once_per_process(monkeypatch):
     assert built == [G.coords, _OTHER_BASE.coords]
 
 
+# --------------------------------------------------------------------------
+# The per-element ladder of every other base
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=N - 1), st.integers(min_value=0, max_value=N - 1))
+def test_ladder_products_match_affine_oracle(b, k):
+    base = Scalar(b) * G
+    for scalar in [k, *_EDGE_SCALARS]:
+        assert affine(Scalar(scalar) * base) == affine_mul(scalar, affine(base))
+    assert base._ladder is not None
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_ladder_product_by_the_order_keeps_the_torsion_part(j):
+    # N * (Q + j*T8) = N * j*T8, a point of order 8, 4 or 2: the ladder
+    # multiplies by N itself, not by N reduced modulo the order.
+    point = _OTHER_BASE + times(j, T8)
+    out = GroupElement(group._ladder_mul(point._rows(), N))
+    assert affine(out) == affine_mul(N, affine(point))
+    assert not out.is_identity()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(group, name)
+    monkeypatch.setattr(group, name, lambda *args: calls.append(name) or real(*args))
+    return calls
+
+
+def test_ladder_is_built_once_per_element(monkeypatch):
+    built = _count_calls(monkeypatch, "_ladder_table")
+    point = decode_element((Scalar(0xD1CE) * G).encode())
+    assert len(built) == 1
+    for k in (Scalar(3), Scalar(N - 1)):
+        assert affine(scalar_mult(k, point)) == affine_mul(k.value, affine(point))
+        assert affine(k * point) == affine_mul(k.value, affine(point))
+    assert len(built) == 1
+
+
+def test_second_product_runs_no_doubling(monkeypatch):
+    point = Scalar(0xF00D) * G
+    Scalar(5) * point
+    built = _count_calls(monkeypatch, "_ladder_table")
+    doubled = _count_calls(monkeypatch, "_dbl_raw")
+    assert affine(Scalar(N - 2) * point) == affine_mul(N - 2, affine(point))
+    assert built == doubled == []
+
+
+def test_g_never_gets_a_ladder():
+    k = Scalar(0xC0FFEE)
+    k * G
+    scalar_mult(k, G)
+    batch_scalar_mult(G, [k])
+    k * decode_element(G.encode())
+    assert G._ladder is None
+
+
 def test_nothing_is_built_at_import_time():
-    code = "import iodcrypt.cli, iodcrypt.group as g; assert g._G_COMB is None"
+    code = ("import iodcrypt.cli, iodcrypt.group as g; "
+            "assert g._G_COMB is None and g.G._ladder is None and g.IDENTITY._ladder is None")
     env = {**os.environ, "PYTHONPATH": str(Path(group.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 

@@ -13,8 +13,9 @@ from iodcrypt.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, N, OpCounter, Scalar
-from iodcrypt.selfcert import key_ver
+from iodcrypt import group
+from iodcrypt.group import G, N, GroupElement, OpCounter, Scalar
+from iodcrypt.selfcert import deserialize_record, key_ver, serialize_record
 from iodcrypt.sign import (
     Signature,
     SignerContext,
@@ -151,6 +152,47 @@ def test_both_verifiers_agree_on_honest_and_corrupt_signatures(setup):
         corpus.append((message + b"!", good))
     for message, sig in corpus:
         assert verify(vctx, message, sig) == reference_verify(public, message, sig)
+
+
+def test_context_key_gets_its_ladder_on_the_first_verify_only(setup, monkeypatch):
+    kgc, ctx, _ = setup
+    built = []
+    real = group._ladder_table
+    monkeypatch.setattr(group, "_ladder_table", lambda coords: built.append(coords) or real(coords))
+    # A record from the wire: decoding U already built U's ladder.
+    record = deserialize_record(serialize_record(ctx.keypair.record))
+    assert len(built) == 1
+    vctx = VerifierContext.build(record, kgc.public)
+    assert len(built) == 1
+    assert vctx.cached_key._ladder is None
+    rng = random.Random(82)
+    for i in range(5):
+        message = rng.randbytes(16)
+        ctr = OpCounter()
+        assert verify(vctx, message, sign(ctx, message, rng), ctr)
+        assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
+    assert built == [record.commitment.coords, vctx.cached_key.coords]
+
+
+def test_many_verifies_on_one_context_agree_with_reference_verify(setup):
+    kgc, ctx, _ = setup
+    other = sign_kg(kgc, b"signer-2", TOY, random.Random(83))
+    vctx = VerifierContext.build(ctx.keypair.record, kgc.public)
+    rng = random.Random(84)
+    for i in range(40):
+        message = rng.randbytes(rng.randrange(0, 40))
+        good = sign(ctx, message, rng)
+        for candidate, sig in (
+            (message, good),
+            (message + b"!", good),
+            (message, Signature(good.s + Scalar(1), good.e)),
+            (message, Signature(good.s, good.e + Scalar(1))),
+            (message, sign(other, message, rng)),
+        ):
+            # A fresh copy of the key, so the oracle shares no cached ladder.
+            public = GroupElement(vctx.cached_key.coords)
+            assert verify(vctx, candidate, sig) == reference_verify(public, candidate, sig)
+        assert verify(vctx, message, good)
 
 
 def test_reference_signatures_verify_under_reconstructed_key(setup):
