@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .bpv import BpvParams, bpv_offline, bpv_online, dbpv_online
+from .bpv import BpvParams, bpv_offline, bpv_online, dbpv_online, deserialize_table, serialize_table
 from .encrypt import decode_ciphertext, decrypt, enc_kg_sender, encrypt
 from .errors import InvalidMeasurement, UnknownOp
 from .group import OpCounter
@@ -162,6 +162,13 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
     if op_name == "bpv_online":
         table = bpv_offline(_BENCH_PARAMS, rng)
         return lambda ctr: bpv_online(table, rng, ctr)
+    if op_name == "table_load":
+        blob = serialize_table(bpv_offline(_BENCH_PARAMS, rng))
+        return lambda ctr: deserialize_table(blob, ctr)
+    if op_name == "table_open":
+        key = rng.randrange(1 << 256).to_bytes(32, "little")
+        blob = serialize_table(bpv_offline(_BENCH_PARAMS, rng), seal_key=key, rng=rng)
+        return lambda ctr: deserialize_table(blob, ctr, seal_key=key)
 
     kgc = kgc_setup(rng)
 
@@ -218,6 +225,8 @@ BENCH_OPS = (
     "decrypt",
     "aq_shared",
     "aq_hang",
+    "table_load",
+    "table_open",
 )
 
 

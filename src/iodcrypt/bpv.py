@@ -12,7 +12,9 @@ Security rests on the hardness of recovering the hidden subset from the
 outputs, so subset indices are sampled fresh per call from the caller's
 randomness source and are never logged or serialized.
 
-Table file layout (all integers little-endian)::
+Two table file formats exist (all integers little-endian).  The open
+format, ``IODCBPV1``, is what :func:`serialize_table` writes without a
+seal key::
 
     magic "IODCBPV1" | group_id (1B) | kind (1B: number of bases - 1)
     | k (4B) | v (4B)
@@ -32,6 +34,36 @@ each at most 64 additions on a comb of the base (G's is process-wide, X's
 is built once per load); no stored point is decompressed unless it fails
 to match.  :func:`verify_table` runs the same recomputation for tables
 held in memory.
+
+The sealed format, ``IODCBPV2``, is what it writes given a 32-byte seal
+key.  The clear header is authenticated as associated data, and the
+rest is sealed with ChaCha20-Poly1305 (RFC 8439) under the seal key::
+
+    clear:  magic "IODCBPV2" | group_id (1B) | kind (1B) | k (4B) | v (4B)
+            | [kind 0x01 only: owner_binding (32B)] | nonce (12B)
+    sealed: [kind 0x01 only: X (64B)]
+            | k entries of scalar (32B) | r_i*G (64B) [| r_i*X (64B)]
+            | tag (16B)
+
+Points are stored affine as x (32B) | y (32B), so a load needs neither a
+square root nor a product: the header is checked by the one header rule,
+then one AEAD open (a wrong key or any changed byte after the header
+raises :class:`IntegrityMismatch`), then each scalar must be below N and
+each point must have both coordinates below P and satisfy the curve
+equation (:class:`MalformedElement`).  A k=256 table is about 24 KiB
+(40 KiB designated), against 16 KiB (24 KiB) in the open format.
+
+Threat model of the seal.  Whoever can read an open table learns every
+nonce scalar and so, from one signature, the signing key
+(s = r - e*x); whoever can write one can plant a consistent table whose
+scalars they know, which the recomputation accepts.  The seal stops
+both, and any corruption: without the key a sealed table can be neither
+read nor replaced by another that opens.  With the seal key the stored
+points are exactly the ones written, so recomputing them from their
+scalars would prove nothing more, and the sealed load skips it.  The
+seal does not help against an attacker who can read the key itself,
+which is stored next to the signing keys; :func:`verify_table` remains
+as an explicit deep check.
 """
 
 from __future__ import annotations
@@ -40,10 +72,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
 from .errors import (
     IntegrityMismatch,
     InvalidDesignatedPoint,
     InvalidOwnerBinding,
+    MalformedElement,
     TableIntegrity,
     TruncatedFile,
     UnsupportedParams,
@@ -52,10 +88,13 @@ from .errors import (
 from .group import (
     G,
     GROUP_ID,
+    P,
     GroupElement,
     OpCounter,
     Scalar,
+    _D,
     _check_header,
+    _normalize,
     addends,
     batch_scalar_mult,
     decode_element,
@@ -66,11 +105,15 @@ from .group import (
 )
 
 MAGIC = b"IODCBPV1"
+MAGIC_SEALED = b"IODCBPV2"
 KIND_STANDARD = 0x00
 KIND_DESIGNATED = 0x01
+SEAL_KEY_LEN = 32
 
 # magic, group id, kind, k, v
 _HEADER_LEN = len(MAGIC) + 1 + 1 + 4 + 4
+_NONCE_LEN = 12
+_TAG_LEN = 16
 
 # (v, k) pairs vetted for ~128-bit subset-space security.
 SUPPORTED_PARAMS = ((28, 256), (18, 1024))
@@ -229,54 +272,142 @@ def subset_space_bits(params: BpvParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def serialize_table(table: PrecompTable) -> bytes:
-    """Serialize to the integrity-hashed binary layout described above.
+def _header(magic: bytes, table: PrecompTable) -> bytes:
+    return (magic + bytes([GROUP_ID, len(table.bases) - 1])
+            + table.params.k.to_bytes(4, "little") + table.params.v.to_bytes(4, "little"))
 
-    All points of the table are encoded together with one field inversion.
+
+def _encoded(table: PrecompTable, encode) -> tuple[bytes, bytes]:
+    """(the extra bases, then every entry) with the points encoded by ``encode``.
+
+    ``encode`` maps a list of points to a list of byte strings; it is given
+    every point of the table at once, so it can share one field inversion.
     """
     head = table.bases[1:]
-    codes = iter(encode_batch([*head, *(point for entry in table.entries for point in entry[1:])]))
-    out = bytearray(MAGIC)
-    out.append(GROUP_ID)
-    out.append(len(head))
-    out += table.params.k.to_bytes(4, "little")
-    out += table.params.v.to_bytes(4, "little")
-    for _ in head:
-        out += next(codes)
-    out += table.owner_binding
+    codes = iter(encode([*head, *(point for entry in table.entries for point in entry[1:])]))
+    bases = b"".join(next(codes) for _ in head)
+    entries = bytearray()
     for entry in table.entries:
-        out += entry[0].encode()
+        entries += entry[0].encode()
         for _ in entry[1:]:
-            out += next(codes)
-    out += hashlib.sha256(out).digest()
-    return bytes(out)
+            entries += next(codes)
+    return bases, bytes(entries)
 
 
-def _table_len(data: bytes) -> int:
+def _affine_batch(points) -> list[bytes]:
+    return [x.to_bytes(32, "little") + y.to_bytes(32, "little")
+            for x, y in _normalize([point.coords for point in points])]
+
+
+def _affine_point(data: bytes, at: int) -> GroupElement:
+    """The point stored as x | y at ``at``: both below P and on the curve, nothing more.
+
+    With t = x*y, the curve equation is y^2 - x^2 = 1 + d*t^2, so the
+    check and the point's T share one reduction.
+    """
+    x = int.from_bytes(data[at : at + 32], "little")
+    y = int.from_bytes(data[at + 32 : at + 64], "little")
+    if x >= P or y >= P:
+        raise MalformedElement("non-canonical affine coordinate")
+    t = x * y % P
+    if (y * y - x * x - 1 - _D * t * t) % P:
+        raise MalformedElement("not a curve point")
+    return GroupElement((x, y, 1, t))
+
+
+def _aead(seal_key: bytes) -> ChaCha20Poly1305:
+    if len(seal_key) != SEAL_KEY_LEN:
+        raise IntegrityMismatch(f"seal key must be {SEAL_KEY_LEN} bytes, got {len(seal_key)}")
+    return ChaCha20Poly1305(bytes(seal_key))
+
+
+def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=None) -> bytes:
+    """Serialize to one of the two layouts described above.
+
+    Without ``seal_key`` the open, integrity-hashed ``IODCBPV1``; with it
+    the sealed ``IODCBPV2``, under a nonce drawn from ``rng``.  All points
+    of the table are encoded together with one field inversion.
+    """
+    if seal_key is None:
+        bases, entries = _encoded(table, encode_batch)
+        out = _header(MAGIC, table) + bases + table.owner_binding + entries
+        return out + hashlib.sha256(out).digest()
+    nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
+    clear = _header(MAGIC_SEALED, table) + table.owner_binding + nonce
+    return clear + _aead(seal_key).encrypt(nonce, b"".join(_encoded(table, _affine_batch)), clear)
+
+
+def _kind_and_k(data: bytes) -> tuple[int, int]:
     kind = data[len(MAGIC) + 1]
     if kind not in (KIND_STANDARD, KIND_DESIGNATED):
         raise UnsupportedVersion(f"unknown table kind {kind:#x}")
-    k = int.from_bytes(data[len(MAGIC) + 2 : len(MAGIC) + 6], "little")
+    return kind, int.from_bytes(data[len(MAGIC) + 2 : len(MAGIC) + 6], "little")
+
+
+def _table_len(data: bytes) -> int:
+    kind, k = _kind_and_k(data)
     return _HEADER_LEN + 64 * kind + k * 32 * (2 + kind) + 32
 
 
-def deserialize_table(data: bytes, ctr: OpCounter | None = None) -> PrecompTable:
-    """Parse table bytes and recompute every stored point from its scalar.
+def _sealed_len(data: bytes) -> int:
+    kind, k = _kind_and_k(data)
+    return _HEADER_LEN + 32 * kind + _NONCE_LEN + 64 * kind + k * (32 + 64 * (1 + kind)) + _TAG_LEN
 
-    The trailing hash is checked before any field, then the header, the
-    length and every scalar; then r_i*B is recomputed for each base B and
-    compared byte for byte with the stored point, counting k scalar
-    multiplications per base.  Raises TruncatedFile, IntegrityMismatch,
-    BadMagic, UnsupportedVersion or MalformedScalar for a bad file,
-    MalformedElement for a stored point that does not decode to a group
-    element, and TableIntegrity for one that decodes but is not its
-    scalar's product.
+
+def _open(data: bytes, seal_key: bytes) -> PrecompTable:
+    off = _check_header(data, MAGIC_SEALED, _HEADER_LEN, _sealed_len)
+    kind = data[off]
+    k = int.from_bytes(data[off + 1 : off + 5], "little")
+    v = int.from_bytes(data[off + 5 : off + 9], "little")
+    off += 9
+    owner_binding = data[off : off + 32 * kind]
+    off += 32 * kind
+    nonce = data[off : off + _NONCE_LEN]
+    off += _NONCE_LEN
+    try:
+        body = _aead(seal_key).decrypt(nonce, data[off:], data[:off])
+    except InvalidTag:
+        raise IntegrityMismatch("sealed table does not open under this seal key") from None
+    params = BpvParams(v=v, k=k, allow_unsafe=True)
+    bases = (G, *[_affine_point(body, 0) for _ in range(kind)])
+    width = 32 + 64 * len(bases)
+    columns = range(32, width, 64)
+    entries = [
+        (decode_scalar(body[s : s + 32]), *[_affine_point(body, s + c) for c in columns])
+        for s in range(64 * kind, len(body), width)
+    ]
+    return PrecompTable(params, bases, entries, owner_binding)
+
+
+def deserialize_table(
+    data: bytes, ctr: OpCounter | None = None, *, seal_key: bytes | None = None
+) -> PrecompTable:
+    """Parse table bytes; an open table has every stored point recomputed from its scalar.
+
+    Given ``seal_key``, any bytes whose version byte is not the open
+    format's are read as a sealed table: the header rule first, then the
+    AEAD open (IntegrityMismatch), then the range and curve checks of each
+    scalar (MalformedScalar) and point (MalformedElement), with no group
+    operation counted.  Without it, sealed bytes raise IntegrityMismatch.
+
+    In the open format the trailing hash is checked before any field,
+    then the header, the length and every scalar; then r_i*B is
+    recomputed for each base B and compared byte for byte with the stored
+    point, counting k scalar multiplications per base.  Raises
+    TruncatedFile, IntegrityMismatch, BadMagic, UnsupportedVersion or
+    MalformedScalar for a bad file, MalformedElement for a stored point
+    that does not decode to a group element, and TableIntegrity for one
+    that decodes but is not its scalar's product.
     """
+    if seal_key is not None and data[7:8] != MAGIC[7:]:
+        return _open(data, seal_key)
     min_len = _HEADER_LEN + 32
     if len(data) < min_len:
         raise TruncatedFile(f"table file shorter than header ({len(data)} bytes)")
     if hashlib.sha256(data[:-32]).digest() != data[-32:]:
-        raise IntegrityMismatch("table integrity hash mismatch")
+        sealed = data.startswith(MAGIC_SEALED)
+        raise IntegrityMismatch("a sealed table needs its seal key" if sealed
+                                else "table integrity hash mismatch")
     off = _check_header(data, MAGIC, min_len, _table_len)
     kind = data[off]
     k = int.from_bytes(data[off + 1 : off + 5], "little")

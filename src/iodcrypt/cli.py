@@ -8,6 +8,15 @@ file names inside it::
     kgc.sec       KGC master secret          system.pub   system public key
     <id>.key      drone private key (0600)   <id>.rec     public identity record
     bpv.tbl       standard nonce table       <id>.dtbl    designated table for <id>
+    table.seal    table seal secret (0600)
+
+``table gen`` writes sealed tables (``IODCBPV2``) under the home's
+``table.seal``: 32 random bytes, created by the first ``table gen`` and
+never replaced, so every table of a home opens with it.  ``sign`` and
+``encrypt`` open a sealed table with it, and still read open
+(``IODCBPV1``) tables written by the library.  A sealed table opens only
+in the home that wrote it: with another home's ``table.seal``, or in a
+home that has none, loading fails with ``IntegrityMismatch`` (exit 1).
 
 Exit codes: 0 success; 1 cryptographic failure (one stderr line,
 ``ErrorClass: detail``); 2 usage error; 3 I/O error.  All writes are
@@ -38,7 +47,7 @@ from .bench import (
     host_report,
     run_bench,
 )
-from .bpv import BpvParams, bpv_offline, deserialize_table, serialize_table
+from .bpv import SEAL_KEY_LEN, BpvParams, bpv_offline, deserialize_table, serialize_table
 from .encrypt import (
     SenderContext,
     decrypt,
@@ -81,6 +90,7 @@ from .sign import (
 )
 
 DEFAULT_PARAMS = (28, 256)
+SEAL_FILE = "table.seal"
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +113,14 @@ def _rng(args):
     return random.SystemRandom()
 
 
-def _write(path: Path, data: bytes, secret: bool = False) -> None:
+def _write(path: Path, data: bytes, secret: bool = False, keep_existing: bool = False) -> None:
     """Atomic write: temp file in the target directory, then rename.
 
     mkstemp creates the file 0600; keep that for secrets and widen
-    public files to the conventional umask-style mode.
+    public files to the conventional umask-style mode.  With
+    ``keep_existing`` the temp file is hard-linked into place instead,
+    which fails when the name exists: a file already there, even one
+    written a moment earlier by another process, is left as it is.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -115,7 +128,14 @@ def _write(path: Path, data: bytes, secret: bool = False) -> None:
         os.fchmod(fd, 0o600 if secret else 0o644)
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        os.replace(tmp_name, path)
+        if keep_existing:
+            try:
+                os.link(tmp_name, path)
+            except FileExistsError:
+                pass
+            os.unlink(tmp_name)
+        else:
+            os.replace(tmp_name, path)
     except BaseException:
         try:
             os.unlink(tmp_name)
@@ -126,6 +146,21 @@ def _write(path: Path, data: bytes, secret: bool = False) -> None:
 
 def _read(path: Path) -> bytes:
     return path.read_bytes()
+
+
+def _seal_key(args, rng=None) -> bytes | None:
+    """The home's table seal secret, or None when it has none.
+
+    Given ``rng``, a home without one first gets random bytes from it.
+    """
+    path = _home(args) / SEAL_FILE
+    if rng is not None and not path.exists():
+        secret = rng.randrange(1 << (8 * SEAL_KEY_LEN)).to_bytes(SEAL_KEY_LEN, "little")
+        _write(path, secret, secret=True, keep_existing=True)
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
 
 
 def _resolve(args, name_or_path: str, suffix: str) -> Path:
@@ -216,7 +251,7 @@ def cmd_table_gen(args) -> int:
     else:
         table = bpv_offline(params, rng)
         out = Path(args.out) if args.out else home / "bpv.tbl"
-    _write(out, serialize_table(table), secret=True)
+    _write(out, serialize_table(table, seal_key=_seal_key(args, rng), rng=rng), secret=True)
     _emit(
         args,
         {"ok": True, "path": str(out), "k": params.k, "v": params.v,
@@ -228,7 +263,7 @@ def cmd_table_gen(args) -> int:
 
 def cmd_sign(args) -> int:
     keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
-    table = deserialize_table(_read(_resolve(args, args.table, ".tbl")))
+    table = deserialize_table(_read(_resolve(args, args.table, ".tbl")), seal_key=_seal_key(args))
     if len(table.bases) != 1:
         raise UnsupportedParams("signing needs a standard table, not a designated one")
     ctx = SignerContext(keypair=keypair, table=table)
@@ -270,7 +305,7 @@ def cmd_encrypt(args) -> int:
         Path(args.table) if args.table else _home(args) / f"{args.to}.dtbl"
     )
     if table_path.exists():
-        table = deserialize_table(_read(table_path))
+        table = deserialize_table(_read(table_path), seal_key=_seal_key(args))
         if len(table.bases) != 2:
             raise UnsupportedParams(f"{table_path} is not a designated table")
         if table.bases[1] != reconstruct_pub(record, system_public):

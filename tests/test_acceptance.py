@@ -18,7 +18,7 @@ pin, in order:
  8. precomputed signing is measurably faster than the reference signer
  9. subset-space accounting matches an exact big-integer oracle
 10. every file format round-trips bit-exactly; random single-bit table
-    corruption is always detected
+    corruption is always detected, in the open and the sealed format
 """
 
 from __future__ import annotations
@@ -55,7 +55,14 @@ from iodcrypt.encrypt import (
     encrypt,
     serialize_ciphertext_file,
 )
-from iodcrypt.errors import IntegrityMismatch, MacMismatch, MalformedScalar
+from iodcrypt.errors import (
+    BadMagic,
+    IntegrityMismatch,
+    MacMismatch,
+    MalformedScalar,
+    TruncatedFile,
+    UnsupportedVersion,
+)
 from iodcrypt.group import G, OpCounter, Scalar, scalar_mult
 from iodcrypt.selfcert import (
     aq_kg,
@@ -405,8 +412,34 @@ def test_criterion_10_serialization_robustness(kgc, signer_ctx, sender_ctx, reci
         with pytest.raises(IntegrityMismatch):
             deserialize_table(bytes(corrupted))
         detected += 1
+
+    # The sealed format: re-sealing under the same key, with a source that
+    # draws the same nonce, gives the same bytes.
+    seal_key = rng.randbytes(32)
+    for table in (signer_ctx.table, sender_ctx.table, small, small_designated):
+        blob = serialize_table(table, seal_key=seal_key, rng=random.Random(9111))
+        again = deserialize_table(blob, seal_key=seal_key)
+        assert serialize_table(again, seal_key=seal_key, rng=random.Random(9111)) == blob
+    formats += 1
+
+    # A sealed table checks its header before its tag: a flip in the 14
+    # bytes the header rule reads (magic, group id, kind, k) raises that
+    # rule's error; a flip anywhere after them breaks the tag.
+    sealed_blob = serialize_table(signer_ctx.table, seal_key=seal_key, rng=rng)
+    header_rule = (BadMagic, UnsupportedVersion, TruncatedFile)
+    sealed_detected = in_header = 0
+    for _ in range(1000):
+        corrupted = bytearray(sealed_blob)
+        bit = rng.randrange(len(corrupted) * 8)
+        corrupted[bit // 8] ^= 1 << (bit % 8)
+        in_header += bit < 14 * 8
+        with pytest.raises(header_rule if bit < 14 * 8 else IntegrityMismatch):
+            deserialize_table(bytes(corrupted), seal_key=seal_key)
+        sealed_detected += 1
     elapsed = time.perf_counter() - start
-    assert detected == 1000
+    assert detected == sealed_detected == 1000
     assert elapsed < 30.0
     _pass(10, f"{formats} file formats round-trip bit-exactly; 1000/1000 "
-              f"single-bit table corruptions detected ({elapsed:.1f}s)")
+              f"single-bit open-table corruptions detected; 1000/1000 sealed "
+              f"({1000 - in_header} by the tag, {in_header} by the header rule) "
+              f"({elapsed:.1f}s)")

@@ -6,6 +6,7 @@ import random
 
 import mpmath
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
 
 from iodcrypt.bpv import (
@@ -28,12 +29,13 @@ from iodcrypt.errors import (
     InvalidDesignatedPoint,
     InvalidOwnerBinding,
     MalformedElement,
+    MalformedScalar,
     TableIntegrity,
     TruncatedFile,
     UnsupportedParams,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, P, OpCounter, Scalar, random_scalar
+from iodcrypt.group import G, IDENTITY, N, P, OpCounter, Scalar, random_scalar
 
 from curve_oracle import T8, times
 
@@ -420,6 +422,97 @@ def test_serialized_tables_keep_their_pinned_bytes(kind, digest):
     blob = serialize_table(table)
     assert hashlib.sha256(blob).hexdigest() == digest
     assert serialize_table(deserialize_table(blob)) == blob
+
+
+# --------------------------------------------------------------------------
+# Sealed format
+# --------------------------------------------------------------------------
+
+
+SEAL = bytes(range(32))
+
+
+def _clear_len(blob: bytes) -> int:
+    """Header, owner binding (designated only) and nonce of a sealed blob."""
+    return HEADER_LEN + 32 * blob[9] + 12
+
+
+def _reseal(blob: bytes, offset: int, value: bytes) -> bytes:
+    """The sealed blob with ``value`` written at ``offset`` of its opened body, sealed again."""
+    clear = blob[: _clear_len(blob)]
+    aead = ChaCha20Poly1305(SEAL)
+    body = bytearray(aead.decrypt(clear[-12:], blob[len(clear):], clear))
+    body[offset : offset + len(value)] = value
+    return clear + aead.encrypt(clear[-12:], bytes(body), clear)
+
+
+def _sealed(table):
+    """The table sealed under SEAL; the nonce is the first draw of random.Random(40)."""
+    return serialize_table(table, seal_key=SEAL, rng=random.Random(40))
+
+
+@pytest.mark.parametrize("kind", ["plain", "designated"])
+def test_sealed_table_round_trips_bit_exact_with_no_group_operation(kind):
+    table = toy_table() if kind == "plain" else toy_designated()[0]
+    blob = _sealed(table)
+    assert blob[:8] == b"IODCBPV2"
+    ctr = OpCounter()
+    again = deserialize_table(blob, ctr, seal_key=SEAL)
+    assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
+    assert again == table
+    assert again.bases == table.bases
+    assert again.owner_binding == table.owner_binding
+    assert _sealed(again) == blob
+    assert bpv_online(again, random.Random(41)) == bpv_online(table, random.Random(41))
+
+
+def test_sealed_tables_at_production_size_are_24_and_40_kib():
+    rng = random.Random(42)
+    params = BpvParams(28, 256)
+    plain = _sealed(bpv_offline(params, rng))
+    designated = _sealed(dbpv_offline(params, Scalar(99) * G, bytes(32), rng))
+    assert len(plain) == 18 + 12 + 256 * (32 + 64) + 16 == 24_622
+    assert len(designated) == 18 + 32 + 12 + 64 + 256 * (32 + 2 * 64) + 16 == 41_102
+
+
+@pytest.mark.parametrize("key", [None, bytes(32), SEAL[:31], SEAL + b"\x00"],
+                         ids=["no-key", "other-key", "short-key", "long-key"])
+def test_sealed_table_opens_only_under_its_seal_key(key):
+    blob = _sealed(toy_table())
+    with pytest.raises(IntegrityMismatch):
+        deserialize_table(blob, seal_key=key)
+
+
+@pytest.mark.parametrize("fault,error", [
+    ("off-curve", MalformedElement),
+    ("x-not-below-P", MalformedElement),
+    ("y-not-below-P", MalformedElement),
+    ("scalar-not-below-N", MalformedScalar),
+])
+@pytest.mark.parametrize("kind,offset", [("plain", 32), ("designated", 64 + 32), ("designated", 0)],
+                         ids=["plain-R", "designated-R", "designated-X"])
+def test_sealed_load_rejects_a_malformed_value_under_the_right_key(kind, offset, fault, error):
+    table = toy_table() if kind == "plain" else toy_designated()[0]
+    point = table.entries[0][1] if offset else table.bases[1]
+    x, y = point.coords[0] % P, point.coords[1] % P
+    where, value = {
+        "off-curve": (offset, ((x + 1) % P).to_bytes(32, "little")),
+        "x-not-below-P": (offset, (x + P).to_bytes(32, "little")),
+        "y-not-below-P": (offset + 32, (y + P).to_bytes(32, "little")),
+        "scalar-not-below-N": (64 * (kind == "designated"), N.to_bytes(32, "little")),
+    }[fault]
+    blob = _sealed(table)
+    assert deserialize_table(_reseal(blob, where, b""), seal_key=SEAL) == table
+    with pytest.raises(error):
+        deserialize_table(_reseal(blob, where, value), seal_key=SEAL)
+
+
+def test_open_table_loads_and_is_recomputed_when_a_seal_key_is_given():
+    designated, _, _ = toy_designated()
+    for table, mults in ((toy_table(), TOY.k), (designated, 2 * TOY.k)):
+        ctr = OpCounter()
+        assert deserialize_table(serialize_table(table), ctr, seal_key=SEAL) == table
+        assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
 
 
 # --------------------------------------------------------------------------

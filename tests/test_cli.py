@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import stat
 
 import pytest
 
-from iodcrypt.cli import main
+from iodcrypt.bpv import BpvParams, bpv_offline, serialize_table
+from iodcrypt.cli import _write, main
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +61,14 @@ def cli(realm, *argv):
 
 def test_pipeline_writes_expected_files(realm):
     expected = ["kgc.sec", "system.pub", "alpha.key", "alpha.rec",
-                "bravo.key", "bravo.rec", "bpv.tbl", "bravo.dtbl"]
+                "bravo.key", "bravo.rec", "bpv.tbl", "bravo.dtbl", "table.seal"]
     for name in expected:
         assert (realm["home"] / name).exists(), name
     assert realm["signature"].exists()
 
 
 def test_secret_files_are_owner_only(realm):
-    for name in ("kgc.sec", "alpha.key", "bravo.key", "bpv.tbl", "bravo.dtbl"):
+    for name in ("kgc.sec", "alpha.key", "bravo.key", "bpv.tbl", "bravo.dtbl", "table.seal"):
         mode = stat.S_IMODE(os.stat(realm["home"] / name).st_mode)
         assert mode == 0o600, f"{name}: {oct(mode)}"
 
@@ -159,9 +161,66 @@ def test_exchange_fresh_keys_per_invocation(realm, capsys):
     assert first != second
 
 
+def test_table_gen_seals_every_table_under_one_home_secret(realm, tmp_path):
+    seal = (realm["home"] / "table.seal").read_bytes()
+    assert len(seal) == 32
+    for name in ("bpv.tbl", "bravo.dtbl"):
+        assert (realm["home"] / name).read_bytes()[:8] == b"IODCBPV2", name
+    out = tmp_path / "again.tbl"
+    assert cli(realm, "table", "gen", "--out", str(out),
+               "--test-seed", "211", "--insecure-test") == 0
+    assert (realm["home"] / "table.seal").read_bytes() == seal
+    rc = cli(realm, "sign", "--key", "alpha", "--table", str(out), str(realm["message"]),
+             "--out", str(tmp_path / "again.sig"), "--test-seed", "212", "--insecure-test")
+    assert rc == 0
+    assert cli(realm, "verify", "--sig", str(tmp_path / "again.sig"), str(realm["message"])) == 0
+
+
+def test_seal_written_by_a_concurrent_run_is_kept(tmp_path):
+    # The state a second first-run meets when the first one linked its
+    # secret in between the second's existence check and its own link.
+    path = tmp_path / "table.seal"
+    path.write_bytes(b"\x01" * 32)
+    _write(path, b"\x02" * 32, secret=True, keep_existing=True)
+    assert path.read_bytes() == b"\x01" * 32
+    assert [p.name for p in tmp_path.iterdir()] == ["table.seal"]
+
+
+def test_open_table_written_by_the_library_still_signs(realm, tmp_path):
+    table_path = tmp_path / "open.tbl"
+    table_path.write_bytes(serialize_table(bpv_offline(BpvParams(28, 256), random.Random(213))))
+    sig_path = tmp_path / "open.sig"
+    assert cli(realm, "sign", "--key", "alpha", "--table", str(table_path), "--out", str(sig_path),
+               str(realm["message"]), "--test-seed", "214", "--insecure-test") == 0
+    assert cli(realm, "verify", "--sig", str(sig_path), str(realm["message"])) == 0
+
+
 # ---------------------------------------------------------------------------
 # Cryptographic failures -> exit 1
 # ---------------------------------------------------------------------------
+
+
+def test_table_sealed_in_another_home_fails_to_load(realm, tmp_path, capsys):
+    foreign_home = tmp_path / "other-home"
+    assert main(["table", "gen", "--home", str(foreign_home),
+                 "--test-seed", "321", "--insecure-test"]) == 0
+    capsys.readouterr()
+    sig_path = tmp_path / "foreign.sig"
+    rc = cli(realm, "sign", "--key", "alpha", "--table", str(foreign_home / "bpv.tbl"),
+             "--out", str(sig_path), str(realm["message"]), "--test-seed", "322", "--insecure-test")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("IntegrityMismatch:")
+    assert not sig_path.exists()
+
+
+def test_sealed_table_in_a_home_without_a_seal_fails_to_load(realm, tmp_path, capsys):
+    sig_path = tmp_path / "unsealed.sig"
+    rc = main(["sign", "--home", str(tmp_path), "--key", str(realm["home"] / "alpha.key"),
+               "--table", str(realm["home"] / "bpv.tbl"), "--out", str(sig_path),
+               str(realm["message"]), "--test-seed", "323", "--insecure-test"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("IntegrityMismatch: a sealed table needs its seal key")
+    assert not sig_path.exists()
 
 
 def test_verify_rejects_tampered_message(realm, capsys):

@@ -1,10 +1,11 @@
-"""One header rule for the six magic-prefixed file formats.
+"""One header rule for the seven magic-prefixed file formats.
 
 Every format maps the same fault to the same error class: input shorter
 than the format's minimum -> TruncatedFile; bytes 0-6 not the family ->
 BadMagic; byte 7 not the version -> UnsupportedVersion; unknown group id
 (byte 8) -> UnsupportedVersion; total length not exact -> TruncatedFile.
-The table checks its SHA-256 first, so its faulted files are re-hashed.
+The open table checks its SHA-256 first, so its faulted files are
+re-hashed; the sealed table checks its header before opening its seal.
 """
 
 import hashlib
@@ -36,6 +37,7 @@ def _blobs():
     sig = reference_sign(drone.secret, b"frame", rng)
     ct = reference_encrypt(reconstruct_pub(drone.record, kgc.public), b"frame", rng)
     table = bpv_offline(BpvParams(v=2, k=4, allow_unsafe=True), rng)
+    seal_key = bytes(range(32))
     return {
         "system-public": (serialize_system_public(kgc.public), deserialize_system_public),
         "kgc-secret": (serialize_kgc_keypair(kgc), deserialize_kgc_keypair),
@@ -43,6 +45,8 @@ def _blobs():
         "signature-file": (serialize_signature_file(b"drone-h", sig), deserialize_signature_file),
         "ciphertext-file": (serialize_ciphertext_file(ct), deserialize_ciphertext_file),
         "table": (serialize_table(table), deserialize_table),
+        "sealed-table": (serialize_table(table, seal_key=seal_key, rng=rng),
+                         lambda data: deserialize_table(data, seal_key=seal_key)),
     }
 
 

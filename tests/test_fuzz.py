@@ -9,6 +9,7 @@ must lie in the prime-order subgroup according to the affine oracle.
 import hashlib
 import random
 
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
 
 from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, deserialize_table, serialize_table
@@ -200,3 +201,50 @@ def test_deserialize_table_fails_closed(data):
         for point in table.bases[1:]:
             _check_element(point)
         assert serialize_table(table) == data
+
+
+# The same two tables sealed: accepted blobs must re-serialize byte for byte
+# under their own nonce.  Flips in the sealed bytes break the tag, so bodies
+# are also flipped before sealing, which reaches the checks after the open.
+# The seal vouches for the points, so the load checks no subgroup, and
+# accepted points are not held to the oracle here.
+_SEAL_KEY = bytes(range(32, 64))
+_SEALED_BLOBS = tuple(
+    serialize_table(deserialize_table(blob), seal_key=_SEAL_KEY, rng=random.Random(33 + i))
+    for i, blob in enumerate(_TABLE_BLOBS)
+)
+
+
+def _clear_len(blob):
+    return 18 + 32 * blob[9] + 12
+
+
+class _Nonce:
+    def __init__(self, nonce):
+        self.nonce = nonce
+
+    def randrange(self, stop):
+        return int.from_bytes(self.nonce, "little")
+
+
+def _seal_flipped_body(args):
+    """A sealed blob whose opened body has one byte changed, sealed again under the key."""
+    blob, pos, mask = args
+    clear = blob[: _clear_len(blob)]
+    aead = ChaCha20Poly1305(_SEAL_KEY)
+    body = bytearray(aead.decrypt(clear[-12:], blob[len(clear):], clear))
+    body[pos % len(body)] ^= mask
+    return clear + aead.encrypt(clear[-12:], bytes(body), clear)
+
+
+_sealed_bodies = st.tuples(st.sampled_from(_SEALED_BLOBS), st.integers(min_value=0),
+                           st.integers(0, 255)).map(_seal_flipped_body)
+
+
+@_FUZZ
+@given(st.one_of(_near(st.sampled_from(_SEALED_BLOBS)), _sealed_bodies))
+def test_open_sealed_table_fails_closed(data):
+    table = _accepted(lambda blob: deserialize_table(blob, seal_key=_SEAL_KEY), data)
+    if table is not None:
+        nonce = _Nonce(data[_clear_len(data) - 12 : _clear_len(data)])
+        assert serialize_table(table, seal_key=_SEAL_KEY, rng=nonce) == data

@@ -1,6 +1,7 @@
 """Tests for precomputed-nonce Schnorr signing over self-certified keys."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from iodcrypt.errors import (
 )
 from iodcrypt import group
 from iodcrypt.group import G, N, GroupElement, OpCounter, Scalar
-from iodcrypt.selfcert import deserialize_record, key_ver, serialize_record
+from iodcrypt.selfcert import aq_kg, deserialize_record, key_ver, serialize_record
 from iodcrypt.sign import (
     Signature,
     SignerContext,
@@ -165,6 +166,7 @@ def test_context_key_gets_its_ladder_on_the_first_verify_only(setup, monkeypatch
     vctx = VerifierContext.build(record, kgc.public)
     assert len(built) == 1
     assert vctx.cached_key._ladder is None
+    assert record.commitment._ladder is None
     rng = random.Random(82)
     for i in range(5):
         message = rng.randbytes(16)
@@ -172,6 +174,24 @@ def test_context_key_gets_its_ladder_on_the_first_verify_only(setup, monkeypatch
         assert verify(vctx, message, sign(ctx, message, rng), ctr)
         assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
     assert built == [record.commitment.coords, vctx.cached_key.coords]
+
+
+def test_sixteen_contexts_from_wire_bytes_hold_no_commitment_ladders(setup):
+    # Each kept commitment ladder is about 17 KiB: 16 of them held about
+    # 312 KiB, against about 15 KiB for the contexts without them.
+    kgc, _, _ = setup
+    rng = random.Random(85)
+    wires = [serialize_record(aq_kg(kgc, b"drone-%02d" % i, rng).record) for i in range(16)]
+    VerifierContext.build(deserialize_record(wires[0]), kgc.public)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        contexts = [VerifierContext.build(deserialize_record(w), kgc.public) for w in wires]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(contexts) == 16
+    assert held < 64 * 1024
 
 
 def test_many_verifies_on_one_context_agree_with_reference_verify(setup):
