@@ -29,23 +29,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .bpv import BpvParams, bpv_offline, bpv_online, dbpv_online, deserialize_table, serialize_table
-from .encrypt import decode_ciphertext, decrypt, enc_kg_sender, encrypt
 from .errors import InvalidMeasurement, UnknownOp
 from .group import OpCounter
-from .selfcert import (
-    aq_hang_finalize,
-    aq_hang_initiate,
-    aq_kg,
-    aq_shared_static,
-    kgc_setup,
-)
-from .sign import VerifierContext, reference_sign, sign, sign_kg, verify
 
 WARMUP_ITERATIONS = 10
 MIN_ITERATIONS = 10
-
-_BENCH_PARAMS = BpvParams(28, 256)
 
 
 @dataclass(frozen=True)
@@ -158,26 +146,37 @@ def project_energy(
 
 
 def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]:
-    """Build fixtures for ``op_name`` and return its one-iteration closure."""
+    """Build fixtures for ``op_name`` and return its one-iteration closure.
+
+    The protocol modules are imported here, so the reports and the energy
+    projection load none of them.
+    """
+    from .bpv import (BpvParams, bpv_offline, bpv_online, dbpv_online, deserialize_table,
+                      serialize_table)
+    from .encrypt import decode_ciphertext, decrypt, enc_kg_sender, encrypt
+    from .selfcert import aq_hang_finalize, aq_hang_initiate, aq_kg, aq_shared_static, kgc_setup
+    from .sign import VerifierContext, reference_sign, sign, sign_kg, verify
+
+    params = BpvParams(28, 256)
     if op_name == "bpv_online":
-        table = bpv_offline(_BENCH_PARAMS, rng)
+        table = bpv_offline(params, rng)
         return lambda ctr: bpv_online(table, rng, ctr)
     if op_name == "table_load":
-        blob = serialize_table(bpv_offline(_BENCH_PARAMS, rng))
+        blob = serialize_table(bpv_offline(params, rng))
         return lambda ctr: deserialize_table(blob, ctr)
     if op_name == "table_open":
         key = rng.randrange(1 << 256).to_bytes(32, "little")
-        blob = serialize_table(bpv_offline(_BENCH_PARAMS, rng), seal_key=key, rng=rng)
+        blob = serialize_table(bpv_offline(params, rng), seal_key=key, rng=rng)
         return lambda ctr: deserialize_table(blob, ctr, seal_key=key)
 
     kgc = kgc_setup(rng)
 
     if op_name == "dbpv_online":
         receiver = aq_kg(kgc, b"bench-recv", rng)
-        sender = enc_kg_sender(receiver.record, kgc.public, _BENCH_PARAMS, rng)
+        sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
         return lambda ctr: dbpv_online(sender.table, rng, ctr)
     if op_name in ("sign", "verify", "reference_sign"):
-        ctx = sign_kg(kgc, b"bench-signer", _BENCH_PARAMS, rng)
+        ctx = sign_kg(kgc, b"bench-signer", params, rng)
         if op_name == "sign":
             return lambda ctr: sign(ctx, b"benchmark message", rng, ctr)
         if op_name == "reference_sign":
@@ -188,7 +187,7 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
         return lambda ctr: verify(vctx, b"benchmark message", sig, ctr)
     if op_name in ("encrypt", "decrypt"):
         receiver = aq_kg(kgc, b"bench-recv", rng)
-        sender = enc_kg_sender(receiver.record, kgc.public, _BENCH_PARAMS, rng)
+        sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
         if op_name == "encrypt":
             return lambda ctr: encrypt(sender, b"benchmark message", rng, ctr)
         # Decoded on every iteration, as a receiver does: a decoded
@@ -203,7 +202,7 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
     if op_name == "aq_hang":
         a = aq_kg(kgc, b"bench-a", rng)
         b = aq_kg(kgc, b"bench-b", rng)
-        table = bpv_offline(_BENCH_PARAMS, rng)
+        table = bpv_offline(params, rng)
         peer_message = aq_hang_initiate(b, rng).message
 
         def one_handshake(ctr):

@@ -337,31 +337,31 @@ def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=N
     return clear + _aead(seal_key).encrypt(nonce, b"".join(_encoded(table, _affine_batch)), clear)
 
 
-def _kind_and_k(data: bytes) -> tuple[int, int]:
-    kind = data[len(MAGIC) + 1]
+def _fields(data: bytes) -> tuple[int, int, int]:
+    """(kind, k, v) from a table header; an unknown kind raises UnsupportedVersion."""
+    at = len(MAGIC) + 1
+    kind = data[at]
     if kind not in (KIND_STANDARD, KIND_DESIGNATED):
         raise UnsupportedVersion(f"unknown table kind {kind:#x}")
-    return kind, int.from_bytes(data[len(MAGIC) + 2 : len(MAGIC) + 6], "little")
+    k, v = (int.from_bytes(data[i : i + 4], "little") for i in (at + 1, at + 5))
+    return kind, k, v
 
 
 def _table_len(data: bytes) -> int:
-    kind, k = _kind_and_k(data)
+    kind, k, _ = _fields(data)
     return _HEADER_LEN + 64 * kind + k * 32 * (2 + kind) + 32
 
 
 def _sealed_len(data: bytes) -> int:
-    kind, k = _kind_and_k(data)
+    kind, k, _ = _fields(data)
     return _HEADER_LEN + 32 * kind + _NONCE_LEN + 64 * kind + k * (32 + 64 * (1 + kind)) + _TAG_LEN
 
 
 def _open(data: bytes, seal_key: bytes) -> PrecompTable:
-    off = _check_header(data, MAGIC_SEALED, _HEADER_LEN, _sealed_len)
-    kind = data[off]
-    k = int.from_bytes(data[off + 1 : off + 5], "little")
-    v = int.from_bytes(data[off + 5 : off + 9], "little")
-    off += 9
-    owner_binding = data[off : off + 32 * kind]
-    off += 32 * kind
+    _check_header(data, MAGIC_SEALED, _HEADER_LEN, _sealed_len)
+    kind, k, v = _fields(data)
+    off = _HEADER_LEN + 32 * kind
+    owner_binding = data[_HEADER_LEN:off]
     nonce = data[off : off + _NONCE_LEN]
     off += _NONCE_LEN
     try:
@@ -408,11 +408,9 @@ def deserialize_table(
         sealed = data.startswith(MAGIC_SEALED)
         raise IntegrityMismatch("a sealed table needs its seal key" if sealed
                                 else "table integrity hash mismatch")
-    off = _check_header(data, MAGIC, min_len, _table_len)
-    kind = data[off]
-    k = int.from_bytes(data[off + 1 : off + 5], "little")
-    v = int.from_bytes(data[off + 5 : off + 9], "little")
-    off += 9
+    _check_header(data, MAGIC, min_len, _table_len)
+    kind, k, v = _fields(data)
+    off = _HEADER_LEN
     params = BpvParams(v=v, k=k, allow_unsafe=True)
     bases, owner_binding = (G,), b""
     if kind == KIND_DESIGNATED:

@@ -48,15 +48,7 @@ from .bench import (
     run_bench,
 )
 from .bpv import SEAL_KEY_LEN, BpvParams, bpv_offline, deserialize_table, serialize_table
-from .encrypt import (
-    SenderContext,
-    decrypt,
-    deserialize_ciphertext_file,
-    enc_kg_sender,
-    encrypt,
-    reference_encrypt,
-    serialize_ciphertext_file,
-)
+# Commands import ``encrypt`` where they use it, so a sign or verify process never loads it.
 from .errors import (
     IodCryptError,
     KeyVerFailed,
@@ -243,6 +235,8 @@ def cmd_table_gen(args) -> int:
     params = _parse_params(args.params)
     rng = _rng(args)
     if args.designated:
+        from .encrypt import enc_kg_sender
+
         record = deserialize_record(_read(_resolve(args, args.recipient, ".rec")))
         system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
         ctx = enc_kg_sender(record, system_public, params, rng)
@@ -297,6 +291,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    from .encrypt import (WIRE_OVERHEAD, SenderContext, encrypt, reference_encrypt,
+                          serialize_ciphertext_file)
+
     record = deserialize_record(_read(_resolve(args, args.to, ".rec")))
     system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
     message = _read(Path(args.infile))
@@ -321,13 +318,15 @@ def cmd_encrypt(args) -> int:
     _write(out, serialize_ciphertext_file(ct))
     _emit(
         args,
-        {"ok": True, "ciphertext": str(out), "mode": mode, "overhead_bytes": 48},
+        {"ok": True, "ciphertext": str(out), "mode": mode, "overhead_bytes": WIRE_OVERHEAD},
         f"encrypted {args.infile} -> {out} ({mode} path)",
     )
     return 0
 
 
 def cmd_decrypt(args) -> int:
+    from .encrypt import decrypt, deserialize_ciphertext_file
+
     keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
     ct = deserialize_ciphertext_file(_read(Path(args.infile)))
     message = decrypt(keypair, ct)

@@ -20,6 +20,7 @@ import pytest
 
 from iodcrypt.bpv import BpvParams, bpv_offline, serialize_table
 from iodcrypt.cli import _write, main
+from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,18 @@ def test_encrypt_direct_mode_without_table(realm, capsys):
              "--out", str(realm["work"] / "direct.dec"))
     assert rc == 0
     assert (realm["work"] / "direct.dec").read_bytes() == realm["message"].read_bytes()
+
+
+def test_encrypt_json_reports_the_wire_overhead(realm, capsys):
+    out = realm["work"] / "json.enc"
+    rc = cli(realm, "encrypt", "--to", "bravo", str(realm["message"]), "--out", str(out),
+             "--json", "--test-seed", "207", "--insecure-test")
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mode"] == "table"
+    assert payload["overhead_bytes"] == WIRE_OVERHEAD
+    wire = deserialize_ciphertext_file(out.read_bytes()).encode()
+    assert len(wire) - len(realm["message"].read_bytes()) == WIRE_OVERHEAD
 
 
 def test_exchange_agrees_and_prints_both_fingerprints(realm, capsys):

@@ -1,0 +1,111 @@
+"""The top-level ``iodcrypt`` namespace: its names, its laziness, and its one caller.
+
+Every name in ``iodcrypt.__all__`` must be the very object its submodule
+defines, bound on first use.  Fresh interpreters check what a bare
+``import iodcrypt`` and the ``sign`` and ``verify`` commands load, since
+the test process itself has imported every submodule long before.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import iodcrypt
+from iodcrypt.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_every_name_is_its_submodules_object():
+    assert len(iodcrypt.__all__) == len(set(iodcrypt.__all__)) == 98
+    for name in iodcrypt.__all__:
+        module = importlib.import_module(f"iodcrypt.{iodcrypt._OWNER[name]}")
+        value = getattr(iodcrypt, name)
+        assert value is getattr(module, name), name
+        # Classes, functions and instances also name the module that made them.
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from iodcrypt import *", namespace)
+    for name in iodcrypt.__all__:
+        assert namespace[name] is getattr(iodcrypt, name), name
+
+
+def test_dir_lists_every_name():
+    assert set(iodcrypt.__all__) <= set(dir(iodcrypt))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        iodcrypt.no_such_name
+    with pytest.raises(ImportError):
+        exec("from iodcrypt import no_such_name", {})
+
+
+def test_sign_and_encrypt_stay_modules():
+    assert isinstance(iodcrypt.sign, types.ModuleType)
+    assert isinstance(iodcrypt.encrypt, types.ModuleType)
+    assert iodcrypt.sign.sign is not iodcrypt.sign
+    assert iodcrypt.encrypt.encrypt is not iodcrypt.encrypt
+
+
+def test_import_loads_no_submodule():
+    out = _fresh(
+        "import json, sys, types, iodcrypt\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('iodcrypt.'))\n"
+        "lazy = isinstance(iodcrypt.sign, types.ModuleType)\n"
+        "print(json.dumps([loaded, lazy, 'iodcrypt.encrypt' in sys.modules]))\n"
+    )
+    loaded, sign_is_module, encrypt_loaded = json.loads(out)
+    assert loaded == []
+    # Reading a submodule name imports it, and only what it needs.
+    assert sign_is_module and not encrypt_loaded
+
+
+def test_sign_and_verify_commands_leave_encrypt_unloaded(tmp_path):
+    home = str(tmp_path / "home")
+    message = tmp_path / "msg.txt"
+    message.write_bytes(b"waypoint 12 reached\n")
+    for argv in (["kgc", "init"], ["kgc", "issue", "--id", "alpha"], ["table", "gen"]):
+        assert main([*argv, "--home", home, "--test-seed", "301", "--insecure-test"]) == 0
+    sign_argv = ["sign", "--key", "alpha", str(message), "--home", home]
+    verify_argv = ["verify", "--sig", f"{message}.sig", str(message), "--home", home]
+    out = _fresh(
+        "import json, sys\n"
+        "from iodcrypt.cli import main\n"
+        f"codes = [main({sign_argv!r}), main({verify_argv!r})]\n"
+        "print(json.dumps([codes, 'iodcrypt.encrypt' in sys.modules]))\n"
+    )
+    codes, encrypt_loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0]
+    assert not encrypt_loaded
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    # Its asserts carry the README's costs, among them sign's (0, 27) budget.
+    assert "(ctr.scalar_mults, ctr.point_adds) == (0, 27)" in block
+    exec(compile(block, "README.md", "exec"), {})
