@@ -151,7 +151,9 @@ class PrecompTable:
     32-byte hash of that receiver's identity record, so a loaded table
     can be matched to the receiver it was built for, and is empty for a
     ``(G,)`` table.  Any other length raises :class:`InvalidOwnerBinding`
-    when the table is made, since the file has room for exactly that.
+    when the table is made, since the file has room for exactly that, and
+    a number of entries other than ``params.k`` raises
+    :class:`TableIntegrity`.
 
     Each point column is also held in the stored form of
     :func:`~iodcrypt.group.subset_sum`, taken once when the table is
@@ -171,6 +173,8 @@ class PrecompTable:
                 f"owner binding must be {expected} bytes over {len(self.bases)} "
                 f"base(s), got {len(self.owner_binding)}"
             )
+        if len(self.entries) != self.params.k:
+            raise TableIntegrity(f"table has {len(self.entries)} entries, expected k={self.params.k}")
         self.stored = [
             addends([entry[column] for entry in self.entries])
             for column in range(1, len(self.bases) + 1)

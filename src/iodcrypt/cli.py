@@ -39,6 +39,7 @@ from pathlib import Path
 
 from .bench import (
     BENCH_OPS,
+    MIN_ITERATIONS,
     DeviceProfile,
     PROFILES,
     device_report,
@@ -47,7 +48,8 @@ from .bench import (
     host_report,
     run_bench,
 )
-from .bpv import SEAL_KEY_LEN, BpvParams, bpv_offline, deserialize_table, serialize_table
+from .bpv import (SEAL_KEY_LEN, SUPPORTED_PARAMS, BpvParams, PrecompTable, bpv_offline,
+                  deserialize_table, serialize_table)
 # Commands import ``encrypt`` where they use it, so a sign or verify process never loads it.
 from .errors import (
     IodCryptError,
@@ -167,6 +169,15 @@ def _resolve(args, name_or_path: str, suffix: str) -> Path:
     return _home(args) / f"{name_or_path}{suffix}"
 
 
+def _load_table(args, path: Path) -> PrecompTable:
+    """Load a table file, refusing a (v, k) outside the vetted set whoever wrote it."""
+    table = deserialize_table(_read(path), seal_key=_seal_key(args))
+    v, k = table.params.v, table.params.k
+    if (v, k) not in SUPPORTED_PARAMS:
+        raise UnsupportedParams(f"{path}: (v={v}, k={k}) not in the supported set {SUPPORTED_PARAMS}")
+    return table
+
+
 def _parse_params(text: str) -> BpvParams:
     try:
         v_str, k_str = text.split(",")
@@ -257,7 +268,7 @@ def cmd_table_gen(args) -> int:
 
 def cmd_sign(args) -> int:
     keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
-    table = deserialize_table(_read(_resolve(args, args.table, ".tbl")), seal_key=_seal_key(args))
+    table = _load_table(args, _resolve(args, args.table, ".tbl"))
     if len(table.bases) != 1:
         raise UnsupportedParams("signing needs a standard table, not a designated one")
     ctx = SignerContext(keypair=keypair, table=table)
@@ -302,7 +313,7 @@ def cmd_encrypt(args) -> int:
         Path(args.table) if args.table else _home(args) / f"{args.to}.dtbl"
     )
     if table_path.exists():
-        table = deserialize_table(_read(table_path), seal_key=_seal_key(args))
+        table = _load_table(args, table_path)
         if len(table.bases) != 2:
             raise UnsupportedParams(f"{table_path} is not a designated table")
         if table.bases[1] != reconstruct_pub(record, system_public):
@@ -389,7 +400,7 @@ def cmd_bench(args) -> int:
             raise UnsupportedParams("--profile host requires --op")
         result = run_bench(args.op, args.iterations, _rng(args))
         profile = None
-        if args.voltage and args.current:
+        if args.voltage is not None:
             profile = DeviceProfile(name="host", voltage=args.voltage, current=args.current)
         rows = host_report([result], profile)
     print(format_ldjson(rows) if args.json else format_text_table(rows))
@@ -519,6 +530,11 @@ def main(argv=None) -> int:
     if getattr(args, "designated", False) and not getattr(args, "recipient", None):
         parser.error("--designated requires --recipient")
     func = getattr(args, "func", None)
+    if func is cmd_bench:
+        if (args.voltage is None) != (args.current is None):
+            parser.error("--voltage and --current must be given together")
+        if args.profile == "host" and args.iterations < MIN_ITERATIONS:
+            parser.error(f"--iterations must be at least {MIN_ITERATIONS}")
     if func is None:
         parser.print_help(sys.stderr)
         return 2

@@ -127,17 +127,23 @@ DOMAIN_SIG = 0x02  # signature challenge hashing
 # ---------------------------------------------------------------------------
 # Raw extended-coordinate arithmetic (uncounted; tuples for speed)
 # ---------------------------------------------------------------------------
+#
+# Three formula bodies: the unified law _cadd (which _add_raw feeds), its
+# mixed form _madd_raw for affine operands, and the doubling inside
+# _ladder_table, which skips T where the next doubling does not read it.
 
 _IDENT_COORDS = (0, 1, 1, 0)
 
 
-def _add_raw(p1, p2):
-    x1, y1, z1, t1 = p1
-    x2, y2, z2, t2 = p2
-    a = (y1 - x1) * (y2 - x2) % P
-    b = (y1 + x1) * (y2 + x2) % P
-    c = t1 * t2 % P * _2D % P
-    d = 2 * z1 * z2 % P
+def _cadd(p, yp, ym, z2, t2d):
+    # The unified law: p plus the point given as (Y+X, Y-X, 2Z, 2d*T), the
+    # form of a ladder row.  Complete on Ed25519 (d is a non-square), so it
+    # also doubles and adds the identity.
+    x1, y1, z1, t1 = p
+    a = (y1 - x1) * ym % P
+    b = (y1 + x1) * yp % P
+    c = t1 * t2d % P
+    d = z1 * z2 % P
     e = b - a
     f = d - c
     g = d + c
@@ -145,16 +151,9 @@ def _add_raw(p1, p2):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-def _dbl_raw(p1):
-    x1, y1, z1, t1 = p1
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = 2 * z1 * z1 % P
-    e = ((x1 + y1) * (x1 + y1) - a - b) % P
-    g = (b - a) % P
-    f = (g - c) % P
-    h = (-b - a) % P
-    return (e * f % P, g * h % P, f * g % P, e * h % P)
+def _add_raw(p1, p2):
+    x2, y2, z2, t2 = p2
+    return _cadd(p1, y2 + x2, y2 - x2, 2 * z2, t2 * _2D % P)
 
 
 def _normalize(coords_list):
@@ -187,8 +186,8 @@ def _cached(affine):
 
 
 def _madd_raw(p1, cached):
-    # Mixed addition: the unified law of _add_raw with an affine second
-    # operand (Z2 = 1) given in the form of _cached, two products fewer.
+    # Mixed addition: the unified law of _cadd with an affine second
+    # operand (Z2 = 1) given in the form of _cached, one product fewer.
     x1, y1, z1, t1 = p1
     yp, ym, t2d = cached
     a = (y1 - x1) * ym % P
@@ -210,10 +209,10 @@ _COMB_COLS = 8
 
 
 def _comb_table(coords):
-    # 64 * (7 additions + 1 doubling) plus one batch normalisation.  Each
-    # entry is kept in the form of _cached; a row is laid out
-    # [None, +1..+8, -8..-1] so that row[d] serves d in [-8, 8] through
-    # Python's negative indexing.
+    # 64 * 8 additions (the last of each row the doubling cur + cur) plus
+    # one batch normalisation.  Each entry is kept in the form of _cached;
+    # a row is laid out [None, +1..+8, -8..-1] so that row[d] serves d in
+    # [-8, 8] through Python's negative indexing.
     points = []
     row_base = coords
     for _ in range(_COMB_ROWS):
@@ -222,7 +221,7 @@ def _comb_table(coords):
         for _ in range(_COMB_COLS - 1):
             cur = _add_raw(cur, row_base)
             points.append(cur)
-        row_base = _dbl_raw(cur)
+        row_base = _add_raw(cur, cur)
     rows = []
     affine = _normalize(points)
     for i in range(0, len(affine), _COMB_COLS):
@@ -307,17 +306,8 @@ def _ladder_mul(rows, k):
         if acc is None:
             # The row as (2X, 2Y, 2Z, 2T).
             buckets[d] = ((yp - ym) % P, (yp + ym) % P, z2, t2d * _INV_D % P)
-            continue
-        x1, y1, z1, t1 = acc
-        a = (y1 - x1) * ym % P
-        b = (y1 + x1) * yp % P
-        c = t1 * t2d % P
-        zz = z1 * z2 % P
-        e = b - a
-        f = zz - c
-        g = zz + c
-        h = b + a
-        buckets[d] = (e * f % P, g * h % P, f * g % P, e * h % P)
+        else:
+            buckets[d] = _cadd(acc, yp, ym, z2, t2d)
     running = total = None
     for acc in buckets[:0:-1]:
         if acc is not None:
@@ -465,30 +455,14 @@ def encode_batch(points) -> list[bytes]:
     return [_encode_affine(x, y) for x, y in _normalize([p.coords for p in points])]
 
 
-def _recover_x(y: int) -> int | None:
-    """A square root x of (y^2 - 1) / (d*y^2 + 1), or None when there is none.
+def _lift(data: bytes) -> GroupElement:
+    """The curve point that 32 bytes encode, before any subgroup check.
 
-    The candidate u*v^3 * (u*v^7)^((P-5)/8) is right up to a factor
-    sqrt(-1), which is applied when it squares to -u/v.
-    """
-    y2 = y * y % P
-    u = (y2 - 1) % P
-    v = (_D * y2 + 1) % P
-    x = u * pow(v, 3, P) % P * pow(u * pow(v, 7, P) % P, (P - 5) // 8, P) % P
-    vx2 = v * x * x % P
-    if vx2 == u:
-        return x
-    if vx2 == (P - u) % P:
-        return x * _SQRT_M1 % P
-    return None
-
-
-def decode_element(data: bytes) -> GroupElement:
-    """Decode 32 bytes into a group element.
-
-    Rejects wrong lengths, non-canonical y (>= field prime), sign bit set
-    on x = 0, y with no matching x on the curve, and points that are not
-    in the prime-order subgroup (N * P != identity).
+    Rejects wrong lengths, non-canonical y (>= field prime), y with no
+    matching x on the curve, and sign bit set on x = 0.  x is a square
+    root of (y^2 - 1) / (d*y^2 + 1): the candidate u*v^3 * (u*v^7)^((P-5)/8)
+    is right up to a factor sqrt(-1), which is applied when it squares to
+    -u/v.
     """
     if len(data) != ELEMENT_LEN:
         raise MalformedElement(f"element must be {ELEMENT_LEN} bytes, got {len(data)}")
@@ -497,31 +471,38 @@ def decode_element(data: bytes) -> GroupElement:
     y = val & ((1 << 255) - 1)
     if y >= P:
         raise MalformedElement("non-canonical y coordinate")
-    x = _recover_x(y)
-    if x is None:
-        raise MalformedElement("not a curve point")
+    y2 = y * y % P
+    u = (y2 - 1) % P
+    v = (_D * y2 + 1) % P
+    x = u * pow(v, 3, P) % P * pow(u * pow(v, 7, P) % P, (P - 5) // 8, P) % P
+    vx2 = v * x * x % P
+    if vx2 != u:
+        if vx2 != (P - u) % P:
+            raise MalformedElement("not a curve point")
+        x = x * _SQRT_M1 % P
     if x == 0 and sign:
         raise MalformedElement("non-canonical sign bit")
     if x & 1 != sign:
         x = P - x
-    point = GroupElement((x, y, 1, x * y % P))
+    return GroupElement((x, y, 1, x * y % P))
+
+
+def decode_element(data: bytes) -> GroupElement:
+    """Decode 32 bytes into a group element.
+
+    Rejects what :func:`_lift` rejects, and points that are not in the
+    prime-order subgroup (N * P != identity).
+    """
+    point = _lift(data)
     if not GroupElement(_ladder_mul(point._rows(), N)).is_identity():
         raise MalformedElement("point outside the prime-order subgroup")
     return point
 
 
-def _base_point() -> GroupElement:
-    # Not through decode_element: its subgroup check would cost a full
-    # product at import.
-    y = 4 * pow(5, P - 2, P) % P
-    x = _recover_x(y)
-    if x % 2:  # the standard base point has even x
-        x = P - x
-    return GroupElement((x, y, 1, x * y % P))
-
-
 IDENTITY = GroupElement(_IDENT_COORDS)
-G = _base_point()
+# The standard base point (y = 4/5, x even), lifted without the subgroup
+# check of decode_element, which would cost a full product at import.
+G = _lift((4 * pow(5, -1, P) % P).to_bytes(ELEMENT_LEN, "little"))
 
 
 # ---------------------------------------------------------------------------

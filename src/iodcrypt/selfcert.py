@@ -198,21 +198,18 @@ def aq_shared_static(
     peer: IdentityRecord,
     system_public: GroupElement | None = None,
     ctr: OpCounter | None = None,
-    *,
-    use_cache: bool = True,
 ) -> GroupElement:
     """Static Diffie-Hellman secret x_own * X_peer = x_own * x_peer * G.
 
     When the keypair carries its cached x*D term (the default for issued
     keys), the secret is K = (x * H(id_p, U_p)) * U_p + x*D: one
-    multiplication plus one addition.  Without the cache — or with
-    ``use_cache=False`` — the peer key is reconstructed from
-    ``system_public`` first (two multiplications, one addition).  Both
-    paths return the identical point.
+    multiplication plus one addition.  Without the cache the peer key is
+    reconstructed from ``system_public`` first (two multiplications, one
+    addition).  Both paths return the identical point.
     """
     if peer.commitment.is_identity():
         raise InvalidIdentity("peer commitment must not be the identity point")
-    if use_cache and own.cached_term is not None:
+    if own.cached_term is not None:
         combined = own.secret * peer.key_hash()
         return point_add(scalar_mult(combined, peer.commitment, ctr), own.cached_term, ctr)
     if system_public is None:
@@ -319,19 +316,26 @@ def serialize_drone_keypair(keypair: SelfCertKeypair) -> bytes:
     )
 
 
-def _drone_key_len(data: bytes) -> int:
-    id_len = data[len(MAGIC_DRONE) + 1]
-    if id_len == 0:
-        raise InvalidIdentity("identity length must be at least 1")
-    return len(MAGIC_DRONE) + 2 + id_len + 96
+def _id_file(data: bytes, magic: bytes, tail: int) -> tuple[bytes, int]:
+    """Check a file magic | group id | id_len (1B) | id | ``tail`` bytes.
+
+    Returns (id, offset of the tail).  The one header rule applies, with
+    id_len 0 raising InvalidIdentity before the length is checked.
+    """
+    head = len(magic) + 2
+
+    def total_len(data: bytes) -> int:
+        if data[head - 1] == 0:
+            raise InvalidIdentity("identity length must be at least 1")
+        return head + data[head - 1] + tail
+
+    _check_header(data, magic, head, total_len)
+    end = head + data[head - 1]
+    return data[head:end], end
 
 
 def deserialize_drone_keypair(data: bytes) -> SelfCertKeypair:
-    off = _check_header(data, MAGIC_DRONE, len(MAGIC_DRONE) + 2, _drone_key_len)
-    id_len = data[off]
-    off += 1
-    drone_id = data[off : off + id_len]
-    off += id_len
+    drone_id, off = _id_file(data, MAGIC_DRONE, 96)
     secret = decode_scalar(data[off : off + 32])
     commitment = decode_element(data[off + 32 : off + 64])
     cached_term = decode_element(data[off + 64 : off + 96])

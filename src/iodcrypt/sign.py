@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bpv import BpvParams, PrecompTable, bpv_offline, bpv_online
-from .errors import InvalidIdentity, MalformedScalar
+from .errors import MalformedScalar
 from .group import (
     DOMAIN_SIG,
     G,
@@ -37,14 +37,14 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
-    _check_header,
     decode_scalar,
     hash_to_scalar,
     point_add,
     random_scalar,
     scalar_mult,
 )
-from .selfcert import IdentityRecord, KgcKeypair, SelfCertKeypair, aq_kg, reconstruct_pub
+from .selfcert import (IdentityRecord, KgcKeypair, SelfCertKeypair, _check_identity, _id_file,
+                       aq_kg, reconstruct_pub)
 
 MAGIC_SIGNATURE = b"IODCSIG1"
 SIGNATURE_LEN = 64
@@ -172,8 +172,7 @@ def reference_verify(
 
 
 def serialize_signature_file(signer_id: bytes, sig: Signature) -> bytes:
-    if not 1 <= len(signer_id) <= 255:
-        raise InvalidIdentity(f"identity length must be 1..255 bytes, got {len(signer_id)}")
+    _check_identity(signer_id)
     return (
         MAGIC_SIGNATURE
         + bytes([GROUP_ID])
@@ -183,17 +182,7 @@ def serialize_signature_file(signer_id: bytes, sig: Signature) -> bytes:
     )
 
 
-def _signature_file_len(data: bytes) -> int:
-    id_len = data[len(MAGIC_SIGNATURE) + 1]
-    if id_len == 0:
-        raise InvalidIdentity("identity length must be at least 1")
-    return len(MAGIC_SIGNATURE) + 2 + id_len + SIGNATURE_LEN
-
-
 def deserialize_signature_file(data: bytes) -> tuple[bytes, Signature]:
     """Returns (signer id, signature)."""
-    off = _check_header(data, MAGIC_SIGNATURE, len(MAGIC_SIGNATURE) + 2, _signature_file_len)
-    id_len = data[off]
-    off += 1
-    signer_id = data[off : off + id_len]
-    return signer_id, decode_signature(data[off + id_len :])
+    signer_id, off = _id_file(data, MAGIC_SIGNATURE, SIGNATURE_LEN)
+    return signer_id, decode_signature(data[off:])

@@ -23,6 +23,7 @@ pin, in order:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import statistics
@@ -198,7 +199,7 @@ def test_criterion_04_shared_secret_symmetry(kgc):
         k_ba = aq_shared_static(b, a.record)
         oracle = Scalar(a.secret.v * b.secret.v) * G
         assert k_ab == k_ba == oracle
-        uncached = aq_shared_static(a, b.record, kgc.public, use_cache=False)
+        uncached = aq_shared_static(dataclasses.replace(a, cached_term=None), b.record, kgc.public)
         assert uncached.encode() == k_ab.encode()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -135,6 +135,15 @@ def test_signing_table_takes_no_owner_binding():
     assert PrecompTable(TOY, table.bases, table.entries) == table
 
 
+# More entries than k made bpv_online raise IndexError; fewer gave a file
+# that failed to load with TruncatedFile.
+@pytest.mark.parametrize("k", [1, 16])
+def test_table_needs_exactly_k_entries(k):
+    table = toy_table()
+    with pytest.raises(TableIntegrity):
+        PrecompTable(BpvParams(v=1, k=k, allow_unsafe=True), table.bases, table.entries)
+
+
 def test_entry_bytes_accounting():
     assert toy_table().entry_bytes == TOY.k * 64
     table, _, _ = toy_designated()

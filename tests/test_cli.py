@@ -18,9 +18,13 @@ import stat
 
 import pytest
 
-from iodcrypt.bpv import BpvParams, bpv_offline, serialize_table
+from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, serialize_table
 from iodcrypt.cli import _write, main
 from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
+from iodcrypt.group import N
+from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
+                               deserialize_system_public, reconstruct_pub)
+from iodcrypt.sign import deserialize_signature_file
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +288,49 @@ def test_table_gen_rejects_unvetted_params(realm, capsys):
     assert capsys.readouterr().err.startswith("UnsupportedParams:")
 
 
+_TOY = BpvParams(1, 1, allow_unsafe=True)
+
+
+def test_sign_refuses_an_unvetted_table_size(realm, tmp_path, capsys):
+    # With v = k = 1 every signature reuses the one nonce r, so two
+    # signatures s_i = r - e_i*x give away x = (s1 - s2) / (e2 - e1).
+    table_path = tmp_path / "toy.tbl"
+    table_path.write_bytes(serialize_table(bpv_offline(_TOY, random.Random(215))))
+    sigs = []
+    for i in range(2):
+        message, sig_path = tmp_path / f"frame{i}", tmp_path / f"frame{i}.sig"
+        message.write_bytes(b"frame %d" % i)
+        rc = cli(realm, "sign", "--key", "alpha", "--table", str(table_path), "--out", str(sig_path),
+                 str(message), "--test-seed", str(216 + i), "--insecure-test")
+        if rc == 0:
+            sigs.append(deserialize_signature_file(sig_path.read_bytes())[1])
+            continue
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("UnsupportedParams:")
+        assert not sig_path.exists()
+    if len(sigs) == 2:
+        (s1, e1), (s2, e2) = [(sig.s.value, sig.e.value) for sig in sigs]
+        recovered = (s1 - s2) * pow(e2 - e1, -1, N) % N
+        secret = deserialize_drone_keypair((realm["home"] / "alpha.key").read_bytes()).secret
+        assert recovered != secret.value, "two signatures gave away the signing key"
+    assert sigs == []
+
+
+def test_encrypt_refuses_an_unvetted_designated_table_size(realm, tmp_path, capsys):
+    home = realm["home"]
+    record = deserialize_record((home / "bravo.rec").read_bytes())
+    recipient_key = reconstruct_pub(record, deserialize_system_public((home / "system.pub").read_bytes()))
+    table = dbpv_offline(_TOY, recipient_key, record.binding(), random.Random(218))
+    table_path = tmp_path / "toy.dtbl"
+    table_path.write_bytes(serialize_table(table))
+    out = tmp_path / "msg.enc"
+    rc = cli(realm, "encrypt", "--to", "bravo", "--table", str(table_path),
+             "--out", str(out), str(realm["message"]), "--test-seed", "219", "--insecure-test")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("UnsupportedParams:")
+    assert not out.exists()
+
+
 def test_encrypt_refuses_table_built_under_another_system_key(realm, tmp_path, capsys):
     # bravo's own record, but the table was built over the key that record
     # reconstructs to under a different KGC
@@ -338,6 +385,19 @@ def test_test_seed_requires_insecure_flag(realm):
 def test_designated_requires_recipient(realm):
     with pytest.raises(SystemExit) as exc:
         cli(realm, "table", "gen", "--designated")
+    assert exc.value.code == 2
+
+
+def test_bench_host_below_the_iteration_floor_is_usage_error(realm):
+    with pytest.raises(SystemExit) as exc:
+        cli(realm, "bench", "--profile", "host", "--op", "sign", "--iterations", "5")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("given", [["--voltage", "3.3"], ["--current", "0.04"]])
+def test_bench_voltage_and_current_go_together(realm, given):
+    with pytest.raises(SystemExit) as exc:
+        cli(realm, "bench", "--profile", "host", "--op", "sign", *given)
     assert exc.value.code == 2
 
 

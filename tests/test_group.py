@@ -92,10 +92,18 @@ def test_scalar_mult_matches_affine_oracle(k, b):
     assert affine(Scalar(k) * base) == affine_mul(k, affine(base))
 
 
+_TORSION = [times(j, T8) for j in range(8)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(points, points)
 def test_addition_matches_affine_oracle(p1, p2):
-    assert affine(p1 + p2) == affine_add(affine(p1), affine(p2))
+    # The unified law is complete on the whole curve: operands carrying a
+    # torsion component j*T8 and the doubling q1 == q2 need no special case.
+    for j in range(8):
+        q1, q2 = p1 + _TORSION[j], p2 + _TORSION[3 * j % 8]
+        for a, b in ((q1, q2), (q1, q1)):
+            assert affine(a + b) == affine_add(affine(a), affine(b))
 
 
 # Digit-boundary scalars for both paths: every nibble 8 (a carry out of
@@ -170,9 +178,9 @@ def test_second_product_runs_no_doubling(monkeypatch):
     point = Scalar(0xF00D) * G
     Scalar(5) * point
     built = _count_calls(monkeypatch, "_ladder_table")
-    doubled = _count_calls(monkeypatch, "_dbl_raw")
+    combs = _count_calls(monkeypatch, "_comb_table")
     assert affine(Scalar(N - 2) * point) == affine_mul(N - 2, affine(point))
-    assert built == doubled == []
+    assert built == combs == []
 
 
 def test_g_never_gets_a_ladder():

@@ -1,5 +1,6 @@
 """Tests for self-certified keys, static secrets, and the handshake."""
 
+import dataclasses
 import random
 
 import pytest
@@ -125,7 +126,8 @@ def test_shared_secret_matches_algebraic_oracle_and_is_symmetric(setup):
 def test_cached_and_recomputed_paths_agree_byte_for_byte(setup):
     kgc, a, b = setup
     cached = aq_shared_static(a, b.record)
-    recomputed = aq_shared_static(a, b.record, system_public=kgc.public, use_cache=False)
+    recomputed = aq_shared_static(dataclasses.replace(a, cached_term=None), b.record,
+                                  system_public=kgc.public)
     assert cached.encode() == recomputed.encode()
 
 
@@ -135,7 +137,8 @@ def test_shared_secret_costs(setup):
     aq_shared_static(a, b.record, ctr=ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
     ctr.reset()
-    aq_shared_static(a, b.record, system_public=kgc.public, ctr=ctr, use_cache=False)
+    aq_shared_static(dataclasses.replace(a, cached_term=None), b.record,
+                     system_public=kgc.public, ctr=ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
