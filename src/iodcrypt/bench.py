@@ -190,9 +190,8 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
         sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
         if op_name == "encrypt":
             return lambda ctr: encrypt(sender, b"benchmark message", rng, ctr)
-        # Decoded on every iteration, as a receiver does: a decoded
-        # ephemeral point keeps its ladder, so reusing one would time only
-        # the product on a ladder already built.
+        # Decoded on every iteration, as a receiver does, so the time
+        # includes the subgroup check of the ephemeral point.
         wire = encrypt(sender, b"benchmark message", rng).encode()
         return lambda ctr: decrypt(receiver, decode_ciphertext(wire), ctr)
     if op_name == "aq_shared":

@@ -30,7 +30,7 @@ for byte, so a loaded table is already verified: an entry that is well
 formed but wrong raises :class:`TableIntegrity`, and bytes that are
 malformed, non-canonical or carry a torsion component raise
 :class:`MalformedElement`.  This costs k scalar multiplications per base,
-each at most 64 additions on a comb of the base (G's is process-wide, X's
+each at most 63 additions on a comb of the base (G's is process-wide, X's
 is built once per load); no stored point is decompressed unless it fails
 to match.  :func:`verify_table` runs the same recomputation for tables
 held in memory.

@@ -22,18 +22,13 @@ Products run on two paths:
 
 * **G**: a signed radix-16 comb (64 rows of 8 affine points, Lim-Lee),
   built on first use and kept for the life of the process; a product is
-  at most 64 mixed additions and no doublings.
-* **any other base**: a ladder of the 64 points 16^i * B, built by the
-  element's first product (252 doublings) and kept on the element.
-  Every product then sums the ladder rows by the comb's signed radix-16
-  digits into eight buckets (Yao's method): one addition per nonzero
-  digit after the first in its bucket (about 52 for a random scalar),
-  at most 14 to combine the buckets, and no doublings.  The subgroup
-  check of :func:`decode_element` is this path with the unreduced scalar
-  N = 2^252 + c, c < 2^125, whose 31 nonzero digits cost 24 + 14
-  additions once the ladder exists; the ladder it builds serves the
-  decoded element's later products (the x*R of decryption, the t*T of
-  a handshake).
+  at most 63 mixed additions and no doublings.
+* **any other base**: two calls of the X25519 Montgomery ladder (RFC 7748,
+  in C in ``cryptography``, imported on first use) give u(k*B) and
+  u((k+-1)*B); the Okeya-Sakurai formula recovers v.  Nothing is cached
+  on the element.  These products assume a base in the prime-order
+  subgroup, as every decoded element is; the subgroup check of
+  :func:`decode_element` (one X25519 call) does not rely on them.
 
 :func:`batch_scalar_mult` over a base other than G builds a comb of that
 base for the one call.
@@ -128,32 +123,26 @@ DOMAIN_SIG = 0x02  # signature challenge hashing
 # Raw extended-coordinate arithmetic (uncounted; tuples for speed)
 # ---------------------------------------------------------------------------
 #
-# Three formula bodies: the unified law _cadd (which _add_raw feeds), its
-# mixed form _madd_raw for affine operands, and the doubling inside
-# _ladder_table, which skips T where the next doubling does not read it.
+# Two formula bodies: the unified law _add_raw and its mixed form _madd_raw
+# for affine operands.
 
 _IDENT_COORDS = (0, 1, 1, 0)
 
 
-def _cadd(p, yp, ym, z2, t2d):
-    # The unified law: p plus the point given as (Y+X, Y-X, 2Z, 2d*T), the
-    # form of a ladder row.  Complete on Ed25519 (d is a non-square), so it
-    # also doubles and adds the identity.
-    x1, y1, z1, t1 = p
-    a = (y1 - x1) * ym % P
-    b = (y1 + x1) * yp % P
-    c = t1 * t2d % P
-    d = z1 * z2 % P
+def _add_raw(p1, p2):
+    # The unified law, complete on Ed25519 (d is a non-square), so it also
+    # doubles and adds the identity.
+    x1, y1, z1, t1 = p1
+    x2, y2, z2, t2 = p2
+    a = (y1 - x1) * (y2 - x2) % P
+    b = (y1 + x1) * (y2 + x2) % P
+    c = t1 * t2 % P * _2D % P
+    d = 2 * z1 * z2 % P
     e = b - a
     f = d - c
     g = d + c
     h = b + a
     return (e * f % P, g * h % P, f * g % P, e * h % P)
-
-
-def _add_raw(p1, p2):
-    x2, y2, z2, t2 = p2
-    return _cadd(p1, y2 + x2, y2 - x2, 2 * z2, t2 * _2D % P)
 
 
 def _normalize(coords_list):
@@ -186,7 +175,7 @@ def _cached(affine):
 
 
 def _madd_raw(p1, cached):
-    # Mixed addition: the unified law of _cadd with an affine second
+    # Mixed addition: the unified law of _add_raw with an affine second
     # operand (Z2 = 1) given in the form of _cached, one product fewer.
     x1, y1, z1, t1 = p1
     yp, ym, t2d = cached
@@ -244,14 +233,21 @@ def _signed_digits(k):
     return digits
 
 
-def _comb_mul(rows, k):
-    # One mixed addition of a row entry per nonzero digit.
-    acc = _IDENT_COORDS
-    madd = _madd_raw
-    for row, d in zip(rows, _signed_digits(k)):
-        if d:
-            acc = madd(acc, row[d])
+def _sum_cached(entries):
+    # The sum of points in the form of _cached: the first converted to
+    # (2x, 2y, 2, 2xy) with one product, then one mixed addition per entry.
+    if not entries:
+        return _IDENT_COORDS
+    yp, ym, t2d = entries[0]
+    acc = ((yp - ym) % P, (yp + ym) % P, 2, t2d * _INV_D % P)
+    for i in range(1, len(entries)):
+        acc = _madd_raw(acc, entries[i])
     return acc
+
+
+def _comb_mul(rows, k):
+    # One row entry per nonzero digit.
+    return _sum_cached([row[d] for row, d in zip(rows, _signed_digits(k)) if d])
 
 
 _G_COMB = None
@@ -267,54 +263,66 @@ def _g_comb():
     return _G_COMB
 
 
-def _ladder_table(coords):
-    # Row i is 16^i * B for i = 0..63: 252 doublings, T computed only in
-    # the last doubling of each group of four (the doubling never reads
-    # it).  Rows stay unnormalised, in the form (Y+X, Y-X, 2Z, 2d*T),
-    # because one inversion for the ladder costs more than it saves.
-    x, y, z, t = coords
-    rows = []
-    for i in range(_COMB_ROWS):
-        if i:
-            for _ in range(4):
-                a = x * x % P
-                b = y * y % P
-                c = 2 * z * z % P
-                e = 2 * x * y % P
-                g = b - a
-                f = g - c
-                h = -b - a
-                x, y, z = e * f % P, g * h % P, f * g % P
-            t = e * h % P
-        rows.append(((y + x) % P, (y - x) % P, 2 * z % P, t * _2D % P))
-    return rows
+# Other bases: X25519 (RFC 7748) on the Montgomery form v^2 = u^3 + A*u^2 + u,
+# (u, v) = ((1+y)/(1-y), sqrt(-486664)*u/x).  It returns u alone and takes
+# only scalars of the clamp form 2^254 + 8m, m < 2^251.
+_A = 486662
+# The root of -486664 that maps G to the v of RFC 7748 section 4.1.
+_SQRT_M486664 = 51042569399160536130206135233146329284152202253034631822681833788666877215207
+_INV_8 = pow(8, -1, N)
 
 
-def _ladder_mul(rows, k):
-    # Yao's bucket method over the signed radix-16 digits of k (k < 2^253,
-    # unreduced, so N itself serves the subgroup check): bucket j collects
-    # +-row_i for every |d_i| = j, then sum(j * bucket_j) comes from two
-    # running sums.  At most 63 + 14 additions and no doublings.
-    buckets = [None] * (_COMB_COLS + 1)
-    for (yp, ym, z2, t2d), d in zip(rows, _signed_digits(k)):
-        if not d:
-            continue
-        if d < 0:
-            d = -d
-            yp, ym, t2d = ym, yp, -t2d
-        acc = buckets[d]
-        if acc is None:
-            # The row as (2X, 2Y, 2Z, 2T).
-            buckets[d] = ((yp - ym) % P, (yp + ym) % P, z2, t2d * _INV_D % P)
-        else:
-            buckets[d] = _cadd(acc, yp, ym, z2, t2d)
-    running = total = None
-    for acc in buckets[:0:-1]:
-        if acc is not None:
-            running = acc if running is None else _add_raw(running, acc)
-        if running is not None:
-            total = running if total is None else _add_raw(total, running)
-    return _IDENT_COORDS if total is None else total
+def _clamp_form(k):
+    # The scalar 8u = +-k (mod N) with u in [2^251, 2^252), which X25519's
+    # clamp leaves unchanged; None for exactly the k = 8j with |j| <= N - 2^252.
+    u = k * _INV_8 % N
+    for u in (u, N - u):
+        if u >> 251 == 1:
+            return u << 3
+    return None
+
+
+# +-1 (mod N) and 0 (mod 8): c * (Q + T) = +-Q for T of order dividing 8.
+_CHECK_SCALAR = _clamp_form(1)
+
+
+def _x25519(u, scalars):
+    # u(s * B) for each clamp-form s, where u = u(B); ValueError when an
+    # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+
+    base = X25519PublicKey.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
+    keys = [X25519PrivateKey.from_private_bytes(s.to_bytes(SCALAR_LEN, "little")) for s in scalars]
+    return [int.from_bytes(key.exchange(base), "little") for key in keys]
+
+
+def _montgomery(coords):
+    # (u, v) of a point with x != 0 (not the identity or (0, -1)), with one inversion.
+    x, y, z, _ = coords
+    inv = pow((z - y) * x % P, -1, P)
+    return (z + y) * x % P * inv % P, _SQRT_M486664 * (z + y) % P * z % P * inv % P
+
+
+def _mul(coords, k):
+    # k * B for 0 < k < N and B != identity in the prime-order subgroup.
+    s = _clamp_form(k)
+    if s is None:  # k = 8j, |j| small: 8 * (j * B), three doublings
+        q = _mul(coords, k * _INV_8 % N)
+        for _ in range(3):
+            q = _add_raw(q, q)
+        return q
+    # u of the neighbour (k+1)*B, or of (k-1)*B when k + 1 has no clamp form
+    # (they cannot both lack one): Q = k*B and it differ by step * B.
+    step, s2 = 1, _clamp_form(k + 1)
+    if s2 is None:
+        step, s2 = -1, _clamp_form(k - 1)
+    u, v = _montgomery(coords)
+    uq, un = _x25519(u, (s, s2))
+    # Okeya-Sakurai (CHES 2001): v(Q) = num / (2 * step * v); then back to
+    # Edwards, x = sqrt(-486664)*uq/v(Q) and y = (uq - 1)/(uq + 1).
+    num = ((u * uq + 1) * (u + uq + 2 * _A) - 2 * _A - (u - uq) ** 2 % P * un) % P
+    w = _SQRT_M486664 * uq % P * 2 * step * v % P
+    return (w * (uq + 1) % P, (uq - 1) * num % P, num * (uq + 1) % P, w * (uq - 1) % P)
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +395,14 @@ class GroupElement:
     """Point in the prime-order subgroup, in extended twisted Edwards coordinates.
 
     Immutable in value.  ``k * G`` runs on the process-wide comb of G;
-    ``k * P`` for any other point runs on a per-element ladder built
-    lazily by the first product (idempotent, so safe to share across
-    readers).
+    ``k * P`` for any other point on two X25519 calls, which assume that P
+    is in the prime-order subgroup, as every decoded element is.
     """
 
-    __slots__ = ("coords", "_ladder")
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         self.coords = coords
-        self._ladder = None
-
-    def _rows(self):
-        rows = self._ladder
-        if rows is None:
-            rows = self._ladder = _ladder_table(self.coords)
-        return rows
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(_add_raw(self.coords, other.coords))
@@ -420,11 +420,11 @@ class GroupElement:
         if not isinstance(k, int):
             return NotImplemented
         k %= N
-        if k == 0:
+        if k == 0 or self.is_identity():
             return IDENTITY
         if self.coords == G.coords:
             return GroupElement(_comb_mul(_g_comb(), k))
-        return GroupElement(_ladder_mul(self._rows(), k))
+        return GroupElement(_mul(self.coords, k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -490,13 +490,21 @@ def _lift(data: bytes) -> GroupElement:
 def decode_element(data: bytes) -> GroupElement:
     """Decode 32 bytes into a group element.
 
-    Rejects what :func:`_lift` rejects, and points that are not in the
-    prime-order subgroup (N * P != identity).
+    Rejects what :func:`_lift` rejects, and points outside the prime-order
+    subgroup: R = Q + T (Q in the subgroup, 8T = 0) passes iff u(c * R),
+    which is u(+-Q), equals u(R), that is iff T is the identity.
     """
     point = _lift(data)
-    if not GroupElement(_ladder_mul(point._rows(), N)).is_identity():
-        raise MalformedElement("point outside the prime-order subgroup")
-    return point
+    y = point.coords[1]
+    if y == 1:
+        return point  # the identity, the one point with no u
+    u = (1 + y) * pow(1 - y, -1, P) % P
+    try:
+        if _x25519(u, (_CHECK_SCALAR,)) == [u]:
+            return point
+    except ValueError:  # c * R is the identity: R is a torsion point
+        pass
+    raise MalformedElement("point outside the prime-order subgroup")
 
 
 IDENTITY = GroupElement(_IDENT_COORDS)
@@ -538,7 +546,7 @@ def batch_scalar_mult(
 ) -> list[GroupElement]:
     """Return [k * base for k in scalars], counting one scalar multiplication each.
 
-    Each product costs at most 64 additions and no doublings on a signed
+    Each product costs at most 63 additions and no doublings on a signed
     radix-16 comb of ``base``: the process-wide comb for G, otherwise one
     built for this call (512 points, about 700 group operations).  All
     outputs are normalised to Z = 1 with a single shared field inversion.
@@ -578,10 +586,7 @@ def subset_sum(
     """
     if ctr is not None:
         ctr.point_adds += len(indices) - 1
-    acc = _IDENT_COORDS
-    for i in indices:
-        acc = _madd_raw(acc, stored[i])
-    return GroupElement(acc)
+    return GroupElement(_sum_cached([stored[i] for i in indices]))
 
 
 # ---------------------------------------------------------------------------

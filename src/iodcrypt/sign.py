@@ -85,10 +85,8 @@ class VerifierContext:
     """Verifier-side state with the signer's public key already reconstructed.
 
     ``cached_key`` must equal the reconstruction H(id, U)*U + D; build
-    through :meth:`build` to guarantee that.  :meth:`build` drops the
-    ladder of the record's commitment U once the key is reconstructed,
-    since nothing multiplies by U again, so a context holds at most the
-    one ladder its key builds on its first verify.
+    through :meth:`build` to guarantee that.  It holds the three points
+    only: every verify computes e * cached_key afresh, on X25519.
     """
 
     record: IdentityRecord
@@ -102,9 +100,7 @@ class VerifierContext:
         system_public: GroupElement,
         ctr: OpCounter | None = None,
     ) -> "VerifierContext":
-        cached_key = reconstruct_pub(record, system_public, ctr)
-        record.commitment._ladder = None
-        return cls(record=record, system_public=system_public, cached_key=cached_key)
+        return cls(record, system_public, reconstruct_pub(record, system_public, ctr))
 
 
 def sign_kg(

@@ -106,9 +106,13 @@ def test_addition_matches_affine_oracle(p1, p2):
             assert affine(a + b) == affine_add(affine(a), affine(b))
 
 
-# Digit-boundary scalars for both paths: every nibble 8 (a carry out of
-# every comb digit), every nibble 15 (the top window entry), 2 and 8.
-_EDGE_SCALARS = [0, 1, 2, 8, 2**252 - 1, int("8" * 63, 16), N - 1]
+# Digit-boundary scalars for the comb: every nibble 8 (a carry out of
+# every comb digit), every nibble 15 (the top window entry), 2 and 8.  For
+# X25519, whose clamp forms miss exactly the k = 8j with |j| <= c: those
+# multiples of 8 on both sides of the bound and their neighbours.
+_C = N - 2**252
+_EDGE_SCALARS = [0, 1, 2, 7, 8, 16, 2**252 - 1, int("8" * 63, 16), N - 9, N - 8, N - 1,
+                 8 * _C, 8 * (_C + 1), N - 8 * _C, N - 8 * (_C + 1)]
 _OTHER_BASE = Scalar(0x5EED_BA5E) * G
 
 
@@ -134,7 +138,7 @@ def test_g_comb_is_built_once_per_process(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# The per-element ladder of every other base
+# Products of every other base and the subgroup check on X25519
 # --------------------------------------------------------------------------
 
 
@@ -144,17 +148,68 @@ def test_ladder_products_match_affine_oracle(b, k):
     base = Scalar(b) * G
     for scalar in [k, *_EDGE_SCALARS]:
         assert affine(Scalar(scalar) * base) == affine_mul(scalar, affine(base))
-    assert base._ladder is not None
+
+
+def _le(hex_bytes):
+    return int.from_bytes(bytes.fromhex(hex_bytes), "little")
+
+
+def test_x25519_reproduces_rfc7748_vectors():
+    # Section 5.2: two single products (the second u has its top bit set,
+    # which X25519 masks), then the iterated k = u = 9 after 1 and 1000 rounds.
+    for scalar, u, out in (
+        ("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+         "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+         "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"),
+        ("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+         "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+         "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"),
+    ):
+        assert group._x25519(_le(u) % 2**255, [_le(scalar)]) == [_le(out)]
+    k = u = 9
+    for rounds in range(1, 1001):
+        k, u = group._x25519(u, [k])[0], k
+        if rounds == 1:
+            assert k == _le("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079")
+    assert k == _le("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51")
+
+
+def test_g_maps_to_the_rfc7748_base_point():
+    # Section 4.1: u = 9 and this v, from any representative of G.
+    v = 14781619447589544791020593568409986887264606134616475288964881837755586237401
+    assert group._montgomery(G.coords) == (9, v)
+    assert group._montgomery(tuple(3 * c % P for c in G.coords)) == (9, v)
+
+
+def _clamp(s):
+    # RFC 7748 section 5, decodeScalar25519.
+    return s & ~7 & (2**255 - 1) | 2**254
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=N - 1))
+def test_clamp_forms_are_clamp_fixed_points_of_plus_or_minus_k(k):
+    # Both ends of u = k/8 in [2^251, 2^252) with either sign, and the edges.
+    bounds = [8 * u % N for u in (2**251 - 1, 2**251, 2**252 - 1, 2**252, N - 2**251)]
+    for k in (k, *bounds, *_EDGE_SCALARS):
+        j = k * pow(8, -1, N) % N
+        s = group._clamp_form(k)
+        if min(j, N - j) <= _C:
+            assert s is None
+        else:
+            assert _clamp(s) == s and s % N in (k % N, -k % N)
 
 
 @pytest.mark.parametrize("j", range(1, 8))
-def test_ladder_product_by_the_order_keeps_the_torsion_part(j):
-    # N * (Q + j*T8) = N * j*T8, a point of order 8, 4 or 2: the ladder
-    # multiplies by N itself, not by N reduced modulo the order.
+def test_check_scalar_clears_the_torsion_part(j):
+    # c = +-1 (mod N) and c = 0 (mod 8), so c * (Q + j*T8) = +-Q, whose u is
+    # not that of Q + j*T8: the check rejects the point.
+    c = group._CHECK_SCALAR
+    assert _clamp(c) == c and c % 8 == 0 and c % N in (1, N - 1)
     point = _OTHER_BASE + times(j, T8)
-    out = GroupElement(group._ladder_mul(point._rows(), N))
-    assert affine(out) == affine_mul(N, affine(point))
-    assert not out.is_identity()
+    assert affine_mul(c, affine(point)) in (affine(_OTHER_BASE), affine(-_OTHER_BASE))
+    u_point, u_base = group._montgomery(point.coords)[0], group._montgomery(_OTHER_BASE.coords)[0]
+    assert group._x25519(u_point, [c]) == [u_base] != [u_point]
 
 
 def _count_calls(monkeypatch, name):
@@ -164,39 +219,53 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_ladder_is_built_once_per_element(monkeypatch):
-    built = _count_calls(monkeypatch, "_ladder_table")
-    point = decode_element((Scalar(0xD1CE) * G).encode())
-    assert len(built) == 1
-    for k in (Scalar(3), Scalar(N - 1)):
-        assert affine(scalar_mult(k, point)) == affine_mul(k.value, affine(point))
-        assert affine(k * point) == affine_mul(k.value, affine(point))
-    assert len(built) == 1
-
-
 def test_second_product_runs_no_doubling(monkeypatch):
-    point = Scalar(0xF00D) * G
-    Scalar(5) * point
-    built = _count_calls(monkeypatch, "_ladder_table")
-    combs = _count_calls(monkeypatch, "_comb_table")
-    assert affine(Scalar(N - 2) * point) == affine_mul(N - 2, affine(point))
-    assert built == combs == []
+    # A decode is one X25519 call and a product two, with no addition in
+    # Python and no comb, except k = 8j, |j| small: 8 * (j*B), three doublings.
+    wire = (Scalar(0xD1CE) * G).encode()
+    expected = {k: affine_mul(k, affine(decode_element(wire))) for k in (3, N - 1, N - 9, 16, 64)}
+    calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw", "_comb_table")]
+    x25519 = _count_calls(monkeypatch, "_x25519")
+    point = decode_element(wire)
+    assert len(x25519) == 1
+    for k in (3, N - 1, N - 9):
+        assert affine(scalar_mult(Scalar(k), point)) == expected[k]
+    assert len(x25519) == 4
+    assert calls == [[], [], []]
+    for k, doublings in ((16, 3), (64, 6)):
+        assert affine(Scalar(k) * point) == expected[k]
+        assert len(calls[0]) == doublings
+        del calls[0][:]
+    assert len(x25519) == 6 and calls == [[], [], []]
 
 
-def test_g_never_gets_a_ladder():
+def test_g_never_gets_a_ladder(monkeypatch):
+    x25519 = _count_calls(monkeypatch, "_x25519")
     k = Scalar(0xC0FFEE)
     k * G
     scalar_mult(k, G)
     batch_scalar_mult(G, [k])
     k * decode_element(G.encode())
-    assert G._ladder is None
+    assert x25519 == ["_x25519"]  # the decode's subgroup check only
 
 
 def test_nothing_is_built_at_import_time():
-    code = ("import iodcrypt.cli, iodcrypt.group as g; "
-            "assert g._G_COMB is None and g.G._ladder is None and g.IDENTITY._ladder is None")
+    code = ("import sys, iodcrypt.cli, iodcrypt.group as g; "
+            "assert g._G_COMB is None; "
+            "assert 'cryptography.hazmat.primitives.asymmetric.x25519' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(Path(group.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_comb_product_runs_one_mixed_addition_per_nonzero_digit_after_the_first(monkeypatch):
+    rows = group._g_comb()
+    madds = _count_calls(monkeypatch, "_madd_raw")
+    for k in (*_EDGE_SCALARS, 0xC0FFEE << 200):
+        del madds[:]
+        assert affine(Scalar(k) * G) == affine_mul(k, affine(G))
+        digits = sum(1 for d in group._signed_digits(k) if d)
+        assert len(madds) == max(digits - 1, 0)
+    assert group._comb_mul(rows, 0) == group._IDENT_COORDS
 
 
 @settings(max_examples=8, deadline=None)
@@ -231,13 +300,17 @@ def test_subset_sum_matches_affine_oracle(pts, data):
     assert affine(subset_sum(stored, indices)) == expected
 
 
-def test_subset_sum_counts_one_add_fewer_than_indices():
+def test_subset_sum_counts_one_add_fewer_than_indices(monkeypatch):
+    # The count is the work: one mixed addition per index after the first.
     stored = addends([Scalar(k) * G for k in (3, 5, 7)])
+    madds = _count_calls(monkeypatch, "_madd_raw")
     for indices, adds in (([1], 0), ([0, 2], 1), ([2, 0, 1], 2)):
         ctr = OpCounter()
+        del madds[:]
         subset_sum(stored, indices, ctr)
-        assert (ctr.scalar_mults, ctr.point_adds) == (0, adds)
+        assert (ctr.scalar_mults, ctr.point_adds) == (0, adds) and len(madds) == adds
     assert subset_sum(stored, [2, 0, 1]) == Scalar(15) * G
+    assert affine(subset_sum(stored, [1])) == affine_mul(5, affine(G))
 
 
 @settings(max_examples=20, deadline=None)

@@ -155,30 +155,30 @@ def test_both_verifiers_agree_on_honest_and_corrupt_signatures(setup):
         assert verify(vctx, message, sig) == reference_verify(public, message, sig)
 
 
-def test_context_key_gets_its_ladder_on_the_first_verify_only(setup, monkeypatch):
+def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
     kgc, ctx, _ = setup
-    built = []
-    real = group._ladder_table
-    monkeypatch.setattr(group, "_ladder_table", lambda coords: built.append(coords) or real(coords))
-    # A record from the wire: decoding U already built U's ladder.
+    calls = []
+    real = group._x25519
+    monkeypatch.setattr(
+        group, "_x25519", lambda u, scalars: calls.append(len(scalars)) or real(u, scalars)
+    )
+    # A record from the wire: decoding U is one subgroup check.
     record = deserialize_record(serialize_record(ctx.keypair.record))
-    assert len(built) == 1
+    assert calls == [1]
     vctx = VerifierContext.build(record, kgc.public)
-    assert len(built) == 1
-    assert vctx.cached_key._ladder is None
-    assert record.commitment._ladder is None
+    assert calls == [1, 2]  # the product H(id, U) * U
     rng = random.Random(82)
     for i in range(5):
         message = rng.randbytes(16)
         ctr = OpCounter()
         assert verify(vctx, message, sign(ctx, message, rng), ctr)
         assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
-    assert built == [record.commitment.coords, vctx.cached_key.coords]
+    # e * cached_key on X25519; s * G on the comb.
+    assert calls == [1, 2] + [2] * 5
 
 
 def test_sixteen_contexts_from_wire_bytes_hold_no_commitment_ladders(setup):
-    # Each kept commitment ladder is about 17 KiB: 16 of them held about
-    # 312 KiB, against about 15 KiB for the contexts without them.
+    # A context keeps three points and nothing derived from them.
     kgc, _, _ = setup
     rng = random.Random(85)
     wires = [serialize_record(aq_kg(kgc, b"drone-%02d" % i, rng).record) for i in range(16)]
@@ -209,7 +209,6 @@ def test_many_verifies_on_one_context_agree_with_reference_verify(setup):
             (message, Signature(good.s, good.e + Scalar(1))),
             (message, sign(other, message, rng)),
         ):
-            # A fresh copy of the key, so the oracle shares no cached ladder.
             public = GroupElement(vctx.cached_key.coords)
             assert verify(vctx, candidate, sig) == reference_verify(public, candidate, sig)
         assert verify(vctx, message, good)
