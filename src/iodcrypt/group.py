@@ -499,8 +499,8 @@ def decode_element(data: bytes) -> GroupElement:
     if y == 1:
         return point  # the identity, the one point with no u
     u = (1 + y) * pow(1 - y, -1, P) % P
-    try:
-        if _x25519(u, (_CHECK_SCALAR,)) == [u]:
+    try:  # u = 0 is the point of order 2
+        if u and _x25519(u, (_CHECK_SCALAR,)) == [u]:
             return point
     except ValueError:  # c * R is the identity: R is a torsion point
         pass
