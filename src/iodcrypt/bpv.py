@@ -24,16 +24,15 @@ seal key::
 
 Deserialization checks the trailing hash before anything else, so any
 bit-level corruption surfaces as :class:`IntegrityMismatch`.  It then
-recomputes every stored point from its scalar, once per base, through
-the batched fixed-base engine and compares the canonical encodings byte
-for byte, so a loaded table is already verified: an entry that is well
-formed but wrong raises :class:`TableIntegrity`, and bytes that are
-malformed, non-canonical or carry a torsion component raise
-:class:`MalformedElement`.  This costs k scalar multiplications per base,
-each at most 63 additions on a comb of the base (G's is process-wide, X's
-is built once per load); no stored point is decompressed unless it fails
-to match.  :func:`verify_table` runs the same recomputation for tables
-held in memory.
+recomputes every stored point from its scalar, once per base, with
+:func:`~iodcrypt.group.batch_scalar_mult` and compares the canonical
+encodings byte for byte, so a loaded table is already verified: an entry
+that is well formed but wrong raises :class:`TableIntegrity`, and bytes
+that are malformed, non-canonical or carry a torsion component raise
+:class:`MalformedElement`.  This costs k scalar multiplications per base:
+on the process-wide comb of G for r_i*G, on X25519 for r_i*X; no stored
+point is decompressed unless it fails to match.  :func:`verify_table`
+runs the same recomputation for tables held in memory.
 
 The sealed format, ``IODCBPV2``, is what it writes given a 32-byte seal
 key.  The clear header is authenticated as associated data, and the
@@ -249,9 +248,10 @@ def dbpv_online(
 def verify_table(table: PrecompTable, ctr: OpCounter | None = None) -> None:
     """Recompute every entry's points from its scalar; raise TableIntegrity on drift.
 
-    Costs k scalar multiplications per base through the batched
-    fixed-base engine.  Loading a table file already runs this check, so
-    it is for tables held in memory.
+    Costs k scalar multiplications per base with
+    :func:`~iodcrypt.group.batch_scalar_mult`.  Loading an open table
+    file already runs this check; a sealed load does not, and relies on
+    the seal instead.
     """
     columns = _columns(table.bases, [entry[0] for entry in table.entries], ctr)
     for idx, (entry, fresh) in enumerate(zip(table.entries, zip(*columns))):

@@ -288,6 +288,8 @@ def cmd_verify(args) -> int:
     signer_id, sig = deserialize_signature_file(_read(Path(args.sig)))
     record_arg = args.record if args.record else signer_id.decode(errors="replace")
     record = deserialize_record(_read(_resolve(args, record_arg, ".rec")))
+    if record.drone_id != signer_id:
+        raise VerifyFailed(f"signature names {signer_id!r} but the record is {record.drone_id!r}")
     system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
     vctx = VerifierContext.build(record, system_public)
     message = _read(Path(args.infile))

@@ -30,8 +30,8 @@ Products run on two paths:
   subgroup, as every decoded element is; the subgroup check of
   :func:`decode_element` (one X25519 call) does not rely on them.
 
-:func:`batch_scalar_mult` over a base other than G builds a comb of that
-base for the one call.
+``GroupElement.__rmul__`` alone chooses between the two; every counted
+product, batched or not, goes through it.
 
 Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
@@ -190,34 +190,40 @@ def _madd_raw(p1, cached):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-# Fixed-base comb: row i holds j * 16^i * B for j = 1..8, so a scalar below
+# The comb of G: row i holds j * 16^i * G for j = 1..8, so a scalar below
 # N written in 64 signed radix-16 digits (|d_i| <= 8) is the sum of one row
 # entry (or its negation) per nonzero digit.
 _COMB_ROWS = 64
 _COMB_COLS = 8
+_G_COMB = None
 
 
-def _comb_table(coords):
-    # 64 * 8 additions (the last of each row the doubling cur + cur) plus
-    # one batch normalisation.  Each entry is kept in the form of _cached;
-    # a row is laid out [None, +1..+8, -8..-1] so that row[d] serves d in
-    # [-8, 8] through Python's negative indexing.
-    points = []
-    row_base = coords
-    for _ in range(_COMB_ROWS):
-        cur = row_base
-        points.append(cur)
-        for _ in range(_COMB_COLS - 1):
-            cur = _add_raw(cur, row_base)
+def _g_comb():
+    # Built on first use and kept for the life of the process: 64 * 8
+    # additions (the last of each row the doubling cur + cur) and one batch
+    # normalisation, about 7 ms on a 2-core Python 3.11 host, for 512
+    # entries of three field elements, about 130 KiB.  Each entry is kept
+    # in the form of _cached; a row is laid out [None, +1..+8, -8..-1] so
+    # that row[d] serves d in [-8, 8] through Python's negative indexing.
+    global _G_COMB
+    if _G_COMB is None:
+        points = []
+        row_base = G.coords
+        for _ in range(_COMB_ROWS):
+            cur = row_base
             points.append(cur)
-        row_base = _add_raw(cur, cur)
-    rows = []
-    affine = _normalize(points)
-    for i in range(0, len(affine), _COMB_COLS):
-        pos = _cached(affine[i : i + _COMB_COLS])
-        neg = [(ym, yp, (P - t2d) % P) for yp, ym, t2d in reversed(pos)]
-        rows.append([None, *pos, *neg])
-    return rows
+            for _ in range(_COMB_COLS - 1):
+                cur = _add_raw(cur, row_base)
+                points.append(cur)
+            row_base = _add_raw(cur, cur)
+        affine = _normalize(points)
+        rows = []
+        for i in range(0, len(affine), _COMB_COLS):
+            pos = _cached(affine[i : i + _COMB_COLS])
+            neg = [(ym, yp, (P - t2d) % P) for yp, ym, t2d in reversed(pos)]
+            rows.append([None, *pos, *neg])
+        _G_COMB = rows
+    return _G_COMB
 
 
 def _signed_digits(k):
@@ -248,19 +254,6 @@ def _sum_cached(entries):
 def _comb_mul(rows, k):
     # One row entry per nonzero digit.
     return _sum_cached([row[d] for row, d in zip(rows, _signed_digits(k)) if d])
-
-
-_G_COMB = None
-
-
-def _g_comb():
-    # The comb of G, built on first use and kept for the life of the
-    # process: 512 entries of three field elements, about 130 KiB, built
-    # once in about 7 ms on a 2-core Python 3.11 host.
-    global _G_COMB
-    if _G_COMB is None:
-        _G_COMB = _comb_table(G.coords)
-    return _G_COMB
 
 
 # Other bases: X25519 (RFC 7748) on the Montgomery form v^2 = u^3 + A*u^2 + u,
@@ -546,18 +539,12 @@ def batch_scalar_mult(
 ) -> list[GroupElement]:
     """Return [k * base for k in scalars], counting one scalar multiplication each.
 
-    Each product costs at most 63 additions and no doublings on a signed
-    radix-16 comb of ``base``: the process-wide comb for G, otherwise one
-    built for this call (512 points, about 700 group operations).  All
+    Each product is ``k * base``, on the path that operator chooses.  All
     outputs are normalised to Z = 1 with a single shared field inversion.
-    An empty batch builds nothing.
     """
     if ctr is not None:
         ctr.scalar_mults += len(scalars)
-    if not scalars:
-        return []
-    rows = _g_comb() if base.coords == G.coords else _comb_table(base.coords)
-    products = [_comb_mul(rows, k.v) for k in scalars]
+    products = [(k * base).coords for k in scalars]
     return [GroupElement((x, y, 1, x * y % P)) for x, y in _normalize(products)]
 
 

@@ -24,7 +24,7 @@ from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
 from iodcrypt.group import N
 from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
                                deserialize_system_public, reconstruct_pub)
-from iodcrypt.sign import deserialize_signature_file
+from iodcrypt.sign import deserialize_signature_file, serialize_signature_file
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,26 @@ def test_verify_rejects_tampered_message(realm, capsys):
     rc = cli(realm, "verify", "--sig", str(realm["signature"]), str(tampered))
     assert rc == 1
     assert capsys.readouterr().err.startswith("VerifyFailed:")
+
+
+def test_verify_rejects_a_record_of_another_signer(realm, tmp_path, monkeypatch, capsys):
+    # mallory signs, renames the signer in the file to alpha, and plants their
+    # own record as ./alpha, which the signer id resolves to first.
+    assert cli(realm, "kgc", "issue", "--id", "mallory", "--test-seed", "311", "--insecure-test") == 0
+    sig_path = tmp_path / "msg.txt.sig"
+    assert cli(realm, "sign", "--key", "mallory", "--out", str(sig_path), str(realm["message"]),
+               "--test-seed", "312", "--insecure-test") == 0
+    _, sig = deserialize_signature_file(sig_path.read_bytes())
+    sig_path.write_bytes(serialize_signature_file(b"alpha", sig))
+    mallory_rec = realm["home"] / "mallory.rec"
+    (tmp_path / "alpha").write_bytes(mallory_rec.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for extra in ((), ("--record", str(mallory_rec))):
+        rc = cli(realm, "verify", "--sig", str(sig_path), *extra, str(realm["message"]))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("VerifyFailed:") and "good signature" not in captured.out
 
 
 def test_decrypt_rejects_corrupted_ciphertext(realm, capsys):

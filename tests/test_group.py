@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iodcrypt import group
+from iodcrypt.bpv import BpvParams, dbpv_offline, deserialize_table, serialize_table, verify_table
 from iodcrypt.errors import MalformedElement, MalformedScalar
 from iodcrypt.group import (
     DOMAIN_KEY,
@@ -123,18 +124,24 @@ def test_product_at_edge_scalars_matches_affine_oracle(base, k):
 
 
 def test_g_comb_is_built_once_per_process(monkeypatch):
-    built = []
-    real = group._comb_table
+    # The comb takes no base, so each call of _g_comb that finds none yet is
+    # a build of G's.  A designated table over X, built, loaded from the open
+    # format and verified, reaches it only for its G column.
+    found_empty = []
+    real = group._g_comb
     monkeypatch.setattr(group, "_G_COMB", None)
-    monkeypatch.setattr(group, "_comb_table", lambda coords: built.append(coords) or real(coords))
+    monkeypatch.setattr(group, "_g_comb", lambda: found_empty.append(group._G_COMB is None) or real())
     k = Scalar(0xABCDEF)
     expected = affine_mul(k.value, affine(G))
     decoded_g = decode_element(G.encode())
     for out in (k * G, k * decoded_g, scalar_mult(k, G), *batch_scalar_mult(G, [k, k])):
         assert affine(out) == expected
-    assert built == [G.coords]
-    batch_scalar_mult(_OTHER_BASE, [k])
-    assert built == [G.coords, _OTHER_BASE.coords]
+    params = BpvParams(v=2, k=4, allow_unsafe=True)
+    table = dbpv_offline(params, decode_element(_OTHER_BASE.encode()), bytes(32), random.Random(7))
+    verify_table(deserialize_table(serialize_table(table)))
+    # The five products of G above, then k for the G column of each of the
+    # build, the load and the check.
+    assert found_empty == [True] + [False] * (5 - 1 + 3 * params.k)
 
 
 # --------------------------------------------------------------------------
@@ -220,23 +227,28 @@ def _count_calls(monkeypatch, name):
 
 
 def test_second_product_runs_no_doubling(monkeypatch):
-    # A decode is one X25519 call and a product two, with no addition in
-    # Python and no comb, except k = 8j, |j| small: 8 * (j*B), three doublings.
+    # A decode is one X25519 call and a product two, batched or not, with no
+    # addition in Python and no comb, except k = 8j, |j| small: 8 * (j*B),
+    # three doublings.
     wire = (Scalar(0xD1CE) * G).encode()
-    expected = {k: affine_mul(k, affine(decode_element(wire))) for k in (3, N - 1, N - 9, 16, 64)}
-    calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw", "_comb_table")]
+    ks = (3, N - 1, N - 9)
+    expected = {k: affine_mul(k, affine(decode_element(wire))) for k in (*ks, 16, 64)}
+    calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw", "_g_comb")]
     x25519 = _count_calls(monkeypatch, "_x25519")
     point = decode_element(wire)
     assert len(x25519) == 1
-    for k in (3, N - 1, N - 9):
+    for k in ks:
         assert affine(scalar_mult(Scalar(k), point)) == expected[k]
     assert len(x25519) == 4
     assert calls == [[], [], []]
+    batch = batch_scalar_mult(point, [Scalar(k) for k in ks])
+    assert [affine(q) for q in batch] == [expected[k] for k in ks]
+    assert len(x25519) == 7 and calls == [[], [], []]
     for k, doublings in ((16, 3), (64, 6)):
         assert affine(Scalar(k) * point) == expected[k]
         assert len(calls[0]) == doublings
         del calls[0][:]
-    assert len(x25519) == 6 and calls == [[], [], []]
+    assert len(x25519) == 9 and calls == [[], [], []]
 
 
 def test_g_never_gets_a_ladder(monkeypatch):
