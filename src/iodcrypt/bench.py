@@ -26,17 +26,16 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidMeasurement, UnknownOp
-from .group import OpCounter
+from .group import OpCounter, record
 
 WARMUP_ITERATIONS = 10
 MIN_ITERATIONS = 10
 
 
-@dataclass(frozen=True)
+@record
 class DeviceProfile:
     """Electrical operating point of a target device."""
 
@@ -58,7 +57,7 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class BenchResult:
     """One measured operation: median latency plus exact group-op counts."""
 
@@ -69,7 +68,7 @@ class BenchResult:
     point_adds: int
 
 
-@dataclass(frozen=True)
+@record
 class EnergyReport:
     """E = V * I * t for one operation on one device profile."""
 
@@ -78,7 +77,7 @@ class EnergyReport:
     energy_joules: float
 
 
-@dataclass(frozen=True)
+@record
 class ReferenceRow:
     """Previously reported embedded-target figures for one operation.
 

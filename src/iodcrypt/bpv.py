@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -100,6 +99,7 @@ from .group import (
     decode_scalar,
     encode_batch,
     random_scalar,
+    record,
     subset_sum,
 )
 
@@ -118,7 +118,7 @@ _TAG_LEN = 16
 SUPPORTED_PARAMS = ((28, 256), (18, 1024))
 
 
-@dataclass(frozen=True)
+@record(uncompared=("allow_unsafe",))
 class BpvParams:
     """Precomputation sizing: k stored pairs, v of them summed per output.
 
@@ -128,7 +128,7 @@ class BpvParams:
 
     v: int
     k: int
-    allow_unsafe: bool = field(default=False, compare=False)
+    allow_unsafe: bool = False
 
     def __post_init__(self):
         if self.allow_unsafe:
@@ -141,7 +141,7 @@ class BpvParams:
             )
 
 
-@dataclass
+@record(frozen=False)
 class PrecompTable:
     """k entries (r_i, r_i * bases[0], ...) over a tuple of bases.
 
@@ -154,16 +154,15 @@ class PrecompTable:
     a number of entries other than ``params.k`` raises
     :class:`TableIntegrity`.
 
-    Each point column is also held in the stored form of
-    :func:`~iodcrypt.group.subset_sum`, taken once when the table is
-    made, so the entries are not to be changed after that.
+    Each point column is also held in ``stored`` (not a field), in the
+    form of :func:`~iodcrypt.group.subset_sum`, taken once when the
+    table is made, so the entries are not to be changed after that.
     """
 
     params: BpvParams
     bases: tuple[GroupElement, ...]
     entries: list[tuple]
     owner_binding: bytes = b""
-    stored: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = 32 * (len(self.bases) - 1)

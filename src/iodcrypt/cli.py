@@ -25,32 +25,25 @@ owner-only permissions where the platform supports it.
 
 ``--test-seed`` makes randomness reproducible and must be paired with
 ``--insecure-test``; without that guard the flag is refused.
+
+A process imports only what its command runs: ``encrypt`` only for
+``table gen --designated``, ``encrypt`` and ``decrypt``; ``bench`` (and
+``statistics``) only for ``bench``; ``json`` only for ``--json``.  The
+package does not use ``dataclasses``, whose import and decorators took
+about a quarter of the time to import this module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 import tempfile
 from pathlib import Path
 
-from .bench import (
-    BENCH_OPS,
-    MIN_ITERATIONS,
-    DeviceProfile,
-    PROFILES,
-    device_report,
-    format_ldjson,
-    format_text_table,
-    host_report,
-    run_bench,
-)
 from .bpv import (SEAL_KEY_LEN, SUPPORTED_PARAMS, BpvParams, PrecompTable, bpv_offline,
                   deserialize_table, serialize_table)
-# Commands import ``encrypt`` where they use it, so a sign or verify process never loads it.
 from .errors import (
     IodCryptError,
     KeyVerFailed,
@@ -85,6 +78,10 @@ from .sign import (
 
 DEFAULT_PARAMS = (28, 256)
 SEAL_FILE = "table.seal"
+# ``bench.PROFILES`` keys and ``bench.BENCH_OPS``, copied so only ``iodcrypt bench`` imports it.
+BENCH_PROFILES = ("avr", "arm")
+BENCH_OPS = ("bpv_online", "dbpv_online", "sign", "verify", "reference_sign", "encrypt",
+             "decrypt", "aq_shared", "aq_hang", "table_load", "table_open")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +186,8 @@ def _parse_params(text: str) -> BpvParams:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -389,7 +388,10 @@ def cmd_exchange(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.profile in PROFILES:
+    from .bench import (DeviceProfile, device_report, format_ldjson, format_text_table,
+                        host_report, run_bench)
+
+    if args.profile in BENCH_PROFILES:
         rows = device_report(args.profile)
         if args.op:
             rows = [row for row in rows if row["op"] == args.op]
@@ -505,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", parents=[common],
                                 help="benchmarks and energy projection")
-    bench.add_argument("--profile", required=True, choices=[*PROFILES, "host"])
+    bench.add_argument("--profile", required=True, choices=[*BENCH_PROFILES, "host"])
     bench.add_argument("--op", choices=BENCH_OPS, help="operation to benchmark")
     bench.add_argument("--iterations", type=int, default=50)
     bench.add_argument("--voltage", type=float, help="host energy projection: volts")
@@ -533,6 +535,8 @@ def main(argv=None) -> int:
         parser.error("--designated requires --recipient")
     func = getattr(args, "func", None)
     if func is cmd_bench:
+        from .bench import MIN_ITERATIONS
+
         if (args.voltage is None) != (args.current is None):
             parser.error("--voltage and --current must be given together")
         if args.profile == "host" and args.iterations < MIN_ITERATIONS:

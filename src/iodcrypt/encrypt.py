@@ -30,7 +30,6 @@ Wire forms::
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
@@ -54,6 +53,7 @@ from .group import (
     _check_header,
     decode_element,
     random_scalar,
+    record,
     scalar_mult,
 )
 from .selfcert import IdentityRecord, SelfCertKeypair, reconstruct_pub
@@ -67,7 +67,7 @@ _ZERO_NONCE = bytes(12)
 _COUNTER_ZERO = bytes(4)  # little-endian initial block counter
 
 
-@dataclass(frozen=True)
+@record
 class Ciphertext:
     """Sealed message: ephemeral point, stream-encrypted body, MAC tag."""
 
@@ -90,7 +90,7 @@ def decode_ciphertext(data: bytes) -> Ciphertext:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SymKeys:
     """Independent single-use cipher and MAC keys from one shared point."""
 
@@ -98,7 +98,7 @@ class SymKeys:
     k_mac: bytes
 
 
-@dataclass(frozen=True)
+@record
 class SenderContext:
     """A (G, X) table bound to the recipient X it encrypts to."""
 

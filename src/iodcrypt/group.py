@@ -26,9 +26,10 @@ Products run on two paths:
 * **any other base**: two calls of the X25519 Montgomery ladder (RFC 7748,
   in C in ``cryptography``, imported on first use) give u(k*B) and
   u((k+-1)*B); the Okeya-Sakurai formula recovers v.  Nothing is cached
-  on the element.  These products assume a base in the prime-order
-  subgroup, as every decoded element is; the subgroup check of
-  :func:`decode_element` (one X25519 call) does not rely on them.
+  on the element, but the last base's Montgomery form is kept, so the
+  products of one batch share it.  These products assume a base in the
+  prime-order subgroup, as every decoded element is; the subgroup check
+  of :func:`decode_element` (one X25519 call) does not rely on them.
 
 ``GroupElement.__rmul__`` alone chooses between the two; every counted
 product, batched or not, goes through it.
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
-from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 
 from .errors import BadMagic, MalformedElement, MalformedScalar, TruncatedFile, UnsupportedVersion
 
@@ -112,6 +114,39 @@ def _check_header(
     if len(data) != expected:
         raise TruncatedFile(f"expected {expected} bytes, got {len(data)}")
     return family + 2
+
+
+def record(cls=None, *, frozen=True, hidden=(), uncompared=()):
+    """Give a value class what ``dataclass`` gave it, without importing ``dataclasses``.
+
+    The fields are the annotated names, in order, with class attributes
+    as defaults.  Adds ``__init__`` (by position or keyword, then any
+    ``__post_init__``), ``__repr__`` without the ``hidden`` fields,
+    ``__eq__`` within one class over the fields not ``uncompared`` and,
+    if frozen, ``__hash__`` over those and a refusal to set or delete
+    attributes; a mutable record is unhashable.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, hidden=hidden, uncompared=uncompared)
+    names = list(cls.__annotations__)
+    params = "".join(f", {n}=_cls.{n}" if n in cls.__dict__ else f", {n}" for n in names)
+    body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n self.__post_init__()"
+    scope = {"_cls": cls, "_set": object.__setattr__}
+    exec(f"def __init__(self{params}):{body}", scope)
+    key = attrgetter(*(n for n in names if n not in uncompared))
+    cls.__init__ = scope["__init__"]
+    cls.__repr__ = lambda self: "%s(%s)" % (type(self).__name__, ", ".join(
+        f"{n}={getattr(self, n)!r}" for n in names if n not in hidden))
+    cls.__eq__ = lambda self, other: (
+        key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented)
+    cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+    if frozen:
+        def refuse(self, name, value=None):
+            raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+        cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
 
 
 # Domain-separation tags for hash_to_scalar.
@@ -279,18 +314,27 @@ def _clamp_form(k):
 _CHECK_SCALAR = _clamp_form(1)
 
 
+@lru_cache(maxsize=1)
+def _x25519_base(u):
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+
+    return X25519PublicKey.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
+
+
 def _x25519(u, scalars):
     # u(s * B) for each clamp-form s, where u = u(B); ValueError when an
     # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-    base = X25519PublicKey.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
+    base = _x25519_base(u)
     keys = [X25519PrivateKey.from_private_bytes(s.to_bytes(SCALAR_LEN, "little")) for s in scalars]
     return [int.from_bytes(key.exchange(base), "little") for key in keys]
 
 
+@lru_cache(maxsize=1)
 def _montgomery(coords):
     # (u, v) of a point with x != 0 (not the identity or (0, -1)), with one inversion.
+    # It and _x25519_base keep their last result: a batch over one base pays each once.
     x, y, z, _ = coords
     inv = pow((z - y) * x % P, -1, P)
     return (z + y) * x % P * inv % P, _SQRT_M486664 * (z + y) % P * z % P * inv % P
@@ -511,7 +555,7 @@ G = _lift((4 * pow(5, -1, P) % P).to_bytes(ELEMENT_LEN, "little"))
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class OpCounter:
     """Counts curve operations within one measurement scope.
 

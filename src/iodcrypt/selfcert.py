@@ -33,7 +33,6 @@ File formats (magic | group id byte | payload, little-endian lengths)::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -53,6 +52,7 @@ from .group import (
     hash_to_scalar,
     point_add,
     random_scalar,
+    record,
     scalar_mult,
 )
 
@@ -68,15 +68,15 @@ _HANG_INFO = b"IODCRYPT-HANG-v1"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(hidden=("secret",))
 class KgcKeypair:
     """KGC master secret d and system public key D = d*G."""
 
-    secret: Scalar = field(repr=False)
+    secret: Scalar
     public: GroupElement
 
 
-@dataclass(frozen=True)
+@record
 class IdentityRecord:
     """Public (identity, commitment) pair acting as an implicit certificate."""
 
@@ -99,7 +99,7 @@ class IdentityRecord:
         return hash_to_scalar(DOMAIN_KEY, [self.drone_id, self.commitment.encode()])
 
 
-@dataclass(frozen=True)
+@record(hidden=("secret", "cached_term"))
 class SelfCertKeypair:
     """A drone's issued key material.
 
@@ -111,23 +111,23 @@ class SelfCertKeypair:
     """
 
     record: IdentityRecord
-    secret: Scalar = field(repr=False)
-    cached_term: GroupElement | None = field(repr=False)
+    secret: Scalar
+    cached_term: GroupElement | None
 
 
-@dataclass(frozen=True)
+@record(hidden=("ephemeral_secret",))
 class HangState:
     """Initiator-side state between the two handshake halves."""
 
-    ephemeral_secret: Scalar = field(repr=False)
+    ephemeral_secret: Scalar
     message: bytes
 
 
-@dataclass(frozen=True)
+@record(hidden=("key",))
 class SessionKey:
     """Handshake output: 32-byte key bound to the message transcript."""
 
-    key: bytes = field(repr=False)
+    key: bytes
     transcript_hash: bytes
 
     def fingerprint(self) -> str:

@@ -26,8 +26,6 @@ little-endian scalar.  Detached signature files are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bpv import BpvParams, PrecompTable, bpv_offline, bpv_online
 from .errors import MalformedScalar
 from .group import (
@@ -41,6 +39,7 @@ from .group import (
     hash_to_scalar,
     point_add,
     random_scalar,
+    record,
     scalar_mult,
 )
 from .selfcert import (IdentityRecord, KgcKeypair, SelfCertKeypair, _check_identity, _id_file,
@@ -50,7 +49,7 @@ MAGIC_SIGNATURE = b"IODCSIG1"
 SIGNATURE_LEN = 64
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Schnorr signature (s, e); 64 bytes on the wire."""
 
@@ -67,7 +66,7 @@ def decode_signature(data: bytes) -> Signature:
     return Signature(s=decode_scalar(data[:32]), e=decode_scalar(data[32:]))
 
 
-@dataclass(frozen=True)
+@record
 class SignerContext:
     """Issued keypair plus the precomputation table that feeds its nonces."""
 
@@ -80,7 +79,7 @@ class SignerContext:
         return self.table.entry_bytes + 32
 
 
-@dataclass(frozen=True)
+@record
 class VerifierContext:
     """Verifier-side state with the signer's public key already reconstructed.
 

@@ -23,7 +23,6 @@ pin, in order:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import statistics
@@ -66,6 +65,7 @@ from iodcrypt.errors import (
 )
 from iodcrypt.group import G, OpCounter, Scalar, scalar_mult
 from iodcrypt.selfcert import (
+    SelfCertKeypair,
     aq_kg,
     aq_shared_static,
     deserialize_drone_keypair,
@@ -199,7 +199,7 @@ def test_criterion_04_shared_secret_symmetry(kgc):
         k_ba = aq_shared_static(b, a.record)
         oracle = Scalar(a.secret.v * b.secret.v) * G
         assert k_ab == k_ba == oracle
-        uncached = aq_shared_static(dataclasses.replace(a, cached_term=None), b.record, kgc.public)
+        uncached = aq_shared_static(SelfCertKeypair(a.record, a.secret, None), b.record, kgc.public)
         assert uncached.encode() == k_ab.encode()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -19,7 +19,8 @@ import stat
 import pytest
 
 from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, serialize_table
-from iodcrypt.cli import _write, main
+from iodcrypt import bench
+from iodcrypt.cli import BENCH_OPS, BENCH_PROFILES, _write, main
 from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
 from iodcrypt.group import N
 from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
@@ -461,6 +462,12 @@ def test_missing_home_is_io_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------
+
+
+def test_bench_choices_are_the_bench_modules():
+    # The parser holds copies, so that only ``iodcrypt bench`` imports the module.
+    assert BENCH_OPS == bench.BENCH_OPS
+    assert BENCH_PROFILES == tuple(bench.PROFILES)
 
 
 def test_bench_device_profile_prints_reference_table(realm, capsys):

@@ -300,6 +300,17 @@ def test_batch_scalar_mult_counts_one_mult_per_output():
     assert out == [Scalar(3) * G, Scalar(5) * G, Scalar(3) * G]
 
 
+def test_batch_over_another_base_maps_it_to_montgomery_form_once():
+    group._montgomery.cache_clear()
+    group._x25519_base.cache_clear()
+    ks = [8, 16, *range(3, 40, 5), N - 8]  # with multiples of 8, which recurse
+    out = batch_scalar_mult(_OTHER_BASE, [Scalar(k) for k in ks])
+    assert [affine(point) for point in out] == [affine_mul(k, affine(_OTHER_BASE)) for k in ks]
+    # One inversion and one X25519 public key for the whole batch.
+    assert group._montgomery.cache_info().misses == 1
+    assert group._x25519_base.cache_info().misses == 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(points, min_size=1, max_size=6), st.data())
 def test_subset_sum_matches_affine_oracle(pts, data):

@@ -2,12 +2,13 @@
 
 Every name in ``iodcrypt.__all__`` must be the very object its submodule
 defines, bound on first use.  Fresh interpreters check what a bare
-``import iodcrypt`` and the ``sign`` and ``verify`` commands load, since
-the test process itself has imported every submodule long before.
+``import iodcrypt`` and the CLI's commands load, since the test process
+itself has imported every submodule long before.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -100,6 +101,49 @@ def test_sign_and_verify_commands_leave_encrypt_unloaded(tmp_path):
     codes, encrypt_loaded = json.loads(out.splitlines()[-1])
     assert codes == [0, 0]
     assert not encrypt_loaded
+
+
+# What only ``iodcrypt bench`` (or ``--json``) needs; the rest of a CLI process never loads it.
+BENCH_ONLY = ("dataclasses", "inspect", "statistics", "json", "iodcrypt.bench")
+
+
+def test_crypto_commands_load_no_bench_json_or_dataclasses_module(tmp_path):
+    home = str(tmp_path / "home")
+    message = tmp_path / "msg.txt"
+    message.write_bytes(b"battery at 41 %\n")
+    for argv in (["kgc", "init"], ["kgc", "issue", "--id", "alpha"], ["table", "gen"],
+                 ["table", "gen", "--designated", "--recipient", "alpha"]):
+        assert main([*argv, "--home", home, "--test-seed", "302", "--insecure-test"]) == 0
+    commands = [
+        ["sign", "--key", "alpha", str(message)],
+        ["verify", "--sig", f"{message}.sig", str(message)],
+        ["encrypt", "--to", "alpha", str(message)],
+        ["decrypt", "--key", "alpha", f"{message}.enc", "--out", str(tmp_path / "out")],
+    ]
+    out = _fresh(
+        "import sys\n"
+        "from iodcrypt.cli import main\n"
+        f"codes = [main([*argv, '--home', {home!r}]) for argv in {commands!r}]\n"
+        f"print(repr([codes, sorted(set({BENCH_ONLY!r}) & set(sys.modules))]))\n"
+        "def usage(argv):\n"
+        "    try:\n"
+        "        return main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "print(repr([usage(['bench', '--profile', 'nope']), usage(['bench', '--op', 'nope']),\n"
+        "            'iodcrypt.bench' in sys.modules]))\n"
+        "print(repr([main(['bench', '--profile', 'avr', '--json']), 'iodcrypt.bench' in sys.modules]))\n"
+    )
+    lines = out.splitlines()
+    codes, loaded = ast.literal_eval(lines[4])
+    assert codes == [0, 0, 0, 0] and loaded == []
+    assert (tmp_path / "out").read_bytes() == message.read_bytes()
+    # A bad choice is still argparse's usage error, found without importing bench.
+    assert ast.literal_eval(lines[5]) == [2, 2, False]
+    assert ast.literal_eval(lines[-1]) == [0, True]
+    rows = [json.loads(line) for line in lines[6:-1]]
+    assert [row["op"] for row in rows] == ["aq_shared", "aq_hang", "sign", "verify", "encrypt",
+                                           "decrypt"]
 
 
 def test_readme_quickstart_runs():

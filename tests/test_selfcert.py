@@ -1,6 +1,5 @@
 """Tests for self-certified keys, static secrets, and the handshake."""
 
-import dataclasses
 import random
 
 import pytest
@@ -126,7 +125,7 @@ def test_shared_secret_matches_algebraic_oracle_and_is_symmetric(setup):
 def test_cached_and_recomputed_paths_agree_byte_for_byte(setup):
     kgc, a, b = setup
     cached = aq_shared_static(a, b.record)
-    recomputed = aq_shared_static(dataclasses.replace(a, cached_term=None), b.record,
+    recomputed = aq_shared_static(SelfCertKeypair(a.record, a.secret, None), b.record,
                                   system_public=kgc.public)
     assert cached.encode() == recomputed.encode()
 
@@ -137,7 +136,7 @@ def test_shared_secret_costs(setup):
     aq_shared_static(a, b.record, ctr=ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
     ctr.reset()
-    aq_shared_static(dataclasses.replace(a, cached_term=None), b.record,
+    aq_shared_static(SelfCertKeypair(a.record, a.secret, None), b.record,
                      system_public=kgc.public, ctr=ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
@@ -167,9 +166,7 @@ def test_identity_peer_commitment_rejected(setup):
 
 def test_cacheless_keypair_falls_back_to_reconstruction(setup):
     kgc, a, b = setup
-    import dataclasses
-
-    bare = dataclasses.replace(a, cached_term=None)
+    bare = SelfCertKeypair(a.record, a.secret, None)
     assert aq_shared_static(bare, b.record, system_public=kgc.public) == aq_shared_static(
         a, b.record
     )
