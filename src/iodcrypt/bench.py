@@ -190,7 +190,7 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
         if op_name == "encrypt":
             return lambda ctr: encrypt(sender, b"benchmark message", rng, ctr)
         # Decoded on every iteration, as a receiver does, so the time
-        # includes the subgroup check of the ephemeral point.
+        # includes the subgroup check of u(R): two X25519 calls in all.
         wire = encrypt(sender, b"benchmark message", rng).encode()
         return lambda ctr: decrypt(receiver, decode_ciphertext(wire), ctr)
     if op_name == "aq_shared":

@@ -141,7 +141,7 @@ class BpvParams:
             )
 
 
-@record(frozen=False)
+@record(frozen=False, hidden=("entries",))
 class PrecompTable:
     """k entries (r_i, r_i * bases[0], ...) over a tuple of bases.
 
@@ -157,6 +157,7 @@ class PrecompTable:
     Each point column is also held in ``stored`` (not a field), in the
     form of :func:`~iodcrypt.group.subset_sum`, taken once when the
     table is made, so the entries are not to be changed after that.
+    The repr leaves the entries out: their scalars are secret nonces.
     """
 
     params: BpvParams

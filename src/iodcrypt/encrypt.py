@@ -2,14 +2,15 @@
 
 The sender builds (once, offline) a designated table over the
 recipient's reconstructed public key X.  Encrypting is then free of
-scalar multiplications: a subset sum yields (r, R = r*G, S = r*X), the
-shared point S is fed through a KDF into independent cipher and MAC
-keys, and the message is sealed as
+scalar multiplications: a subset sum yields (r, R = r*G, S = r*X), u(S),
+the Montgomery u of S (RFC 7748 section 5), is fed through a KDF into
+independent cipher and MAC keys, and the message is sealed as
 
     c   = ChaCha20(k_enc, zero nonce) XOR m
     tag = Poly1305(one_time_key(k_mac), c)
 
-The receiver recovers S = x*R with its single scalar multiplication,
+R travels as u(R), since the receiver only multiplies it: u(x*R) = u(S) is
+one X25519 call after the decode's check, with no square root.  It
 re-derives the keys, checks the tag in constant time, and only then
 decrypts — a tag mismatch never releases plaintext.
 
@@ -22,9 +23,11 @@ two keys are independent halves of the KDF output.
 
 Wire forms::
 
-    bare ciphertext   R (32B) | c (|m| bytes) | tag (16B)     -- 48B overhead
-    ciphertext file   "IODCENC1" | group id (1B) | R (32B)
+    bare ciphertext   u(R) (32B) | c (|m| bytes) | tag (16B)  -- 48B overhead
+    ciphertext file   "IODCENC2" | group id (1B) | u(R) (32B)
                       | c_len (4B LE) | c | tag (16B)
+
+u < P, little-endian.  ``IODCENC1`` files (R in Edwards form) raise UnsupportedVersion.
 """
 
 from __future__ import annotations
@@ -51,43 +54,41 @@ from .group import (
     GroupElement,
     OpCounter,
     _check_header,
-    decode_element,
+    decode_u,
+    montgomery_u,
+    mul_u,
     random_scalar,
     record,
     scalar_mult,
 )
 from .selfcert import IdentityRecord, SelfCertKeypair, reconstruct_pub
 
-MAGIC_CIPHERTEXT = b"IODCENC1"
+MAGIC_CIPHERTEXT = b"IODCENC2"
 TAG_LEN = 16
 WIRE_OVERHEAD = 32 + TAG_LEN
 
-_KDF_INFO = b"IODCRYPT-ECIES-v1"
+_KDF_INFO = b"IODCRYPT-ECIES-v2"
 _ZERO_NONCE = bytes(12)
 _COUNTER_ZERO = bytes(4)  # little-endian initial block counter
 
 
 @record
 class Ciphertext:
-    """Sealed message: ephemeral point, stream-encrypted body, MAC tag."""
+    """Sealed message: the ephemeral point's u, stream-encrypted body, MAC tag."""
 
-    ephemeral: GroupElement
+    ephemeral: int
     body: bytes
     tag: bytes
 
     def encode(self) -> bytes:
         """Bare wire form, exactly 48 bytes longer than the message."""
-        return self.ephemeral.encode() + self.body + self.tag
+        return self.ephemeral.to_bytes(32, "little") + self.body + self.tag
 
 
 def decode_ciphertext(data: bytes) -> Ciphertext:
     if len(data) < WIRE_OVERHEAD:
         raise TruncatedFile(f"ciphertext shorter than its overhead ({len(data)} bytes)")
-    return Ciphertext(
-        ephemeral=decode_element(data[:32]),
-        body=data[32:-TAG_LEN],
-        tag=data[-TAG_LEN:],
-    )
+    return Ciphertext(decode_u(data[:32]), data[32:-TAG_LEN], data[-TAG_LEN:])
 
 
 @record
@@ -132,12 +133,12 @@ def enc_kg_sender(
     )
 
 
-def kdf(shared_point: GroupElement) -> SymKeys:
-    """Derive (k_enc, k_mac) from a shared point; identity is refused."""
-    if shared_point.is_identity():
+def kdf(shared_u: int) -> SymKeys:
+    """Derive (k_enc, k_mac) from u of a shared point; the identity's, 0, is refused."""
+    if shared_u == 0:
         raise InvalidSharedPoint("shared point must not be the identity")
     okm = HKDF(algorithm=SHA256(), length=64, salt=None, info=_KDF_INFO).derive(
-        shared_point.encode()
+        shared_u.to_bytes(32, "little")
     )
     return SymKeys(k_enc=okm[:32], k_mac=okm[32:])
 
@@ -158,25 +159,30 @@ def _tag(k_mac: bytes, body: bytes) -> bytes:
     return Poly1305.generate_tag(_one_time_key(k_mac), body)
 
 
+def _seal(ephemeral: GroupElement, shared: GroupElement, message: bytes) -> Ciphertext:
+    """Seal under the keys of u(S), sending u(R): one inversion for both."""
+    ephemeral_u, shared_u = montgomery_u((ephemeral, shared))
+    keys = kdf(shared_u)
+    body = _keystream_xor(keys.k_enc, message)
+    return Ciphertext(ephemeral=ephemeral_u, body=body, tag=_tag(keys.k_mac, body))
+
+
 def encrypt(ctx: SenderContext, message: bytes, rng, ctr: OpCounter | None = None) -> Ciphertext:
     """Seal ``message`` for the context's recipient: additions only."""
     if len(message) >= 2**32:
         raise ValueError("message too long for the 4-byte length field")
     _r, ephemeral, shared = dbpv_online(ctx.table, rng, ctr)
-    keys = kdf(shared)
-    body = _keystream_xor(keys.k_enc, message)
-    return Ciphertext(ephemeral=ephemeral, body=body, tag=_tag(keys.k_mac, body))
+    return _seal(ephemeral, shared, message)
 
 
 def decrypt(keypair: SelfCertKeypair, ct: Ciphertext, ctr: OpCounter | None = None) -> bytes:
-    """Open a ciphertext with one scalar multiplication.
+    """Open a ciphertext with one scalar multiplication, u(x*R) on X25519.
 
     The tag is checked in constant time before any decryption; on
     mismatch :class:`MacMismatch` is raised and no plaintext bytes are
     ever produced.
     """
-    shared = scalar_mult(keypair.secret, ct.ephemeral, ctr)
-    keys = kdf(shared)
+    keys = kdf(mul_u(keypair.secret, ct.ephemeral, ctr))
     if not hmac.compare_digest(_tag(keys.k_mac, ct.body), ct.tag):
         raise MacMismatch("authentication tag mismatch; wrong recipient or tampered data")
     return _keystream_xor(keys.k_enc, ct.body)
@@ -195,10 +201,7 @@ def reference_encrypt(
     if len(message) >= 2**32:
         raise ValueError("message too long for the 4-byte length field")
     r = random_scalar(rng)
-    ephemeral = scalar_mult(r, G, ctr)
-    keys = kdf(scalar_mult(r, recipient_key, ctr))
-    body = _keystream_xor(keys.k_enc, message)
-    return Ciphertext(ephemeral=ephemeral, body=body, tag=_tag(keys.k_mac, body))
+    return _seal(scalar_mult(r, G, ctr), scalar_mult(r, recipient_key, ctr), message)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +210,9 @@ def reference_encrypt(
 
 
 def serialize_ciphertext_file(ct: Ciphertext) -> bytes:
-    return (
-        MAGIC_CIPHERTEXT
-        + bytes([GROUP_ID])
-        + ct.ephemeral.encode()
-        + len(ct.body).to_bytes(4, "little")
-        + ct.body
-        + ct.tag
-    )
+    """The bare wire form with a header, and the body length after u(R)."""
+    wire, body_len = ct.encode(), len(ct.body).to_bytes(4, "little")
+    return MAGIC_CIPHERTEXT + bytes([GROUP_ID]) + wire[:32] + body_len + wire[32:]
 
 
 _CT_FILE_MIN = len(MAGIC_CIPHERTEXT) + 1 + 32 + 4 + TAG_LEN
@@ -227,12 +225,4 @@ def _ciphertext_file_len(data: bytes) -> int:
 
 def deserialize_ciphertext_file(data: bytes) -> Ciphertext:
     off = _check_header(data, MAGIC_CIPHERTEXT, _CT_FILE_MIN, _ciphertext_file_len)
-    ephemeral = decode_element(data[off : off + 32])
-    off += 32
-    body_len = int.from_bytes(data[off : off + 4], "little")
-    off += 4
-    return Ciphertext(
-        ephemeral=ephemeral,
-        body=data[off : off + body_len],
-        tag=data[off + body_len :],
-    )
+    return decode_ciphertext(data[off : off + 32] + data[off + 36 :])

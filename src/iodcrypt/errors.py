@@ -39,7 +39,7 @@ class InvalidIdentity(IodCryptError):
 
 
 class InvalidEphemeral(IodCryptError):
-    """An ephemeral exchange point is the identity element."""
+    """A handshake message does not end in exactly one 32-byte ephemeral u."""
 
 
 class InvalidSharedPoint(IodCryptError):

@@ -32,7 +32,8 @@ Products run on two paths:
   of :func:`decode_element` (one X25519 call) does not rely on them.
 
 ``GroupElement.__rmul__`` alone chooses between the two; every counted
-product, batched or not, goes through it.
+product, batched or not, goes through it.  Points only ever multiplied travel as
+Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
 Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
@@ -72,6 +73,7 @@ __all__ = [
     "random_scalar",
     "encode_batch",
     "decode_element",
+    "montgomery_u", "decode_u", "mul_u",
 ]
 
 # Field prime, curve constant, and prime subgroup order for Ed25519.
@@ -321,14 +323,22 @@ def _x25519_base(u):
     return X25519PublicKey.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
 
 
-def _x25519(u, scalars):
-    # u(s * B) for each clamp-form s, where u = u(B); ValueError when an
-    # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
+def _private_key(s):
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+    return X25519PrivateKey.from_private_bytes(s.to_bytes(SCALAR_LEN, "little"))
+
+
+# Kept: the check key, built on first use, and mul_u's last (_mul's scalars change each call).
+_check_key = lru_cache(maxsize=1)(_private_key)
+_last_key = lru_cache(maxsize=1)(_private_key)
+
+
+def _x25519(u, scalars, key=_private_key):
+    # u(s * B) for each clamp-form s under key(s), where u = u(B); ValueError when an
+    # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
     base = _x25519_base(u)
-    keys = [X25519PrivateKey.from_private_bytes(s.to_bytes(SCALAR_LEN, "little")) for s in scalars]
-    return [int.from_bytes(key.exchange(base), "little") for key in keys]
+    return [int.from_bytes(key(s).exchange(base), "little") for s in scalars]
 
 
 @lru_cache(maxsize=1)
@@ -533,12 +543,31 @@ def decode_element(data: bytes) -> GroupElement:
     """
     point = _lift(data)
     y = point.coords[1]
-    if y == 1:
-        return point  # the identity, the one point with no u
-    u = (1 + y) * pow(1 - y, -1, P) % P
-    try:  # u = 0 is the point of order 2
-        if u and _x25519(u, (_CHECK_SCALAR,)) == [u]:
-            return point
+    if y != 1:  # the identity, the one point with no u, needs no check
+        decode_u(((1 + y) * pow(1 - y, -1, P) % P).to_bytes(ELEMENT_LEN, "little"))
+    return point
+
+
+def montgomery_u(points) -> list[int]:
+    """u = (1 + y)/(1 - y) of each element with one shared inversion; 0 (X25519's) for the identity."""
+    fractions = [(z + y, 0, z - y, 0) if (z - y) % P else (0, 0, 1, 0)  # x/z to _normalize
+                 for _, y, z, _ in (point.coords for point in points)]
+    return [u for u, _ in _normalize(fractions)]
+
+
+def decode_u(data: bytes) -> int:
+    """Decode the 32-byte Montgomery u of a point in the prime-order subgroup.
+
+    Rejects a wrong length, u >= P (bit 255 too) and u = 0 before any call; then the check
+    of :func:`decode_element`, which also moves every point of the twist (order 4 * N',
+    N' prime), as c = 0 (mod 4) and c != +-1 (mod N').
+    """
+    u = int.from_bytes(data, "little")
+    if len(data) != ELEMENT_LEN or not 0 < u < P:
+        raise MalformedElement("not a canonical 32-byte u other than 0")
+    try:
+        if _x25519(u, (_CHECK_SCALAR,), _check_key) == [u]:
+            return u
     except ValueError:  # c * R is the identity: R is a torsion point
         pass
     raise MalformedElement("point outside the prime-order subgroup")
@@ -576,6 +605,20 @@ def scalar_mult(k: Scalar, point: GroupElement, ctr: OpCounter | None = None) ->
     if ctr is not None:
         ctr.scalar_mults += 1
     return k * point
+
+
+def mul_u(k: Scalar, u: int, ctr: OpCounter | None = None) -> int:
+    """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product."""
+    if ctr is not None:
+        ctr.scalar_mults += 1
+    k, s = k.v, _clamp_form(k.v)
+    if s is None and k:  # k = 8j, |j| small: u(j * B), then three x-only doublings on (X : Z)
+        x, z = mul_u(Scalar(k * _INV_8), u), 1
+        for _ in range(3):
+            xx, zz, xz = x * x % P, z * z % P, x * z % P
+            x, z = (xx - zz) ** 2 % P, 4 * xz * (xx + _A * xz + zz) % P
+        return x * pow(z, -1, P) % P
+    return _x25519(u, (s,), _last_key)[0] if k else 0
 
 
 def batch_scalar_mult(

@@ -17,8 +17,9 @@ three multiplications.
 An ephemeral handshake on top contributes fresh randomness per session:
 each side sends its identity record plus T = t*G (optionally from a
 precomputed table, making the online cost pure additions) and the
-session key is derived from both the static and the ephemeral shared
-points bound to a transcript hash of the two messages.
+session key is derived from the static point and u(t_a * T_b), bound to
+a transcript hash of both messages.  T travels as its Montgomery u (RFC
+7748 section 5), since it is only multiplied; U, which is added, does not.
 
 File formats (magic | group id byte | payload, little-endian lengths)::
 
@@ -28,6 +29,7 @@ File formats (magic | group id byte | payload, little-endian lengths)::
                        | U (32B) | x*D (32B)
     identity record         id_len (1B) | id | U (32B)   (no magic; embeds
                             in handshake messages and signature files)
+    handshake message       identity record | u(T) (32B)
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from .group import (
     _check_header,
     decode_element,
     decode_scalar,
+    decode_u,
     hash_to_scalar,
+    montgomery_u,
+    mul_u,
     point_add,
     random_scalar,
     record,
@@ -60,7 +65,7 @@ MAGIC_SYSTEM = b"IODCSYSP"
 MAGIC_KGC = b"IODCKGCS"
 MAGIC_DRONE = b"IODCDRNK"
 
-_HANG_INFO = b"IODCRYPT-HANG-v1"
+_HANG_INFO = b"IODCRYPT-HANG-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ def aq_hang_initiate(
     table: PrecompTable | None = None,
     ctr: OpCounter | None = None,
 ) -> HangState:
-    """First handshake half: build the outgoing message record | T.
+    """First handshake half: build the outgoing message record | u(T).
 
     With ``table`` the ephemeral point comes from the subset-sum
     precomputation (additions only); otherwise it costs one scalar
@@ -239,7 +244,8 @@ def aq_hang_initiate(
     else:
         t = random_scalar(rng)
         big_t = scalar_mult(t, G, ctr)
-    return HangState(ephemeral_secret=t, message=own.record.wire() + big_t.encode())
+    message = own.record.wire() + montgomery_u([big_t])[0].to_bytes(32, "little")
+    return HangState(ephemeral_secret=t, message=message)
 
 
 def aq_hang_finalize(
@@ -252,8 +258,8 @@ def aq_hang_finalize(
     """Second handshake half: derive the session key from a peer message.
 
     The key mixes the static secret (implicit mutual authentication),
-    the ephemeral secret t_a * t_b * G (forward secrecy), and the hash
-    of both messages in a fixed order (transcript binding).
+    the ephemeral secret u(t_a * t_b * G) (forward secrecy), and the
+    hash of both messages in a fixed order (transcript binding).
     """
     peer_record, off = parse_record(peer_message)
     if len(peer_message) != off + 32:
@@ -261,14 +267,12 @@ def aq_hang_finalize(
             f"handshake message must carry exactly one ephemeral point "
             f"(got {len(peer_message) - off} trailing bytes)"
         )
-    peer_ephemeral = decode_element(peer_message[off:])
-    if peer_ephemeral.is_identity():
-        raise InvalidEphemeral("peer ephemeral point is the identity")
+    peer_u = decode_u(peer_message[off:])
     static_point = aq_shared_static(own, peer_record, system_public, ctr)
-    ephemeral_point = scalar_mult(state.ephemeral_secret, peer_ephemeral, ctr)
+    ephemeral_u = mul_u(state.ephemeral_secret, peer_u, ctr)
     first, second = sorted((state.message, peer_message))
     transcript = hashlib.sha256(first + second).digest()
-    ikm = static_point.encode() + ephemeral_point.encode() + transcript
+    ikm = static_point.encode() + ephemeral_u.to_bytes(32, "little") + transcript
     key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HANG_INFO).derive(ikm)
     return SessionKey(key=key, transcript_hash=transcript)
 

@@ -5,6 +5,9 @@
   agreement with the library's engine is meaningful.
 * Double-and-add over the library's complete addition law, valid for any
   curve point, and ``T8``, a point of order exactly 8 built with it.
+* The Montgomery u of an affine point, and back: the affine points of a u
+  by the birational map and a square root, so a u can be judged by the
+  affine arithmetic above.
 """
 
 from iodcrypt.group import IDENTITY, N, P, GroupElement
@@ -67,3 +70,23 @@ def _order_8_point():
 
 
 T8 = _order_8_point()
+
+
+def affine_u(p):
+    """u = (1 + y)/(1 - y) of an affine point other than the identity."""
+    _x, y = p
+    return (1 + y) * pow(1 - y, -1, P) % P
+
+
+def points_of_u(u):
+    """The affine Edwards points whose u is ``u``: two, one, or none when u is on the twist."""
+    if (u + 1) % P == 0:
+        return []  # y = (u - 1)/(u + 1) is undefined: not a point of the Edwards curve
+    y = (u - 1) * pow(u + 1, -1, P) % P
+    xx = (y * y - 1) * pow(_D * y * y + 1, -1, P) % P
+    x = pow(xx, (P + 3) // 8, P)
+    if x * x % P != xx:
+        x = x * pow(2, (P - 1) // 4, P) % P
+    if x * x % P != xx:
+        return []
+    return sorted({(x, y), (-x % P, y)})

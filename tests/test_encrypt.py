@@ -3,7 +3,7 @@
 The symmetric layer is validated two ways: the backing primitives are
 pinned against published RFC 7539 / RFC 5869 test vectors, and whole
 ciphertexts are re-derived step by step in-test from the ephemeral
-scalar.
+scalar, with the Montgomery u of each point taken from the affine oracle.
 """
 
 import random
@@ -40,8 +40,17 @@ from iodcrypt.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, OpCounter, Scalar, random_scalar
-from iodcrypt.selfcert import aq_kg, kgc_setup, reconstruct_pub
+from iodcrypt import group
+from iodcrypt.group import G, IDENTITY, OpCounter, Scalar, montgomery_u, random_scalar
+from iodcrypt.selfcert import (
+    aq_kg,
+    deserialize_drone_keypair,
+    kgc_setup,
+    reconstruct_pub,
+    serialize_drone_keypair,
+)
+
+from curve_oracle import affine, affine_mul, affine_u
 
 TOY = BpvParams(v=3, k=8, allow_unsafe=True)
 
@@ -109,36 +118,42 @@ def test_hkdf_matches_rfc_5869_vector_with_default_salt():
 # --------------------------------------------------------------------------
 
 
+def _u(point):
+    return montgomery_u([point])[0]
+
+
 def test_kdf_is_deterministic_and_splits_the_output(setup):
     *_, ctx = setup
-    point = Scalar(12345) * G
-    keys = kdf(point)
-    assert keys == kdf(point)
+    u = _u(Scalar(12345) * G)
+    keys = kdf(u)
+    assert keys == kdf(u)
     assert len(keys.k_enc) == len(keys.k_mac) == 32
     assert keys.k_enc != keys.k_mac
 
 
 def test_kdf_rejects_identity():
+    # X25519 writes the identity as u = 0.
+    assert _u(IDENTITY) == 0
     with pytest.raises(InvalidSharedPoint):
-        kdf(IDENTITY)
+        kdf(_u(IDENTITY))
 
 
 def test_kdf_outputs_unrelated_across_nearby_points():
     prefixes = set()
     for i in range(1, 1001):
-        keys = kdf(Scalar(i) * G)
+        keys = kdf(_u(Scalar(i) * G))
         assert keys.k_enc != keys.k_mac
         prefixes.add(keys.k_enc[:8])
         prefixes.add(keys.k_mac[:8])
     assert len(prefixes) == 2000
 
 
-def test_kdf_matches_direct_hkdf_over_the_encoded_point():
-    point = Scalar(777) * G
+def test_kdf_matches_direct_hkdf_over_the_encoded_u():
+    u = affine_u(affine_mul(777, affine(G)))
     okm = HKDF(
-        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v1"
-    ).derive(point.encode())
-    assert kdf(point) == SymKeys(k_enc=okm[:32], k_mac=okm[32:])
+        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v2"
+    ).derive(u.to_bytes(32, "little"))
+    assert kdf(u) == SymKeys(k_enc=okm[:32], k_mac=okm[32:])
 
 
 # --------------------------------------------------------------------------
@@ -227,10 +242,10 @@ def test_reference_ciphertext_rebuilt_from_first_principles(setup):
     ct = reference_encrypt(recipient_key, message, random.Random(seed))
 
     r = random_scalar(random.Random(seed))  # same draw as inside the call
-    shared = r * recipient_key
+    shared_u = affine_u(affine_mul(r.value, affine(recipient_key)))
     okm = HKDF(
-        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v1"
-    ).derive(shared.encode())
+        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v2"
+    ).derive(shared_u.to_bytes(32, "little"))
     stream = Cipher(
         ChaCha20(okm[:32], bytes(4) + bytes(12)), mode=None
     ).encryptor()
@@ -240,7 +255,7 @@ def test_reference_ciphertext_rebuilt_from_first_principles(setup):
     ).encryptor().update(bytes(32))
     tag = Poly1305.generate_tag(otk, body)
 
-    assert ct.ephemeral == r * G
+    assert ct.ephemeral == affine_u(affine_mul(r.value, affine(G)))
     assert ct.body == body
     assert ct.tag == tag
     assert decrypt(bob, ct) == message
@@ -325,7 +340,7 @@ def test_ephemeral_values_never_repeat_at_production_parameters():
     ctx = enc_kg_sender(bob.record, kgc.public, BpvParams(28, 256), rng)
     seen = set()
     for _ in range(10_000):
-        seen.add(encrypt(ctx, b"", rng).ephemeral.encode())
+        seen.add(encrypt(ctx, b"", rng).ephemeral)
     assert len(seen) == 10_000
 
 
@@ -365,3 +380,86 @@ def test_ciphertext_file_round_trip_and_errors(setup):
         deserialize_ciphertext_file(blob + b"\x00")
     with pytest.raises(MalformedElement):
         deserialize_ciphertext_file(blob[:9] + b"\xff" * 32 + blob[41:])
+
+
+def test_first_version_ciphertext_files_are_refused(setup):
+    # IODCENC1 carried R in Edwards form; the layout is otherwise the same.
+    _, _, _, ctx = setup
+    blob = serialize_ciphertext_file(encrypt(ctx, b"old", random.Random(420)))
+    assert blob[:8] == b"IODCENC2"
+    with pytest.raises(UnsupportedVersion):
+        deserialize_ciphertext_file(b"IODCENC1" + blob[8:])
+
+
+def test_ciphertext_carries_u_of_the_ephemeral_point(setup):
+    kgc, _, bob, _ = setup
+    recipient_key = reconstruct_pub(bob.record, kgc.public)
+    r = random_scalar(random.Random(421))
+    ct = reference_encrypt(recipient_key, b"u", random.Random(421))
+    u = affine_u(affine_mul(r.value, affine(G)))
+    assert ct.encode()[:32] == u.to_bytes(32, "little")
+    assert serialize_ciphertext_file(ct)[9:41] == u.to_bytes(32, "little")
+    assert len(ct.encode()) == 32 + 1 + 16
+
+
+# --------------------------------------------------------------------------
+# What a receiver derives
+# --------------------------------------------------------------------------
+
+
+class _CountingKey:
+    """Stands in for X25519PrivateKey, counting what a decrypt derives and runs."""
+
+    real = built = exchanges = None
+
+    def __init__(self, key):
+        self.key = key
+
+    @classmethod
+    def from_private_bytes(cls, data):
+        cls.built.append(data)
+        return cls(cls.real.from_private_bytes(data))
+
+    def exchange(self, peer):
+        self.exchanges.append(peer)
+        return self.key.exchange(peer)
+
+
+@pytest.fixture
+def counting_keys(monkeypatch):
+    """X25519 private keys that count; none is kept after the test."""
+    from cryptography.hazmat.primitives.asymmetric import x25519
+
+    monkeypatch.setattr(_CountingKey, "real", x25519.X25519PrivateKey)
+    monkeypatch.setattr(_CountingKey, "built", [])
+    monkeypatch.setattr(_CountingKey, "exchanges", [])
+    monkeypatch.setattr(x25519, "X25519PrivateKey", _CountingKey)
+    yield _CountingKey
+    for cache in (group._check_key, group._last_key):
+        cache.cache_clear()
+
+
+def test_second_decrypt_under_one_key_derives_no_key_and_takes_no_square_root(
+    setup, counting_keys, monkeypatch
+):
+    _, _, bob, ctx = setup
+    bob = deserialize_drone_keypair(serialize_drone_keypair(bob))
+    rng = random.Random(422)
+    files = [serialize_ciphertext_file(encrypt(ctx, b"frame %d" % i, rng)) for i in range(2)]
+    # From a process that has built no key yet.
+    for cache in (group._check_key, group._last_key):
+        cache.cache_clear()
+    del counting_keys.built[:], counting_keys.exchanges[:]
+    lifts = []
+    real_lift = group._lift
+    monkeypatch.setattr(group, "_lift", lambda data: lifts.append(data) or real_lift(data))
+    assert decrypt(bob, deserialize_ciphertext_file(files[0])) == b"frame 0"
+    # The first builds the check scalar's key and the secret's.
+    assert (len(counting_keys.built), len(counting_keys.exchanges)) == (2, 2)
+    del counting_keys.built[:], counting_keys.exchanges[:]
+    ctr = OpCounter()
+    assert decrypt(bob, deserialize_ciphertext_file(files[1]), ctr) == b"frame 1"
+    # The check and the product: one exchange each, no key built, no square root.
+    assert (len(counting_keys.built), len(counting_keys.exchanges)) == (0, 2)
+    assert lifts == []
+    assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)

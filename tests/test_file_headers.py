@@ -6,6 +6,11 @@ BadMagic; byte 7 not the version -> UnsupportedVersion; unknown group id
 (byte 8) -> UnsupportedVersion; total length not exact -> TruncatedFile.
 The open table checks its SHA-256 first, so its faulted files are
 re-hashed; the sealed table checks its header before opening its seal.
+
+The two wire forms that carry a Montgomery u, the ciphertext file
+(``IODCENC2``) and the handshake message, map each fault of that u to
+MalformedElement, and a first-version ciphertext file (``IODCENC1``) to
+UnsupportedVersion.
 """
 
 import hashlib
@@ -15,8 +20,11 @@ import pytest
 
 from iodcrypt.bpv import BpvParams, bpv_offline, deserialize_table, serialize_table
 from iodcrypt.encrypt import deserialize_ciphertext_file, reference_encrypt, serialize_ciphertext_file
-from iodcrypt.errors import BadMagic, TruncatedFile, UnsupportedVersion
+from iodcrypt.errors import BadMagic, MalformedElement, TruncatedFile, UnsupportedVersion
+from iodcrypt.group import P
 from iodcrypt.selfcert import (
+    aq_hang_finalize,
+    aq_hang_initiate,
     aq_kg,
     deserialize_drone_keypair,
     deserialize_kgc_keypair,
@@ -28,6 +36,8 @@ from iodcrypt.selfcert import (
     serialize_system_public,
 )
 from iodcrypt.sign import deserialize_signature_file, reference_sign, serialize_signature_file
+
+from curve_oracle import T8, affine, affine_add, affine_u, points_of_u, times
 
 
 def _blobs():
@@ -82,4 +92,53 @@ def test_every_format_maps_each_header_fault_to_one_error(fmt, fault):
     else:
         bad = corrupt(blob)
     with pytest.raises(error):
+        load(bad)
+
+
+def test_first_version_ciphertext_file_is_unsupported():
+    blob, load = BLOBS["ciphertext-file"]
+    with pytest.raises(UnsupportedVersion):
+        load(b"IODCENC1" + blob[8:])
+
+
+def _u_carriers():
+    """(blob, offset of its u, loader) for each wire form that carries a u."""
+    rng = random.Random(708)
+    kgc = kgc_setup(rng)
+    station, peer = aq_kg(kgc, b"station-h", rng), aq_kg(kgc, b"peer-h", rng)
+    state = aq_hang_initiate(station, rng)
+    message = aq_hang_initiate(peer, rng).message
+    ciphertext, load_ciphertext = BLOBS["ciphertext-file"]
+    return {
+        "ciphertext-file": (ciphertext, 9, load_ciphertext),
+        "handshake-message": (message, len(message) - 32,
+                              lambda data: aq_hang_finalize(station, state, data)),
+    }
+
+
+U_CARRIERS = _u_carriers()
+
+_TWIST_U = 2  # 2^3 + A*2^2 + 2 is not a square modulo P
+
+U_FAULTS = {
+    "zero": lambda u: 0,  # the point of order 2, and X25519's identity
+    "order-4": lambda u: affine_u(affine(times(2, T8))),
+    "order-8": lambda u: affine_u(affine(T8)),
+    "torsion-added": lambda u: affine_u(affine_add(points_of_u(u)[0], affine(T8))),
+    "twist": lambda u: _TWIST_U,
+    "twist-order-4": lambda u: P - 1,
+    "field-prime": lambda u: P,
+    "u-plus-prime": lambda u: 9 + P,
+    "bit-255": lambda u: u | 1 << 255,
+}
+
+
+@pytest.mark.parametrize("fault", U_FAULTS)
+@pytest.mark.parametrize("carrier", U_CARRIERS)
+def test_every_u_carrier_maps_each_u_fault_to_malformed_element(carrier, fault):
+    blob, at, load = U_CARRIERS[carrier]
+    load(blob)
+    u = int.from_bytes(blob[at : at + 32], "little")
+    bad = blob[:at] + U_FAULTS[fault](u).to_bytes(32, "little") + blob[at + 32 :]
+    with pytest.raises(MalformedElement):
         load(bad)

@@ -3,7 +3,8 @@
 Every decoder must either accept its input or raise an ``IodCryptError``
 subclass (never ``IndexError``, ``ValueError`` or the like).  What it
 accepts must round-trip byte for byte, and every group element it yields
-must lie in the prime-order subgroup according to the affine oracle.
+must lie in the prime-order subgroup according to the affine oracle; so
+must the point of every Montgomery u it yields.
 """
 
 import hashlib
@@ -15,15 +16,19 @@ from hypothesis import given, settings, strategies as st
 from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, deserialize_table, serialize_table
 from iodcrypt.encrypt import Ciphertext, deserialize_ciphertext_file, serialize_ciphertext_file
 from iodcrypt.errors import IodCryptError
-from iodcrypt.group import G, N, Scalar, decode_element
+from iodcrypt.group import G, N, P, Scalar, decode_element, decode_u, montgomery_u
 from iodcrypt.selfcert import (
     IdentityRecord,
     KgcKeypair,
     SelfCertKeypair,
+    aq_hang_finalize,
+    aq_hang_initiate,
+    aq_kg,
     deserialize_drone_keypair,
     deserialize_kgc_keypair,
     deserialize_record,
     deserialize_system_public,
+    kgc_setup,
     parse_record,
     serialize_drone_keypair,
     serialize_kgc_keypair,
@@ -37,7 +42,7 @@ from iodcrypt.sign import (
     serialize_signature_file,
 )
 
-from curve_oracle import AFFINE_IDENTITY, T8, affine, affine_mul, times
+from curve_oracle import AFFINE_IDENTITY, T8, affine, affine_mul, points_of_u, times
 
 _FUZZ = settings(max_examples=80, deadline=None)
 
@@ -49,6 +54,10 @@ torsion_points = st.tuples(points, st.integers(min_value=1, max_value=7)).map(
 )
 any_points = st.one_of(points, torsion_points)
 element_bytes = any_points.map(lambda point: point.encode())
+# u of subgroup and torsion-carrying points, and arbitrary u below P (half
+# of them on the twist).
+us = st.one_of(any_points.map(lambda point: montgomery_u([point])[0]),
+               st.integers(min_value=0, max_value=P - 1))
 ids = st.binary(min_size=1, max_size=12)
 signatures = st.builds(Signature, s=scalars, e=scalars)
 
@@ -86,6 +95,21 @@ def _check_element(point):
     assert decode_element(point.encode()) == point
 
 
+def _check_u(u):
+    found = points_of_u(u)
+    assert found and all(affine_mul(N, point) == AFFINE_IDENTITY for point in found)
+    assert decode_u(u.to_bytes(32, "little")) == u
+
+
+@_FUZZ
+@given(_near(us.map(lambda u: u.to_bytes(32, "little"))))
+def test_decode_u_fails_closed(data):
+    u = _accepted(decode_u, data)
+    if u is not None:
+        _check_u(u)
+        assert u.to_bytes(32, "little") == data
+
+
 @_FUZZ
 @given(_near(element_bytes))
 def test_decode_element_fails_closed(data):
@@ -113,14 +137,37 @@ def test_deserialize_signature_file_fails_closed(data):
 
 @_FUZZ
 @given(_near(st.builds(
-    lambda point, body, tag: serialize_ciphertext_file(Ciphertext(point, body, tag)),
-    points, st.binary(max_size=40), st.binary(min_size=16, max_size=16),
+    lambda u, body, tag: serialize_ciphertext_file(Ciphertext(u, body, tag)),
+    us, st.binary(max_size=40), st.binary(min_size=16, max_size=16),
 )))
 def test_deserialize_ciphertext_file_fails_closed(data):
     ct = _accepted(deserialize_ciphertext_file, data)
     if ct is not None:
-        _check_element(ct.ephemeral)
+        _check_u(ct.ephemeral)
         assert serialize_ciphertext_file(ct) == data
+
+
+# One station and one peer, built once: each example then costs one handshake half.
+_HANG_RNG = random.Random(34)
+_HANG_KGC = kgc_setup(_HANG_RNG)
+_STATION = aq_kg(_HANG_KGC, b"station", _HANG_RNG)
+_STATION_STATE = aq_hang_initiate(_STATION, _HANG_RNG)
+_PEER_MESSAGES = st.builds(
+    lambda drone_id, commitment, u: (IdentityRecord(drone_id, commitment).wire()
+                                     + u.to_bytes(32, "little")),
+    ids, any_points, us,
+)
+
+
+@_FUZZ
+@given(_near(_PEER_MESSAGES))
+def test_handshake_finalize_fails_closed(data):
+    session = _accepted(lambda msg: aq_hang_finalize(_STATION, _STATION_STATE, msg), data)
+    if session is not None:
+        record, consumed = parse_record(data)
+        _check_element(record.commitment)
+        assert len(data) == consumed + 32
+        _check_u(int.from_bytes(data[consumed:], "little"))
 
 
 @_FUZZ

@@ -34,15 +34,18 @@ from iodcrypt.group import (
     batch_scalar_mult,
     decode_element,
     decode_scalar,
+    decode_u,
     encode_batch,
     hash_to_scalar,
+    montgomery_u,
+    mul_u,
     point_add,
     random_scalar,
     scalar_mult,
     subset_sum,
 )
 
-from curve_oracle import T8, affine, affine_add, affine_mul, times
+from curve_oracle import T8, affine, affine_add, affine_mul, affine_u, points_of_u, times
 
 scalars = st.integers(min_value=0, max_value=N - 1).map(Scalar)
 nonzero_scalars = st.integers(min_value=1, max_value=N - 1).map(Scalar)
@@ -263,7 +266,7 @@ def test_g_never_gets_a_ladder(monkeypatch):
 
 def test_nothing_is_built_at_import_time():
     code = ("import sys, iodcrypt.cli, iodcrypt.group as g; "
-            "assert g._G_COMB is None; "
+            "assert g._G_COMB is None and g._check_key.cache_info().currsize == 0; "
             "assert 'cryptography.hazmat.primitives.asymmetric.x25519' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(Path(group.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
@@ -309,6 +312,159 @@ def test_batch_over_another_base_maps_it_to_montgomery_form_once():
     # One inversion and one X25519 public key for the whole batch.
     assert group._montgomery.cache_info().misses == 1
     assert group._x25519_base.cache_info().misses == 1
+
+
+# --------------------------------------------------------------------------
+# Montgomery u: the wire form of points that are only multiplied
+# --------------------------------------------------------------------------
+
+
+def _u_bytes(u):
+    return u.to_bytes(32, "little")
+
+
+# The twist of the curve has order 2(P + 1) - 8N = 4 * N'.
+_TWIST_PRIME = (2 * (P + 1) - 8 * N) // 4
+
+
+def _probably_prime(n):
+    # Miller-Rabin to the first twelve prime bases.
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _x_double(u):
+    # u(2Q) from u(Q) on the Montgomery curve or its twist.
+    a = 486662
+    return (u * u - 1) ** 2 * pow(4 * u * (u * u + a * u + 1), -1, P) % P
+
+
+def _twist_us():
+    """The u of a twist point, and of 4 times it, whose order is N'."""
+    for u in range(2, 100):
+        if points_of_u(u) == []:
+            return u, _x_double(_x_double(u))
+    raise AssertionError("no twist u found")
+
+
+def test_check_scalar_is_no_unit_modulo_the_twist_prime():
+    # decode_u's argument for twist points: c = 0 (mod 4) clears the twist's
+    # 4-torsion, and c != +-1 (mod N') moves every point of order N'.
+    assert 2 * (P + 1) - 8 * N == 4 * _TWIST_PRIME
+    assert _probably_prime(_TWIST_PRIME)
+    c = group._CHECK_SCALAR
+    assert c % 4 == 0 and c % _TWIST_PRIME not in (1, _TWIST_PRIME - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(points, max_size=5))
+def test_montgomery_u_matches_the_oracle(pts):
+    pts = pts + [G, -G, IDENTITY, _OTHER_BASE + _OTHER_BASE]
+    expected = [0 if p.is_identity() else affine_u(affine(p)) for p in pts]
+    assert montgomery_u(pts) == expected
+    assert montgomery_u([]) == []
+
+
+def test_montgomery_u_shares_one_inversion(monkeypatch):
+    pts = [Scalar(k) * _OTHER_BASE for k in (2, 3, 5)] + [IDENTITY]
+    inversions = []
+    monkeypatch.setattr(group, "pow", lambda *args: inversions.append(args) or pow(*args),
+                        raising=False)
+    montgomery_u(pts)
+    assert [args[1:] for args in inversions] == [(-1, P)]
+
+
+def test_decode_u_accepts_subgroup_points_and_the_base_point():
+    assert decode_u(_u_bytes(9)) == 9  # u(G), RFC 7748 section 4.1
+    for k in (1, 2, 0xC0FFEE, N - 1):
+        u = affine_u(affine_mul(k, affine(_OTHER_BASE)))
+        assert decode_u(_u_bytes(u)) == u
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_decode_u_rejects_every_small_order_u(j):
+    # u of j*T8 (0 for order 2, 1 for order 4, two values for order 8), and of
+    # a subgroup point with j*T8 added.
+    torsion = times(j, T8)
+    for u in (affine_u(affine(torsion)), affine_u(affine(_OTHER_BASE + torsion))):
+        with pytest.raises(MalformedElement):
+            decode_u(_u_bytes(u))
+
+
+def test_decode_u_rejects_non_canonical_u_and_bad_lengths():
+    u = affine_u(affine(_OTHER_BASE))
+    for bad in (u | 1 << 255, 9 | 1 << 255, 9 + P, P, P + 1, 2**255 - 1, 2**256 - 1):
+        with pytest.raises(MalformedElement):
+            decode_u(bad.to_bytes(32, "little"))
+    for data in (b"", _u_bytes(u)[:31], _u_bytes(u) + b"\x00"):
+        with pytest.raises(MalformedElement):
+            decode_u(data)
+
+
+def test_decode_u_rejects_twist_points():
+    twist, prime_order = _twist_us()
+    assert points_of_u(prime_order) == []
+    # P - 1 is the twist's point of order 4 (the curve's are at u = 1).
+    for u in (twist, prime_order, _x_double(twist), P - 1):
+        with pytest.raises(MalformedElement):
+            decode_u(_u_bytes(u))
+
+
+def test_decode_u_makes_no_call_for_what_it_rejects_on_sight(monkeypatch):
+    x25519 = _count_calls(monkeypatch, "_x25519")
+    for data in (bytes(32), P.to_bytes(32, "little"), (1 << 255 | 9).to_bytes(32, "little")):
+        with pytest.raises(MalformedElement):
+            decode_u(data)
+    assert x25519 == []
+    decode_u(_u_bytes(9))
+    assert x25519 == ["_x25519"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=N - 1), st.integers(min_value=1, max_value=N - 1))
+def test_mul_u_matches_the_affine_oracle(k, b):
+    base = affine_mul(b, affine(G))
+    u = affine_u(base)
+    for scalar in [k, *_EDGE_SCALARS]:
+        product = affine_mul(scalar, base)
+        expected = 0 if product == (0, 1) else affine_u(product)
+        assert mul_u(Scalar(scalar), u) == expected
+
+
+def test_mul_u_counts_one_product_and_makes_one_x25519_call(monkeypatch):
+    u = affine_u(affine(_OTHER_BASE))
+    x25519 = _count_calls(monkeypatch, "_x25519")
+    # 16 and 64 have no clamp form; 8 * (c + 1) has one.
+    for k, calls in ((3, 1), (16, 2), (64, 3), (8 * (_C + 1), 4)):
+        ctr = OpCounter()
+        assert mul_u(Scalar(k), u, ctr) == affine_u(affine_mul(k, affine(_OTHER_BASE)))
+        assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+        assert len(x25519) == calls
+
+
+def test_mul_u_keeps_the_key_of_its_last_scalar_and_the_check_its_own():
+    group._last_key.cache_clear()
+    group._check_key.cache_clear()
+    secret = Scalar(0x5EC12E7)
+    for k in (0xC0FFEE, 0xBEEF, 0xF00D):
+        u = affine_u(affine_mul(k, affine(G)))
+        decode_u(_u_bytes(u))
+        mul_u(secret, u)
+    assert group._last_key.cache_info().misses == 1
+    assert group._check_key.cache_info().misses == 1
+    assert group._check_key.cache_info().hits == 2
 
 
 @settings(max_examples=20, deadline=None)

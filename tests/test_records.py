@@ -2,8 +2,9 @@
 
 Every record is built twice from the same field values, once by keyword
 and once by position, so each class's field names and order are pinned
-here too.  Secrets (private scalars, the cached x*D, session keys) must
-never reach a repr, where a log line or a traceback would carry them.
+here too.  Secrets (private scalars, the cached x*D, session keys, the
+nonce scalars of a table) must never reach a repr, where a log line or a
+traceback would carry them.
 """
 
 from __future__ import annotations
@@ -93,12 +94,20 @@ def test_records_of_different_values_or_classes_differ(records):
 def test_reprs_never_show_secrets(records):
     kgc, keypair = records[KgcKeypair], records[SelfCertKeypair]
     state, session = records[HangState], records[SessionKey]
+    signer, sender = records[SignerContext], records[SenderContext]
+    signer_nonces = [entry[0] for entry in signer.table.entries]
+    sender_nonces = [entry[0] for entry in sender.table.entries]
     secrets = [
         (kgc, [kgc.secret]),
         (keypair, [keypair.secret, keypair.cached_term]),
-        (records[SignerContext].keypair, [keypair.secret, keypair.cached_term]),
+        (signer.keypair, [keypair.secret, keypair.cached_term]),
         (state, [state.ephemeral_secret]),
         (session, [session.key]),
+        # A table's nonce scalars: with one signature, each gives the key.
+        (signer.table, signer_nonces),
+        (sender.table, sender_nonces),
+        (signer, [keypair.secret, *signer_nonces]),
+        (sender, sender_nonces),
     ]
     for record, hidden in secrets:
         text = repr(record)
@@ -112,6 +121,8 @@ def test_reprs_never_show_secrets(records):
     # Public fields stay visible.
     assert repr(keypair.record) in repr(keypair)
     assert repr(session.transcript_hash) in repr(session)
+    assert repr(sender.table.owner_binding) in repr(sender)
+    assert repr(signer.table.params) in repr(signer)
 
 
 def test_bpv_params_equality_and_hash_ignore_allow_unsafe():

@@ -1,8 +1,11 @@
 """Tests for self-certified keys, static secrets, and the handshake."""
 
+import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings, strategies as st
 
 from iodcrypt.bpv import BpvParams, bpv_offline
@@ -14,7 +17,7 @@ from iodcrypt.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, OpCounter, Scalar
+from iodcrypt.group import G, IDENTITY, N, OpCounter, Scalar
 from iodcrypt.selfcert import (
     IdentityRecord,
     KgcKeypair,
@@ -36,6 +39,8 @@ from iodcrypt.selfcert import (
     serialize_record,
     serialize_system_public,
 )
+
+from curve_oracle import T8, affine, affine_mul, affine_u
 
 
 @pytest.fixture(scope="module")
@@ -246,10 +251,26 @@ def test_finalize_validates_peer_message(setup):
         aq_hang_finalize(a, sa, good + b"\x00")
     with pytest.raises((TruncatedFile, InvalidEphemeral)):
         aq_hang_finalize(a, sa, good[:-40])
-    with pytest.raises(InvalidEphemeral):
-        aq_hang_finalize(a, sa, b.record.wire() + IDENTITY.encode())
-    with pytest.raises(MalformedElement):
-        aq_hang_finalize(a, sa, b.record.wire() + b"\xff" * 32)
+    # T travels as u: the identity has none (X25519 writes it as 0), and the
+    # bytes of its Edwards encoding are u = 1, a point of order 4.
+    for bad_u in (bytes(32), IDENTITY.encode(), b"\xff" * 32,
+                  affine_u(affine(T8)).to_bytes(32, "little")):
+        with pytest.raises(MalformedElement):
+            aq_hang_finalize(a, sa, b.record.wire() + bad_u)
+
+
+def test_handshake_key_rebuilt_from_the_affine_oracle(setup):
+    # Message = record | u(T); key = HKDF(K | u(t_a * T_b) | transcript).
+    _, a, b = setup
+    rng = random.Random(16)
+    sa, sb = aq_hang_initiate(a, rng), aq_hang_initiate(b, rng)
+    t_a, t_b = sa.ephemeral_secret.value, sb.ephemeral_secret.value
+    assert sa.message == a.record.wire() + affine_u(affine_mul(t_a, affine(G))).to_bytes(32, "little")
+    ephemeral_u = affine_u(affine_mul(t_a * t_b % N, affine(G)))
+    transcript = hashlib.sha256(b"".join(sorted((sa.message, sb.message)))).digest()
+    ikm = aq_shared_static(a, b.record).encode() + ephemeral_u.to_bytes(32, "little") + transcript
+    key = HKDF(algorithm=SHA256(), length=32, salt=None, info=b"IODCRYPT-HANG-v2").derive(ikm)
+    assert aq_hang_finalize(a, sa, sb.message).key == key == aq_hang_finalize(b, sb, sa.message).key
 
 
 def test_tampered_peer_identity_changes_the_key(setup):
