@@ -57,12 +57,13 @@ nonce scalar and so, from one signature, the signing key
 (s = r - e*x); whoever can write one can plant a consistent table whose
 scalars they know, which the recomputation accepts.  The seal stops
 both, and any corruption: without the key a sealed table can be neither
-read nor replaced by another that opens.  With the seal key the stored
-points are exactly the ones written, so recomputing them from their
-scalars would prove nothing more, and the sealed load skips it.  The
-seal does not help against an attacker who can read the key itself,
-which is stored next to the signing keys; :func:`verify_table` remains
-as an explicit deep check.
+read nor replaced by another that opens.  A load given the key reads no
+open table, so one planted in place of a sealed table is refused.  With
+the seal key the stored points are exactly the ones written, so
+recomputing them from their scalars would prove nothing more, and the
+sealed load skips it.  The seal does not help against an attacker who
+can read the key itself, which is stored next to the signing keys;
+:func:`verify_table` remains as an explicit deep check.
 """
 
 from __future__ import annotations
@@ -386,13 +387,14 @@ def _open(data: bytes, seal_key: bytes) -> PrecompTable:
 def deserialize_table(
     data: bytes, ctr: OpCounter | None = None, *, seal_key: bytes | None = None
 ) -> PrecompTable:
-    """Parse table bytes; an open table has every stored point recomputed from its scalar.
+    """Parse table bytes; the caller's key, not the version byte, picks the format.
 
-    Given ``seal_key``, any bytes whose version byte is not the open
-    format's are read as a sealed table: the header rule first, then the
-    AEAD open (IntegrityMismatch), then the range and curve checks of each
-    scalar (MalformedScalar) and point (MalformedElement), with no group
-    operation counted.  Without it, sealed bytes raise IntegrityMismatch.
+    Given ``seal_key``, only the sealed format is read: the header rule
+    first (so open bytes raise UnsupportedVersion), then the AEAD open
+    (IntegrityMismatch), then the range and curve checks of each scalar
+    (MalformedScalar) and point (MalformedElement), with no group
+    operation counted.  Without it, only the open format is read, and
+    sealed bytes raise IntegrityMismatch.
 
     In the open format the trailing hash is checked before any field,
     then the header, the length and every scalar; then r_i*B is
@@ -403,7 +405,7 @@ def deserialize_table(
     that does not decode to a group element, and TableIntegrity for one
     that decodes but is not its scalar's product.
     """
-    if seal_key is not None and data[7:8] != MAGIC[7:]:
+    if seal_key is not None:
         return _open(data, seal_key)
     min_len = _HEADER_LEN + 32
     if len(data) < min_len:

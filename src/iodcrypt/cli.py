@@ -10,13 +10,23 @@ file names inside it::
     bpv.tbl       standard nonce table       <id>.dtbl    designated table for <id>
     table.seal    table seal secret (0600)
 
+Each file argument is read one way.  One that contains a path separator
+is a path; any other is a name looked up only in the home:
+``home/<name>``, then ``home/<name><suffix>``.  The working directory is
+never searched.  The identity given to ``kgc issue --id``, and the signer
+id that ``verify`` reads from a signature file, must be plain names: one
+that contains a separator or a NUL, or is empty, ``.`` or ``..``, raises
+``InvalidIdentity`` before any file is written or read for it.  A
+designated table is named after its recipient record's identity
+(``home/<id>.dtbl``), whatever spelling named the record.
+
 ``table gen`` writes sealed tables (``IODCBPV2``) under the home's
 ``table.seal``: 32 random bytes, created by the first ``table gen`` and
 never replaced, so every table of a home opens with it.  ``sign`` and
-``encrypt`` open a sealed table with it, and still read open
-(``IODCBPV1``) tables written by the library.  A sealed table opens only
-in the home that wrote it: with another home's ``table.seal``, or in a
-home that has none, loading fails with ``IntegrityMismatch`` (exit 1).
+``encrypt`` read only sealed tables, opened with it: an open
+(``IODCBPV1``) table raises ``UnsupportedVersion``, and in a home with no
+``table.seal`` every table load fails with ``IntegrityMismatch``, as it
+does for a table sealed in another home (exit 1).
 
 Exit codes: 0 success; 1 cryptographic failure (one stderr line,
 ``ErrorClass: detail``); 2 usage error; 3 I/O error.  All writes are
@@ -45,6 +55,8 @@ from pathlib import Path
 from .bpv import (SEAL_KEY_LEN, SUPPORTED_PARAMS, BpvParams, PrecompTable, bpv_offline,
                   deserialize_table, serialize_table)
 from .errors import (
+    IntegrityMismatch,
+    InvalidIdentity,
     IodCryptError,
     KeyVerFailed,
     TableIntegrity,
@@ -78,6 +90,7 @@ from .sign import (
 
 DEFAULT_PARAMS = (28, 256)
 SEAL_FILE = "table.seal"
+_FILE_ARG = "(a path if it has a separator, else a name in the home)"
 # ``bench.PROFILES`` keys and ``bench.BENCH_OPS``, copied so only ``iodcrypt bench`` imports it.
 BENCH_PROFILES = ("avr", "arm")
 BENCH_OPS = ("bpv_online", "dbpv_online", "sign", "verify", "reference_sign", "encrypt",
@@ -139,8 +152,8 @@ def _read(path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _seal_key(args, rng=None) -> bytes | None:
-    """The home's table seal secret, or None when it has none.
+def _seal_key(args, rng=None) -> bytes:
+    """The home's table seal secret; a home without one raises IntegrityMismatch.
 
     Given ``rng``, a home without one first gets random bytes from it.
     """
@@ -151,23 +164,31 @@ def _seal_key(args, rng=None) -> bytes | None:
     try:
         return path.read_bytes()
     except FileNotFoundError:
-        return None
+        raise IntegrityMismatch(f"a sealed table needs its seal key; {path} is missing") from None
+
+
+def _plain_name(name: str) -> str:
+    """``name`` if it names a file directly in the home, else InvalidIdentity."""
+    if os.sep in name or "\0" in name or name in ("", ".", ".."):
+        raise InvalidIdentity(f"{name!r} is not a plain file name")
+    return name
 
 
 def _resolve(args, name_or_path: str, suffix: str) -> Path:
-    """Resolve a file argument: explicit path, home/<name> as given, or
-    home/<name><suffix>."""
-    direct = Path(name_or_path)
-    if direct.exists() or os.sep in name_or_path:
-        return direct
-    named = _home(args) / name_or_path
-    if named.exists():
-        return named
-    return _home(args) / f"{name_or_path}{suffix}"
+    """A path if it contains a separator, else home/<name>, then home/<name><suffix>."""
+    if os.sep in name_or_path:
+        return Path(name_or_path)
+    named = _home(args) / _plain_name(name_or_path)
+    return named if named.exists() else named.with_name(name_or_path + suffix)
+
+
+def _designated(args, record) -> Path:
+    """home/<id>.dtbl, the default designated table for ``record``'s identity."""
+    return _home(args) / f"{_plain_name(record.drone_id.decode(errors='replace'))}.dtbl"
 
 
 def _load_table(args, path: Path) -> PrecompTable:
-    """Load a table file, refusing a (v, k) outside the vetted set whoever wrote it."""
+    """Open a table sealed in this home, refusing a (v, k) outside the vetted set."""
     table = deserialize_table(_read(path), seal_key=_seal_key(args))
     v, k = table.params.v, table.params.k
     if (v, k) not in SUPPORTED_PARAMS:
@@ -214,7 +235,7 @@ def cmd_kgc_init(args) -> int:
 def cmd_kgc_issue(args) -> int:
     home = _home(args)
     kgc = deserialize_kgc_keypair(_read(home / "kgc.sec"))
-    keypair = aq_kg(kgc, args.id.encode(), _rng(args))
+    keypair = aq_kg(kgc, _plain_name(args.id).encode(), _rng(args))
     key_path = home / f"{args.id}.key"
     rec_path = home / f"{args.id}.rec"
     _write(key_path, serialize_drone_keypair(keypair), secret=True)
@@ -241,7 +262,6 @@ def cmd_keyver(args) -> int:
 
 
 def cmd_table_gen(args) -> int:
-    home = _home(args)
     params = _parse_params(args.params)
     rng = _rng(args)
     if args.designated:
@@ -251,10 +271,10 @@ def cmd_table_gen(args) -> int:
         system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
         ctx = enc_kg_sender(record, system_public, params, rng)
         table = ctx.table
-        out = Path(args.out) if args.out else home / f"{args.recipient}.dtbl"
+        out = Path(args.out) if args.out else _designated(args, record)
     else:
         table = bpv_offline(params, rng)
-        out = Path(args.out) if args.out else home / "bpv.tbl"
+        out = Path(args.out) if args.out else _home(args) / "bpv.tbl"
     _write(out, serialize_table(table, seal_key=_seal_key(args, rng), rng=rng), secret=True)
     _emit(
         args,
@@ -285,7 +305,7 @@ def cmd_sign(args) -> int:
 
 def cmd_verify(args) -> int:
     signer_id, sig = deserialize_signature_file(_read(Path(args.sig)))
-    record_arg = args.record if args.record else signer_id.decode(errors="replace")
+    record_arg = args.record or _plain_name(signer_id.decode(errors="replace"))
     record = deserialize_record(_read(_resolve(args, record_arg, ".rec")))
     if record.drone_id != signer_id:
         raise VerifyFailed(f"signature names {signer_id!r} but the record is {record.drone_id!r}")
@@ -310,9 +330,7 @@ def cmd_encrypt(args) -> int:
     system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
     message = _read(Path(args.infile))
     rng = _rng(args)
-    table_path = (
-        Path(args.table) if args.table else _home(args) / f"{args.to}.dtbl"
-    )
+    table_path = _resolve(args, args.table, ".dtbl") if args.table else _designated(args, record)
     if table_path.exists():
         table = _load_table(args, table_path)
         if len(table.bases) != 2:
@@ -451,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     keyver = commands.add_parser("keyver", parents=[common],
                                  help="check a key against the system key")
-    keyver.add_argument("--key", required=True, help="drone key file or identity name")
-    keyver.add_argument("--system", default="system", help="system public key file or name")
+    keyver.add_argument("--key", required=True, help=f"drone key {_FILE_ARG}")
+    keyver.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
     keyver.set_defaults(func=cmd_keyver)
 
     table = commands.add_parser("table", help="precomputation tables")
@@ -460,16 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     table_gen = table_commands.add_parser("gen", parents=[common], help="generate a table")
     table_gen.add_argument("--designated", action="store_true",
                            help="bind the table to a recipient for encryption")
-    table_gen.add_argument("--recipient", help="recipient record (required with --designated)")
-    table_gen.add_argument("--system", default="system", help="system public key file or name")
+    table_gen.add_argument("--recipient", help=f"recipient record for --designated {_FILE_ARG}")
+    table_gen.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
     table_gen.add_argument("--params", default=f"{DEFAULT_PARAMS[0]},{DEFAULT_PARAMS[1]}",
                            help="v,k sizing (default %(default)s)")
     table_gen.add_argument("--out", help="output path")
     table_gen.set_defaults(func=cmd_table_gen)
 
     sign_cmd = commands.add_parser("sign", parents=[common], help="sign a file")
-    sign_cmd.add_argument("--key", required=True, help="signer key file or identity name")
-    sign_cmd.add_argument("--table", default="bpv", help="nonce table file or name")
+    sign_cmd.add_argument("--key", required=True, help=f"signer key {_FILE_ARG}")
+    sign_cmd.add_argument("--table", default="bpv", help=f"sealed nonce table {_FILE_ARG}")
     sign_cmd.add_argument("--out", help="signature output path (default <in>.sig)")
     sign_cmd.add_argument("infile", help="file to sign")
     sign_cmd.set_defaults(func=cmd_sign)
@@ -477,32 +495,32 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd = commands.add_parser("verify", parents=[common],
                                      help="verify a detached signature")
     verify_cmd.add_argument("--sig", required=True, help="signature file")
-    verify_cmd.add_argument("--record", help="signer record (default: resolve signer id)")
-    verify_cmd.add_argument("--system", default="system", help="system public key file or name")
+    verify_cmd.add_argument("--record", help=f"signer record {_FILE_ARG}, default the signer id")
+    verify_cmd.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
     verify_cmd.add_argument("infile", help="signed file")
     verify_cmd.set_defaults(func=cmd_verify)
 
     encrypt_cmd = commands.add_parser("encrypt", parents=[common],
                                       help="encrypt a file to an identity")
-    encrypt_cmd.add_argument("--to", required=True, help="recipient record or identity name")
-    encrypt_cmd.add_argument("--system", default="system", help="system public key file or name")
-    encrypt_cmd.add_argument("--table", help="designated table (default <to>.dtbl if present)")
+    encrypt_cmd.add_argument("--to", required=True, help=f"recipient record {_FILE_ARG}")
+    encrypt_cmd.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
+    encrypt_cmd.add_argument("--table", help=f"sealed designated table {_FILE_ARG}, default <id>.dtbl")
     encrypt_cmd.add_argument("--out", help="ciphertext output path (default <in>.enc)")
     encrypt_cmd.add_argument("infile", help="file to encrypt")
     encrypt_cmd.set_defaults(func=cmd_encrypt)
 
     decrypt_cmd = commands.add_parser("decrypt", parents=[common],
                                       help="decrypt a ciphertext file")
-    decrypt_cmd.add_argument("--key", required=True, help="recipient key file or identity name")
+    decrypt_cmd.add_argument("--key", required=True, help=f"recipient key {_FILE_ARG}")
     decrypt_cmd.add_argument("--out", help="plaintext output path")
     decrypt_cmd.add_argument("infile", help="ciphertext file")
     decrypt_cmd.set_defaults(func=cmd_decrypt)
 
     exchange = commands.add_parser("exchange", parents=[common],
                                    help="run both sides of a key exchange")
-    exchange.add_argument("--key-a", required=True, help="first key file or identity name")
-    exchange.add_argument("--key-b", required=True, help="second key file or identity name")
-    exchange.add_argument("--system", default="system", help="system public key file or name")
+    exchange.add_argument("--key-a", required=True, help=f"first key {_FILE_ARG}")
+    exchange.add_argument("--key-b", required=True, help=f"second key {_FILE_ARG}")
+    exchange.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
     exchange.set_defaults(func=cmd_exchange)
 
     bench = commands.add_parser("bench", parents=[common],

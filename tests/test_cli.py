@@ -18,11 +18,11 @@ import stat
 
 import pytest
 
-from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, serialize_table
+from iodcrypt.bpv import BpvParams, PrecompTable, bpv_offline, dbpv_offline, serialize_table
 from iodcrypt import bench
 from iodcrypt.cli import BENCH_OPS, BENCH_PROFILES, _write, main
 from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
-from iodcrypt.group import N
+from iodcrypt.group import G, N, Scalar
 from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
                                deserialize_system_public, reconstruct_pub)
 from iodcrypt.sign import deserialize_signature_file, serialize_signature_file
@@ -58,6 +58,20 @@ def realm(tmp_path_factory):
 
 def cli(realm, *argv):
     return main([*argv, "--home", str(realm["home"])])
+
+
+def _fresh_home(tmp_path, *ids):
+    """A new KGC home with keys for ``ids`` and a sealed signing table."""
+    home = tmp_path / "home"
+    steps = [("kgc", "init"), *(("kgc", "issue", "--id", i) for i in ids), ("table", "gen")]
+    for seed, argv in enumerate(steps, start=501):
+        assert main([*argv, "--home", str(home), "--test-seed", str(seed), "--insecure-test"]) == 0
+    return home
+
+
+def _sealed_in(realm, table, rng):
+    """``table`` sealed under the realm home's ``table.seal``, as ``table gen`` writes it."""
+    return serialize_table(table, seal_key=(realm["home"] / "table.seal").read_bytes(), rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +218,61 @@ def test_seal_written_by_a_concurrent_run_is_kept(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table.seal"]
 
 
-def test_open_table_written_by_the_library_still_signs(realm, tmp_path):
+# ---------------------------------------------------------------------------
+# Cryptographic failures -> exit 1
+# ---------------------------------------------------------------------------
+
+
+def test_open_table_written_by_the_library_is_refused(realm, tmp_path, capsys):
     table_path = tmp_path / "open.tbl"
     table_path.write_bytes(serialize_table(bpv_offline(BpvParams(28, 256), random.Random(213))))
     sig_path = tmp_path / "open.sig"
     assert cli(realm, "sign", "--key", "alpha", "--table", str(table_path), "--out", str(sig_path),
-               str(realm["message"]), "--test-seed", "214", "--insecure-test") == 0
-    assert cli(realm, "verify", "--sig", str(sig_path), str(realm["message"])) == 0
+               str(realm["message"]), "--test-seed", "214", "--insecure-test") == 1
+    assert capsys.readouterr().err.startswith("UnsupportedVersion:")
+    assert not sig_path.exists()
 
 
-# ---------------------------------------------------------------------------
-# Cryptographic failures -> exit 1
-# ---------------------------------------------------------------------------
+def _one_entry(bases, owner_binding=b""):
+    """An open k=256 table of one entry repeated: its writer knows every nonce, 28*c."""
+    c = Scalar(0xC0FFEE)
+    return serialize_table(PrecompTable(BpvParams(28, 256), bases,
+                                        [(c, *(c * base for base in bases))] * 256, owner_binding))
+
+
+@pytest.mark.parametrize("seal", ["present", "deleted"])
+def test_planted_open_signing_table_signs_nothing(tmp_path, capsys, seal):
+    # One signature s = 28c - e*x from this table would give x = (28c - s) / e.
+    home = _fresh_home(tmp_path, "alpha")
+    (home / "bpv.tbl").write_bytes(_one_entry((G,)))
+    if seal == "deleted":
+        (home / "table.seal").unlink()
+    message = tmp_path / "frame"
+    message.write_bytes(b"frame")
+    capsys.readouterr()
+    rc = main(["sign", "--home", str(home), "--key", "alpha", str(message),
+               "--test-seed", "511", "--insecure-test"])
+    assert rc == 1
+    error = "UnsupportedVersion:" if seal == "present" else "IntegrityMismatch:"
+    assert capsys.readouterr().err.startswith(error)
+    assert not (tmp_path / "frame.sig").exists()
+
+
+def test_planted_open_designated_table_encrypts_nothing(tmp_path, capsys):
+    # The true X and owner binding, but nonces its writer knows, so the
+    # ciphertext would open without the recipient's key.
+    home = _fresh_home(tmp_path, "bravo")
+    record = deserialize_record((home / "bravo.rec").read_bytes())
+    recipient_key = reconstruct_pub(record, deserialize_system_public((home / "system.pub").read_bytes()))
+    (home / "bravo.dtbl").write_bytes(_one_entry((G, recipient_key), record.binding()))
+    message = tmp_path / "frame"
+    message.write_bytes(b"frame")
+    capsys.readouterr()
+    rc = main(["encrypt", "--home", str(home), "--to", "bravo", str(message),
+               "--test-seed", "512", "--insecure-test"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("UnsupportedVersion:")
+    assert not (tmp_path / "frame.enc").exists()
 
 
 def test_table_sealed_in_another_home_fails_to_load(realm, tmp_path, capsys):
@@ -271,6 +328,64 @@ def test_verify_rejects_a_record_of_another_signer(realm, tmp_path, monkeypatch,
         assert captured.err.startswith("VerifyFailed:") and "good signature" not in captured.out
 
 
+def test_verify_reads_bare_names_only_from_the_home(realm, tmp_path, monkeypatch, capsys):
+    # Another KGC's system key and alpha record, as ./system and ./alpha,
+    # must not vouch for that KGC's signature.
+    foreign = _fresh_home(tmp_path, "alpha")
+    message = tmp_path / "frame"
+    message.write_bytes(b"frame")
+    assert main(["sign", "--home", str(foreign), "--key", "alpha", str(message),
+                 "--test-seed", "513", "--insecure-test"]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "system").write_bytes((foreign / "system.pub").read_bytes())
+    (work / "alpha").write_bytes((foreign / "alpha.rec").read_bytes())
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    rc = cli(realm, "verify", "--sig", f"{message}.sig", str(message))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("VerifyFailed:") and "good signature" not in captured.out
+
+
+@pytest.mark.parametrize("signer_id", [b"../alpha", b"al\x00pha"], ids=["separator", "nul"])
+def test_verify_refuses_a_signer_id_that_is_not_a_plain_name(realm, tmp_path, capsys, signer_id):
+    _, sig = deserialize_signature_file(realm["signature"].read_bytes())
+    sig_path = tmp_path / "msg.txt.sig"
+    sig_path.write_bytes(serialize_signature_file(signer_id, sig))
+    rc = cli(realm, "verify", "--sig", str(sig_path), str(realm["message"]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("InvalidIdentity:")
+
+
+@pytest.mark.parametrize("identity", ["absolute", "../escape", ".."])
+def test_kgc_issue_refuses_an_identity_that_is_not_a_plain_name(realm, tmp_path, capsys, identity):
+    if identity == "absolute":
+        identity = str(tmp_path / "outside")
+    home = realm["home"]
+    before = sorted(home.iterdir())
+    rc = cli(realm, "kgc", "issue", "--id", identity, "--test-seed", "514", "--insecure-test")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("InvalidIdentity:")
+    assert sorted(home.iterdir()) == before
+    assert list(tmp_path.iterdir()) == []
+    assert not any(home.parent.glob("escape*"))
+
+
+def test_designated_table_is_named_after_the_recipients_identity(tmp_path, capsys):
+    home = _fresh_home(tmp_path, "bravo")
+    assert main(["table", "gen", "--home", str(home), "--designated", "--recipient", "bravo.rec",
+                 "--test-seed", "515", "--insecure-test"]) == 0
+    assert (home / "bravo.dtbl").exists() and not (home / "bravo.rec.dtbl").exists()
+    message = tmp_path / "frame"
+    message.write_bytes(b"frame")
+    for seed, to in enumerate(("bravo", "bravo.rec", str(home / "bravo.rec")), start=516):
+        capsys.readouterr()
+        assert main(["encrypt", "--home", str(home), "--to", to, str(message), "--json",
+                     "--test-seed", str(seed), "--insecure-test"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "table"
+
+
 def test_decrypt_rejects_corrupted_ciphertext(realm, capsys):
     ct_path = realm["work"] / "msg.txt.enc"
     if not ct_path.exists():  # make a ciphertext if the roundtrip test has not run
@@ -316,7 +431,8 @@ def test_sign_refuses_an_unvetted_table_size(realm, tmp_path, capsys):
     # With v = k = 1 every signature reuses the one nonce r, so two
     # signatures s_i = r - e_i*x give away x = (s1 - s2) / (e2 - e1).
     table_path = tmp_path / "toy.tbl"
-    table_path.write_bytes(serialize_table(bpv_offline(_TOY, random.Random(215))))
+    rng = random.Random(215)
+    table_path.write_bytes(_sealed_in(realm, bpv_offline(_TOY, rng), rng))
     sigs = []
     for i in range(2):
         message, sig_path = tmp_path / f"frame{i}", tmp_path / f"frame{i}.sig"
@@ -341,9 +457,10 @@ def test_encrypt_refuses_an_unvetted_designated_table_size(realm, tmp_path, caps
     home = realm["home"]
     record = deserialize_record((home / "bravo.rec").read_bytes())
     recipient_key = reconstruct_pub(record, deserialize_system_public((home / "system.pub").read_bytes()))
-    table = dbpv_offline(_TOY, recipient_key, record.binding(), random.Random(218))
+    rng = random.Random(218)
+    table = dbpv_offline(_TOY, recipient_key, record.binding(), rng)
     table_path = tmp_path / "toy.dtbl"
-    table_path.write_bytes(serialize_table(table))
+    table_path.write_bytes(_sealed_in(realm, table, rng))
     out = tmp_path / "msg.enc"
     rc = cli(realm, "encrypt", "--to", "bravo", "--table", str(table_path),
              "--out", str(out), str(realm["message"]), "--test-seed", "219", "--insecure-test")

@@ -6,6 +6,8 @@ BadMagic; byte 7 not the version -> UnsupportedVersion; unknown group id
 (byte 8) -> UnsupportedVersion; total length not exact -> TruncatedFile.
 The open table checks its SHA-256 first, so its faulted files are
 re-hashed; the sealed table checks its header before opening its seal.
+Each table loader maps the other table format's version byte to
+UnsupportedVersion.
 
 The two wire forms that carry a Montgomery u, the ciphertext file
 (``IODCENC2``) and the handshake message, map each fault of that u to
@@ -92,6 +94,17 @@ def test_every_format_maps_each_header_fault_to_one_error(fmt, fault):
     else:
         bad = corrupt(blob)
     with pytest.raises(error):
+        load(bad)
+
+
+@pytest.mark.parametrize("fmt,version", [("table", b"2"), ("sealed-table", b"1")])
+def test_each_table_loader_maps_the_other_formats_version_byte_to_unsupported(fmt, version):
+    # The loader's key, not the version byte, picks the format.
+    blob, load = BLOBS[fmt]
+    bad = blob[:7] + version + blob[8:]
+    if fmt == "table":
+        bad = bad[:-32] + hashlib.sha256(bad[:-32]).digest()
+    with pytest.raises(UnsupportedVersion):
         load(bad)
 
 
