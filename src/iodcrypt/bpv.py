@@ -1,12 +1,13 @@
 """Subset-sum precomputation that trades table storage for online speed.
 
 One table type serves signing, the handshake and encryption.  The
-offline phase fixes k random scalars r_i and stores each with its
-products over a tuple of bases: ``(G,)`` for signing and the handshake,
-``(G, X)`` for encryption to a receiver key X.  The online phase sums a
-secret random v-subset of the entries, producing a fresh r with r*B for
-every base at a cost of v-1 point additions per base and no scalar
-multiplication.
+offline phase fixes k random scalars r_i and their products r_i*B over a
+tuple of bases: ``(G,)`` for signing and the handshake, ``(G, X)`` for
+encryption to a receiver key X.  A table holds each product once, in the
+form that :func:`~iodcrypt.group.subset_sum` adds.  The online phase
+sums a secret random v-subset of the entries, producing a fresh r with
+r*B for every base at a cost of v-1 point additions per base and no
+scalar multiplication.
 
 Security rests on the hardness of recovering the hidden subset from the
 outputs, so subset indices are sampled fresh per call from the caller's
@@ -32,7 +33,8 @@ that are malformed, non-canonical or carry a torsion component raise
 :class:`MalformedElement`.  This costs k scalar multiplications per base:
 on the process-wide comb of G for r_i*G, on X25519 for r_i*X; no stored
 point is decompressed unless it fails to match.  :func:`verify_table`
-runs the same recomputation for tables held in memory.
+runs the same recomputation for tables held in memory, against the
+stored points that the online phase sums.
 
 The sealed format, ``IODCBPV2``, is what it writes given a 32-byte seal
 key.  The clear header is authenticated as associated data, and the
@@ -49,7 +51,9 @@ square root nor a product: the header is checked by the one header rule,
 then one AEAD open (a wrong key or any changed byte after the header
 raises :class:`IntegrityMismatch`), then each scalar must be below N and
 each point must have both coordinates below P and satisfy the curve
-equation (:class:`MalformedElement`).  A k=256 table is about 24 KiB
+equation (:class:`MalformedElement`); the stored form is then built
+from the checked x, y and x*y, and only the base X becomes a
+:class:`~iodcrypt.group.GroupElement`.  A k=256 table is about 24 KiB
 (40 KiB designated), against 16 KiB (24 KiB) in the open format.
 
 Threat model of the seal.  Whoever can read an open table learns every
@@ -91,14 +95,15 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    _2D,
     _D,
     _check_header,
+    _encode_affine,
     _normalize,
     addends,
     batch_scalar_mult,
     decode_element,
     decode_scalar,
-    encode_batch,
     random_scalar,
     record,
     subset_sum,
@@ -117,6 +122,8 @@ _TAG_LEN = 16
 
 # (v, k) pairs vetted for ~128-bit subset-space security.
 SUPPORTED_PARAMS = ((28, 256), (18, 1024))
+
+_HALF = (P + 1) // 2  # 1/2 mod P
 
 
 @record(uncompared=("allow_unsafe",))
@@ -142,28 +149,30 @@ class BpvParams:
             )
 
 
-@record(frozen=False, hidden=("entries",))
+@record(frozen=False, hidden=("scalars", "stored"))
 class PrecompTable:
-    """k entries (r_i, r_i * bases[0], ...) over a tuple of bases.
+    """k nonce scalars r_i and their products r_i * B over a tuple of bases B.
 
     ``bases`` is ``(G,)`` for signing and the handshake, or ``(G, X)``
     for encryption to a receiver key X; ``owner_binding`` is then the
     32-byte hash of that receiver's identity record, so a loaded table
     can be matched to the receiver it was built for, and is empty for a
     ``(G,)`` table.  Any other length raises :class:`InvalidOwnerBinding`
-    when the table is made, since the file has room for exactly that, and
-    a number of entries other than ``params.k`` raises
-    :class:`TableIntegrity`.
+    when the table is made, since the file has room for exactly that.
 
-    Each point column is also held in ``stored`` (not a field), in the
-    form of :func:`~iodcrypt.group.subset_sum`, taken once when the
-    table is made, so the entries are not to be changed after that.
-    The repr leaves the entries out: their scalars are secret nonces.
+    ``stored[c][i]`` is r_i * bases[c] in the form of
+    :func:`~iodcrypt.group.addends`, the one form that
+    :func:`~iodcrypt.group.subset_sum` adds, serialization writes and
+    :func:`verify_table` checks; it is reduced mod P, so equal tables
+    compare equal.  Anything but k scalars and one k-long column per
+    base raises :class:`TableIntegrity`.  The repr leaves out the
+    scalars, which are secret nonces, and the points.
     """
 
     params: BpvParams
     bases: tuple[GroupElement, ...]
-    entries: list[tuple]
+    scalars: list[Scalar]
+    stored: list[list]
     owner_binding: bytes = b""
 
     def __post_init__(self):
@@ -173,12 +182,9 @@ class PrecompTable:
                 f"owner binding must be {expected} bytes over {len(self.bases)} "
                 f"base(s), got {len(self.owner_binding)}"
             )
-        if len(self.entries) != self.params.k:
-            raise TableIntegrity(f"table has {len(self.entries)} entries, expected k={self.params.k}")
-        self.stored = [
-            addends([entry[column] for entry in self.entries])
-            for column in range(1, len(self.bases) + 1)
-        ]
+        k = self.params.k
+        if len(self.scalars) != k or [len(c) for c in self.stored] != [k] * len(self.bases):
+            raise TableIntegrity(f"table needs k={k} scalars and a column of k points per base")
 
     @property
     def entry_bytes(self) -> int:
@@ -186,8 +192,8 @@ class PrecompTable:
 
 
 def _columns(bases, scalars, ctr):
-    """Table columns from the scalars: the scalars, then r_i*B for each base B."""
-    return [scalars, *(batch_scalar_mult(base, scalars, ctr) for base in bases)]
+    """The stored column r_i*B of each base B: k scalar mults per base."""
+    return [addends(batch_scalar_mult(base, scalars, ctr)) for base in bases]
 
 
 def _mismatch(idx: int, column: int) -> TableIntegrity:
@@ -205,14 +211,13 @@ def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
 
 def _build(params, bases, owner_binding, rng, ctr) -> PrecompTable:
     scalars = [random_scalar(rng) for _ in range(params.k)]
-    entries = list(zip(*_columns(bases, scalars, ctr)))
-    return PrecompTable(params, bases, entries, owner_binding)
+    return PrecompTable(params, bases, scalars, _columns(bases, scalars, ctr), owner_binding)
 
 
 def _draw(table: PrecompTable, stored: list, rng, ctr) -> tuple:
     """(r, then the sum of each column of ``stored``) over one fresh v-subset."""
     indices = sample_subset(table.params, rng)
-    r = Scalar(sum(table.entries[i][0].v for i in indices))
+    r = Scalar(sum(table.scalars[i].v for i in indices))
     return (r, *(subset_sum(column, indices, ctr) for column in stored))
 
 
@@ -247,17 +252,18 @@ def dbpv_online(
 
 
 def verify_table(table: PrecompTable, ctr: OpCounter | None = None) -> None:
-    """Recompute every entry's points from its scalar; raise TableIntegrity on drift.
+    """Recompute every stored point from its scalar; raise TableIntegrity on drift.
 
-    Costs k scalar multiplications per base with
+    Checks the very points that the online phase sums, at a cost of k
+    scalar multiplications per base with
     :func:`~iodcrypt.group.batch_scalar_mult`.  Loading an open table
     file already runs this check; a sealed load does not, and relies on
     the seal instead.
     """
-    columns = _columns(table.bases, [entry[0] for entry in table.entries], ctr)
-    for idx, (entry, fresh) in enumerate(zip(table.entries, zip(*columns))):
-        for column in range(1, len(fresh)):
-            if entry[column] != fresh[column]:
+    fresh = _columns(table.bases, table.scalars, ctr)
+    for column, (stored, recomputed) in enumerate(zip(table.stored, fresh), 1):
+        for idx, (point, expected) in enumerate(zip(stored, recomputed)):
+            if point != expected:
                 raise _mismatch(idx, column)
 
 
@@ -282,30 +288,24 @@ def _header(magic: bytes, table: PrecompTable) -> bytes:
             + table.params.k.to_bytes(4, "little") + table.params.v.to_bytes(4, "little"))
 
 
+def _affine(column) -> list[tuple[int, int]]:
+    """Affine (x, y) of each stored point (y+x, y-x, 2d*x*y): no inversion."""
+    return [((yp - ym) * _HALF % P, (yp + ym) * _HALF % P) for yp, ym, _ in column]
+
+
+def _xy(x: int, y: int) -> bytes:
+    return x.to_bytes(32, "little") + y.to_bytes(32, "little")
+
+
 def _encoded(table: PrecompTable, encode) -> tuple[bytes, bytes]:
-    """(the extra bases, then every entry) with the points encoded by ``encode``.
-
-    ``encode`` maps a list of points to a list of byte strings; it is given
-    every point of the table at once, so it can share one field inversion.
-    """
-    head = table.bases[1:]
-    codes = iter(encode([*head, *(point for entry in table.entries for point in entry[1:])]))
-    bases = b"".join(next(codes) for _ in head)
-    entries = bytearray()
-    for entry in table.entries:
-        entries += entry[0].encode()
-        for _ in entry[1:]:
-            entries += next(codes)
-    return bases, bytes(entries)
+    """(the extra bases, then every entry), each point's affine (x, y) written by ``encode``."""
+    bases = b"".join(encode(x, y) for x, y in _normalize([base.coords for base in table.bases[1:]]))
+    columns = [[encode(x, y) for x, y in _affine(column)] for column in table.stored]
+    return bases, b"".join(r.encode() + b"".join(codes) for r, *codes in zip(table.scalars, *columns))
 
 
-def _affine_batch(points) -> list[bytes]:
-    return [x.to_bytes(32, "little") + y.to_bytes(32, "little")
-            for x, y in _normalize([point.coords for point in points])]
-
-
-def _affine_point(data: bytes, at: int) -> GroupElement:
-    """The point stored as x | y at ``at``: both below P and on the curve, nothing more.
+def _affine_point(data: bytes, at: int) -> tuple[int, int, int]:
+    """(x, y, x*y) of the point stored as x | y at ``at``: below P and on the curve, nothing more.
 
     With t = x*y, the curve equation is y^2 - x^2 = 1 + d*t^2, so the
     check and the point's T share one reduction.
@@ -317,7 +317,7 @@ def _affine_point(data: bytes, at: int) -> GroupElement:
     t = x * y % P
     if (y * y - x * x - 1 - _D * t * t) % P:
         raise MalformedElement("not a curve point")
-    return GroupElement((x, y, 1, t))
+    return x, y, t
 
 
 def _aead(seal_key: bytes) -> ChaCha20Poly1305:
@@ -330,16 +330,16 @@ def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=N
     """Serialize to one of the two layouts described above.
 
     Without ``seal_key`` the open, integrity-hashed ``IODCBPV1``; with it
-    the sealed ``IODCBPV2``, under a nonce drawn from ``rng``.  All points
-    of the table are encoded together with one field inversion.
+    the sealed ``IODCBPV2``, under a nonce drawn from ``rng``.  Each
+    point's affine (x, y) comes from its stored form with no inversion.
     """
     if seal_key is None:
-        bases, entries = _encoded(table, encode_batch)
+        bases, entries = _encoded(table, _encode_affine)
         out = _header(MAGIC, table) + bases + table.owner_binding + entries
         return out + hashlib.sha256(out).digest()
     nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
     clear = _header(MAGIC_SEALED, table) + table.owner_binding + nonce
-    return clear + _aead(seal_key).encrypt(nonce, b"".join(_encoded(table, _affine_batch)), clear)
+    return clear + _aead(seal_key).encrypt(nonce, b"".join(_encoded(table, _xy)), clear)
 
 
 def _fields(data: bytes) -> tuple[int, int, int]:
@@ -374,14 +374,16 @@ def _open(data: bytes, seal_key: bytes) -> PrecompTable:
     except InvalidTag:
         raise IntegrityMismatch("sealed table does not open under this seal key") from None
     params = BpvParams(v=v, k=k, allow_unsafe=True)
-    bases = (G, *[_affine_point(body, 0) for _ in range(kind)])
+    bases = (G,)
+    if kind:
+        x, y, t = _affine_point(body, 0)
+        bases += (GroupElement((x, y, 1, t)),)
     width = 32 + 64 * len(bases)
-    columns = range(32, width, 64)
-    entries = [
-        (decode_scalar(body[s : s + 32]), *[_affine_point(body, s + c) for c in columns])
-        for s in range(64 * kind, len(body), width)
-    ]
-    return PrecompTable(params, bases, entries, owner_binding)
+    starts = range(64 * kind, len(body), width)
+    scalars = [decode_scalar(body[s : s + 32]) for s in starts]
+    columns = ((_affine_point(body, s + c) for s in starts) for c in range(32, width, 64))
+    stored = [[((y + x) % P, (y - x) % P, t * _2D % P) for x, y, t in column] for column in columns]
+    return PrecompTable(params, bases, scalars, stored, owner_binding)
 
 
 def deserialize_table(
@@ -425,11 +427,12 @@ def deserialize_table(
         off += 64
     width = 32 * (1 + len(bases))
     starts = range(off, off + k * width, width)
-    columns = _columns(bases, [decode_scalar(data[s : s + 32]) for s in starts], ctr)
-    for column in range(1, len(columns)):
-        for idx, (start, code) in enumerate(zip(starts, encode_batch(columns[column]))):
-            stored = data[start + 32 * column : start + 32 * (column + 1)]
-            if stored != code:
-                decode_element(stored)  # malformed or torsion bytes raise MalformedElement
+    scalars = [decode_scalar(data[s : s + 32]) for s in starts]
+    stored = _columns(bases, scalars, ctr)
+    for column, points in enumerate(stored, 1):
+        for idx, (start, (x, y)) in enumerate(zip(starts, _affine(points))):
+            code = data[start + 32 * column : start + 32 * (column + 1)]
+            if code != _encode_affine(x, y):
+                decode_element(code)  # malformed or torsion bytes raise MalformedElement
                 raise _mismatch(idx, column)
-    return PrecompTable(params, bases, list(zip(*columns)), owner_binding)
+    return PrecompTable(params, bases, scalars, stored, owner_binding)

@@ -18,7 +18,10 @@ id that ``verify`` reads from a signature file, must be plain names: one
 that contains a separator or a NUL, or is empty, ``.`` or ``..``, raises
 ``InvalidIdentity`` before any file is written or read for it.  A
 designated table is named after its recipient record's identity
-(``home/<id>.dtbl``), whatever spelling named the record.
+(``home/<id>.dtbl``), whatever spelling named the record.  ``encrypt``
+takes the direct path only when that default table is absent; a table
+named with ``--table`` is always loaded, so a missing one is an I/O
+error (exit 3) and nothing is encrypted.
 
 ``table gen`` writes sealed tables (``IODCBPV2``) under the home's
 ``table.seal``: 32 random bytes, created by the first ``table gen`` and
@@ -331,7 +334,7 @@ def cmd_encrypt(args) -> int:
     message = _read(Path(args.infile))
     rng = _rng(args)
     table_path = _resolve(args, args.table, ".dtbl") if args.table else _designated(args, record)
-    if table_path.exists():
+    if args.table or table_path.exists():
         table = _load_table(args, table_path)
         if len(table.bases) != 2:
             raise UnsupportedParams(f"{table_path} is not a designated table")

@@ -35,9 +35,9 @@ from iodcrypt.errors import (
     UnsupportedParams,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, N, P, OpCounter, Scalar, random_scalar
+from iodcrypt.group import G, IDENTITY, N, P, OpCounter, Scalar, random_scalar, subset_sum
 
-from curve_oracle import T8, times
+from curve_oracle import T8, affine, times
 
 TOY = BpvParams(v=2, k=4, allow_unsafe=True)
 
@@ -50,6 +50,11 @@ def toy_designated(seed=2, params=TOY, d=123457):
     point = Scalar(d) * G
     binding = hashlib.sha256(b"receiver-record").digest()
     return dbpv_offline(params, point, binding, random.Random(seed)), Scalar(d), point
+
+
+def stored_point(table, column, idx):
+    """Entry ``idx``'s point over ``bases[column - 1]``, read back from ``stored``."""
+    return subset_sum(table.stored[column - 1], [idx])
 
 
 # --------------------------------------------------------------------------
@@ -88,9 +93,9 @@ def test_param_equality_ignores_safety_override():
 
 def test_offline_entries_satisfy_their_defining_relation():
     table = toy_table()
-    assert len(table.entries) == TOY.k
-    for r_i, point in table.entries:
-        assert point == r_i * G
+    assert len(table.scalars) == TOY.k
+    for i, r_i in enumerate(table.scalars):
+        assert stored_point(table, 1, i) == r_i * G
         assert not r_i.is_zero()
 
 
@@ -102,7 +107,8 @@ def test_offline_costs_k_scalar_mults():
 
 def test_designated_offline_entries_and_cost():
     (table, d, point), ctr = toy_designated(), OpCounter()
-    for r_i, point_g, point_d in table.entries:
+    for i, r_i in enumerate(table.scalars):
+        point_g, point_d = stored_point(table, 1, i), stored_point(table, 2, i)
         assert point_g == r_i * G
         assert point_d == r_i * point
         assert point_d == d * point_g
@@ -125,23 +131,30 @@ def test_designated_table_needs_a_32_byte_owner_binding(binding):
         dbpv_offline(TOY, point, binding, random.Random(0))
     table, _, _ = toy_designated()
     with pytest.raises(InvalidOwnerBinding):
-        PrecompTable(TOY, table.bases, table.entries, binding)
+        PrecompTable(TOY, table.bases, table.scalars, table.stored, binding)
 
 
 def test_signing_table_takes_no_owner_binding():
     table = toy_table()
     with pytest.raises(InvalidOwnerBinding):
-        PrecompTable(TOY, table.bases, table.entries, b"\x11" * 32)
-    assert PrecompTable(TOY, table.bases, table.entries) == table
+        PrecompTable(TOY, table.bases, table.scalars, table.stored, b"\x11" * 32)
+    assert PrecompTable(TOY, table.bases, table.scalars, table.stored) == table
 
 
 # More entries than k made bpv_online raise IndexError; fewer gave a file
-# that failed to load with TruncatedFile.
-@pytest.mark.parametrize("k", [1, 16])
-def test_table_needs_exactly_k_entries(k):
-    table = toy_table()
+# that failed to load with TruncatedFile.  The points are checked too: a
+# column one entry short, or a base with no column at all.
+@pytest.mark.parametrize("k,columns", [
+    (1, lambda stored: stored),
+    (16, lambda stored: stored),
+    (TOY.k, lambda stored: [stored[0], stored[1][:-1]]),
+    (TOY.k, lambda stored: stored[:1]),
+], ids=["1", "16", "short-column", "missing-column"])
+def test_table_needs_exactly_k_entries(k, columns):
+    table, _, _ = toy_designated()
     with pytest.raises(TableIntegrity):
-        PrecompTable(BpvParams(v=1, k=k, allow_unsafe=True), table.bases, table.entries)
+        PrecompTable(BpvParams(v=1, k=k, allow_unsafe=True), table.bases, table.scalars,
+                     columns(table.stored), table.owner_binding)
 
 
 def test_entry_bytes_accounting():
@@ -179,7 +192,7 @@ def test_online_single_element_subset_needs_no_additions():
     ctr = OpCounter()
     r, point = bpv_online(table, random.Random(8), ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
-    assert (r, point) in [(e[0], e[1]) for e in table.entries]
+    assert (r, point) in [(r_i, stored_point(table, 1, i)) for i, r_i in enumerate(table.scalars)]
 
 
 def test_online_full_subset_equals_total_sum():
@@ -187,7 +200,7 @@ def test_online_full_subset_equals_total_sum():
     table = bpv_offline(params, random.Random(9))
     r, point = bpv_online(table, random.Random(10))
     total = Scalar(0)
-    for r_i, _ in table.entries:
+    for r_i in table.scalars:
         total = total + r_i
     assert r == total
     assert point == total * G
@@ -393,9 +406,9 @@ def test_order_8_point_is_torsion_of_order_exactly_8():
 ])
 @pytest.mark.parametrize("table,column", _point_columns(), ids=["plain-R", "designated-R", "designated-S"])
 def test_load_rejects_a_planted_point(table, column, fault, error):
-    point = table.entries[1][column]
+    point = stored_point(table, column, 1)
     planted = {
-        "swapped": table.entries[0][column].encode(),
+        "swapped": stored_point(table, column, 0).encode(),
         "drifted": (point + G).encode(),
         "order-8-torsion": (point + T8).encode(),
         "y-not-below-P": (P + 1).to_bytes(32, "little"),
@@ -502,8 +515,8 @@ def test_sealed_table_opens_only_under_its_seal_key(key):
                          ids=["plain-R", "designated-R", "designated-X"])
 def test_sealed_load_rejects_a_malformed_value_under_the_right_key(kind, offset, fault, error):
     table = toy_table() if kind == "plain" else toy_designated()[0]
-    point = table.entries[0][1] if offset else table.bases[1]
-    x, y = point.coords[0] % P, point.coords[1] % P
+    point = stored_point(table, 1, 0) if offset else table.bases[1]
+    x, y = affine(point)
     where, value = {
         "off-curve": (offset, ((x + 1) % P).to_bytes(32, "little")),
         "x-not-below-P": (offset, (x + P).to_bytes(32, "little")),
@@ -548,14 +561,27 @@ def test_verify_table_counts_one_mult_per_recomputed_point():
 
 def test_verify_table_flags_swapped_points():
     table = toy_table()
-    table.entries[1] = (table.entries[1][0], table.entries[0][1])
+    table.stored[0][1] = table.stored[0][0]
     with pytest.raises(TableIntegrity):
         verify_table(table)
     designated, _, point = toy_designated()
-    r_i, point_g, _ = designated.entries[2]
-    designated.entries[2] = (r_i, point_g, point_g)
+    designated.stored[1][2] = designated.stored[0][2]
     with pytest.raises(TableIntegrity):
         verify_table(designated)
+
+
+# verify_table used to check a second copy of the points while the online
+# phase summed ``stored``: with two stored points swapped it passed, and a
+# signature whose subset held just one of them failed to verify.
+@pytest.mark.parametrize("kind,column", [("plain", 1), ("designated", 1), ("designated", 2)],
+                         ids=["plain-R", "designated-R", "designated-S"])
+def test_verify_table_checks_the_points_the_online_phase_sums(kind, column):
+    table = toy_table() if kind == "plain" else toy_designated()[0]
+    stored = table.stored[column - 1]
+    stored[0], stored[1] = stored[1], stored[0]
+    base = "generator" if column == 1 else "designated"
+    with pytest.raises(TableIntegrity, match=f"entry 0: {base} point"):
+        verify_table(table)
 
 
 def test_fresh_randomness_sources_give_distinct_tables():

@@ -22,7 +22,7 @@ from iodcrypt.bpv import BpvParams, PrecompTable, bpv_offline, dbpv_offline, ser
 from iodcrypt import bench
 from iodcrypt.cli import BENCH_OPS, BENCH_PROFILES, _write, main
 from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
-from iodcrypt.group import G, N, Scalar
+from iodcrypt.group import G, N, Scalar, addends
 from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
                                deserialize_system_public, reconstruct_pub)
 from iodcrypt.sign import deserialize_signature_file, serialize_signature_file
@@ -151,6 +151,18 @@ def test_encrypt_direct_mode_without_table(realm, capsys):
     assert (realm["work"] / "direct.dec").read_bytes() == realm["message"].read_bytes()
 
 
+# A missing --table used to fall through to the direct path with exit 0,
+# so a typo in the table's name went unnoticed.
+@pytest.mark.parametrize("bare", [True, False], ids=["bare", "path"])
+def test_encrypt_with_a_missing_named_table_is_io_error(realm, tmp_path, capsys, bare):
+    table, out = "no-such-table" if bare else str(tmp_path / "bravo.dtbl"), tmp_path / "missing.enc"
+    rc = cli(realm, "encrypt", "--to", "bravo", "--table", table, "--out", str(out),
+             str(realm["message"]), "--test-seed", "208", "--insecure-test")
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("IOError:")
+    assert not out.exists()
+
+
 def test_encrypt_json_reports_the_wire_overhead(realm, capsys):
     out = realm["work"] / "json.enc"
     rc = cli(realm, "encrypt", "--to", "bravo", str(realm["message"]), "--out", str(out),
@@ -236,8 +248,8 @@ def test_open_table_written_by_the_library_is_refused(realm, tmp_path, capsys):
 def _one_entry(bases, owner_binding=b""):
     """An open k=256 table of one entry repeated: its writer knows every nonce, 28*c."""
     c = Scalar(0xC0FFEE)
-    return serialize_table(PrecompTable(BpvParams(28, 256), bases,
-                                        [(c, *(c * base for base in bases))] * 256, owner_binding))
+    stored = [addends([c * base]) * 256 for base in bases]
+    return serialize_table(PrecompTable(BpvParams(28, 256), bases, [c] * 256, stored, owner_binding))
 
 
 @pytest.mark.parametrize("seal", ["present", "deleted"])

@@ -95,8 +95,8 @@ def test_reprs_never_show_secrets(records):
     kgc, keypair = records[KgcKeypair], records[SelfCertKeypair]
     state, session = records[HangState], records[SessionKey]
     signer, sender = records[SignerContext], records[SenderContext]
-    signer_nonces = [entry[0] for entry in signer.table.entries]
-    sender_nonces = [entry[0] for entry in sender.table.entries]
+    signer_nonces = list(signer.table.scalars)
+    sender_nonces = list(sender.table.scalars)
     secrets = [
         (kgc, [kgc.secret]),
         (keypair, [keypair.secret, keypair.cached_term]),
@@ -132,14 +132,17 @@ def test_bpv_params_equality_and_hash_ignore_allow_unsafe():
     assert BpvParams(v=18, k=1024) != safe
 
 
-def test_precomp_table_is_mutable_unhashable_and_ignores_stored(records):
+def test_precomp_table_is_mutable_unhashable_and_compares_stored(records):
     table = records[SenderContext].table
-    twin = PrecompTable(table.params, table.bases, table.entries, table.owner_binding)
-    assert twin == table and twin.stored == table.stored
-    twin.stored = []
+    twin = PrecompTable(table.params, table.bases, table.scalars, table.stored, table.owner_binding)
     assert twin == table
+    twin.stored = [table.stored[0], table.stored[1][::-1]]
+    assert twin != table
+    twin.stored, twin.scalars = table.stored, table.scalars[::-1]
+    assert twin != table
     plain = records[SignerContext].table
-    assert PrecompTable(params=plain.params, bases=plain.bases, entries=plain.entries) == plain
+    assert PrecompTable(params=plain.params, bases=plain.bases, scalars=plain.scalars,
+                        stored=plain.stored) == plain
     assert plain.owner_binding == b"" and plain != table
     with pytest.raises(TypeError):
         hash(table)
@@ -164,7 +167,7 @@ def test_construction_runs_each_records_checks(records):
     with pytest.raises(InvalidMeasurement):
         DeviceProfile("bad", voltage=0.0, current=1.0)
     with pytest.raises(TableIntegrity):
-        PrecompTable(table.params, table.bases, table.entries[1:], table.owner_binding)
+        PrecompTable(table.params, table.bases, table.scalars[1:], table.stored, table.owner_binding)
     with pytest.raises(TableIntegrity):
         SenderContext(table=table, receiver=records[IdentityRecord])
     with pytest.raises(TypeError):

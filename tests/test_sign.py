@@ -15,7 +15,7 @@ from iodcrypt.errors import (
     UnsupportedVersion,
 )
 from iodcrypt import group
-from iodcrypt.group import G, N, GroupElement, OpCounter, Scalar
+from iodcrypt.group import G, N, GroupElement, OpCounter, Scalar, subset_sum
 from iodcrypt.selfcert import aq_kg, deserialize_record, key_ver, serialize_record
 from iodcrypt.sign import (
     Signature,
@@ -52,8 +52,8 @@ def setup():
 def test_sign_kg_issues_verifiable_key_and_honest_table(setup):
     kgc, ctx, _ = setup
     assert key_ver(ctx.keypair.record, ctx.keypair.secret, kgc.public)
-    for r_i, point in ctx.table.entries:
-        assert point == r_i * G
+    for i, r_i in enumerate(ctx.table.scalars):
+        assert subset_sum(ctx.table.stored[0], [i]) == r_i * G
 
 
 def test_signer_memory_footprint_at_production_parameters():
