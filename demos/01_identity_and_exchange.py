@@ -19,6 +19,7 @@ from iodcrypt.selfcert import (
     key_ver,
     kgc_setup,
     reconstruct_pub,
+    serialize_record,
 )
 
 rng = random.Random(1)  # deterministic for the demo; use SystemRandom in production
@@ -33,7 +34,8 @@ station = aq_kg(kgc, b"ground-station", rng)
 for keypair in (drone, station):
     rec = keypair.record
     print(f"issued {rec.drone_id.decode():>14}: record is just "
-          f"(id, U={rec.commitment.encode().hex()[:16]}...) — {len(rec.wire())} bytes on the wire")
+          f"(id, U={rec.commitment.encode().hex()[:16]}...) — "
+          f"{len(serialize_record(rec))} bytes on the wire")
 
 print("\n== 3. Anyone can recompute a public key from the record ==")
 ctr = OpCounter()

@@ -151,10 +151,6 @@ def _write(path: Path, data: bytes, secret: bool = False, keep_existing: bool = 
         raise
 
 
-def _read(path: Path) -> bytes:
-    return path.read_bytes()
-
-
 def _seal_key(args, rng=None) -> bytes:
     """The home's table seal secret; a home without one raises IntegrityMismatch.
 
@@ -192,7 +188,7 @@ def _designated(args, record) -> Path:
 
 def _load_table(args, path: Path) -> PrecompTable:
     """Open a table sealed in this home, refusing a (v, k) outside the vetted set."""
-    table = deserialize_table(_read(path), seal_key=_seal_key(args))
+    table = deserialize_table(path.read_bytes(), seal_key=_seal_key(args))
     v, k = table.params.v, table.params.k
     if (v, k) not in SUPPORTED_PARAMS:
         raise UnsupportedParams(f"{path}: (v={v}, k={k}) not in the supported set {SUPPORTED_PARAMS}")
@@ -237,7 +233,7 @@ def cmd_kgc_init(args) -> int:
 
 def cmd_kgc_issue(args) -> int:
     home = _home(args)
-    kgc = deserialize_kgc_keypair(_read(home / "kgc.sec"))
+    kgc = deserialize_kgc_keypair((home / "kgc.sec").read_bytes())
     keypair = aq_kg(kgc, _plain_name(args.id).encode(), _rng(args))
     key_path = home / f"{args.id}.key"
     rec_path = home / f"{args.id}.rec"
@@ -252,8 +248,8 @@ def cmd_kgc_issue(args) -> int:
 
 
 def cmd_keyver(args) -> int:
-    keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
-    system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
+    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
+    system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
     if not key_ver(keypair.record, keypair.secret, system_public):
         raise KeyVerFailed(f"key for {keypair.record.drone_id!r} fails verification")
     _emit(
@@ -270,8 +266,8 @@ def cmd_table_gen(args) -> int:
     if args.designated:
         from .encrypt import enc_kg_sender
 
-        record = deserialize_record(_read(_resolve(args, args.recipient, ".rec")))
-        system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
+        record = deserialize_record(_resolve(args, args.recipient, ".rec").read_bytes())
+        system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
         ctx = enc_kg_sender(record, system_public, params, rng)
         table = ctx.table
         out = Path(args.out) if args.out else _designated(args, record)
@@ -289,12 +285,12 @@ def cmd_table_gen(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
+    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
     table = _load_table(args, _resolve(args, args.table, ".tbl"))
     if len(table.bases) != 1:
         raise UnsupportedParams("signing needs a standard table, not a designated one")
     ctx = SignerContext(keypair=keypair, table=table)
-    message = _read(Path(args.infile))
+    message = Path(args.infile).read_bytes()
     sig = sign(ctx, message, _rng(args))
     out = Path(args.out) if args.out else Path(args.infile + ".sig")
     _write(out, serialize_signature_file(keypair.record.drone_id, sig))
@@ -307,14 +303,14 @@ def cmd_sign(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    signer_id, sig = deserialize_signature_file(_read(Path(args.sig)))
+    signer_id, sig = deserialize_signature_file(Path(args.sig).read_bytes())
     record_arg = args.record or _plain_name(signer_id.decode(errors="replace"))
-    record = deserialize_record(_read(_resolve(args, record_arg, ".rec")))
+    record = deserialize_record(_resolve(args, record_arg, ".rec").read_bytes())
     if record.drone_id != signer_id:
         raise VerifyFailed(f"signature names {signer_id!r} but the record is {record.drone_id!r}")
-    system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
+    system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
     vctx = VerifierContext.build(record, system_public)
-    message = _read(Path(args.infile))
+    message = Path(args.infile).read_bytes()
     if not verify(vctx, message, sig):
         raise VerifyFailed(f"signature by {signer_id!r} does not verify for {args.infile}")
     _emit(
@@ -329,9 +325,9 @@ def cmd_encrypt(args) -> int:
     from .encrypt import (WIRE_OVERHEAD, SenderContext, encrypt, reference_encrypt,
                           serialize_ciphertext_file)
 
-    record = deserialize_record(_read(_resolve(args, args.to, ".rec")))
-    system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
-    message = _read(Path(args.infile))
+    record = deserialize_record(_resolve(args, args.to, ".rec").read_bytes())
+    system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
+    message = Path(args.infile).read_bytes()
     rng = _rng(args)
     table_path = _resolve(args, args.table, ".dtbl") if args.table else _designated(args, record)
     if args.table or table_path.exists():
@@ -360,8 +356,8 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     from .encrypt import decrypt, deserialize_ciphertext_file
 
-    keypair = deserialize_drone_keypair(_read(_resolve(args, args.key, ".key")))
-    ct = deserialize_ciphertext_file(_read(Path(args.infile)))
+    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
+    ct = deserialize_ciphertext_file(Path(args.infile).read_bytes())
     message = decrypt(keypair, ct)
     if args.out:
         out = Path(args.out)
@@ -379,9 +375,9 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_exchange(args) -> int:
-    side_a = deserialize_drone_keypair(_read(_resolve(args, args.key_a, ".key")))
-    side_b = deserialize_drone_keypair(_read(_resolve(args, args.key_b, ".key")))
-    system_public = deserialize_system_public(_read(_resolve(args, args.system, ".pub")))
+    side_a = deserialize_drone_keypair(_resolve(args, args.key_a, ".key").read_bytes())
+    side_b = deserialize_drone_keypair(_resolve(args, args.key_b, ".key").read_bytes())
+    system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
     for keypair in (side_a, side_b):
         if not key_ver(keypair.record, keypair.secret, system_public):
             raise KeyVerFailed(

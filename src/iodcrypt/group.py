@@ -51,31 +51,6 @@ from operator import attrgetter
 
 from .errors import BadMagic, MalformedElement, MalformedScalar, TruncatedFile, UnsupportedVersion
 
-__all__ = [
-    "P",
-    "N",
-    "ELEMENT_LEN",
-    "SCALAR_LEN",
-    "GROUP_ID",
-    "DOMAIN_KEY",
-    "DOMAIN_SIG",
-    "Scalar",
-    "GroupElement",
-    "OpCounter",
-    "G",
-    "IDENTITY",
-    "scalar_mult",
-    "batch_scalar_mult",
-    "point_add",
-    "addends",
-    "subset_sum",
-    "hash_to_scalar",
-    "random_scalar",
-    "encode_batch",
-    "decode_element",
-    "montgomery_u", "decode_u", "mul_u",
-]
-
 # Field prime, curve constant, and prime subgroup order for Ed25519.
 P = 2**255 - 19
 _D = (-121665 * pow(121666, P - 2, P)) % P
@@ -495,11 +470,6 @@ class GroupElement:
         x, y, z, _ = self.coords
         zi = pow(z, -1, P)
         return _encode_affine(x * zi % P, y * zi % P)
-
-
-def encode_batch(points) -> list[bytes]:
-    """Canonical encodings of many elements, sharing one field inversion."""
-    return [_encode_affine(x, y) for x, y in _normalize([p.coords for p in points])]
 
 
 def _lift(data: bytes) -> GroupElement:

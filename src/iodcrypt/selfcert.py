@@ -91,13 +91,9 @@ class IdentityRecord:
     def __post_init__(self):
         _check_identity(self.drone_id)
 
-    def wire(self) -> bytes:
-        """id_len (1B) | id | commitment (32B)."""
-        return bytes([len(self.drone_id)]) + self.drone_id + self.commitment.encode()
-
     def binding(self) -> bytes:
         """32-byte hash of the wire form; names this record in other files."""
-        return hashlib.sha256(self.wire()).digest()
+        return hashlib.sha256(serialize_record(self)).digest()
 
     def key_hash(self) -> Scalar:
         """The record's hash coefficient H(id, U) used in reconstruction."""
@@ -244,7 +240,7 @@ def aq_hang_initiate(
     else:
         t = random_scalar(rng)
         big_t = scalar_mult(t, G, ctr)
-    message = own.record.wire() + montgomery_u([big_t])[0].to_bytes(32, "little")
+    message = serialize_record(own.record) + montgomery_u([big_t])[0].to_bytes(32, "little")
     return HangState(ephemeral_secret=t, message=message)
 
 
@@ -367,7 +363,8 @@ def parse_record(data: bytes) -> tuple[IdentityRecord, int]:
 
 
 def serialize_record(record: IdentityRecord) -> bytes:
-    return record.wire()
+    """id_len (1B) | id | commitment (32B)."""
+    return bytes([len(record.drone_id)]) + record.drone_id + record.commitment.encode()
 
 
 def deserialize_record(data: bytes) -> IdentityRecord:

@@ -35,7 +35,6 @@ from iodcrypt.group import (
     decode_element,
     decode_scalar,
     decode_u,
-    encode_batch,
     hash_to_scalar,
     montgomery_u,
     mul_u,
@@ -490,14 +489,6 @@ def test_subset_sum_counts_one_add_fewer_than_indices(monkeypatch):
         assert (ctr.scalar_mults, ctr.point_adds) == (0, adds) and len(madds) == adds
     assert subset_sum(stored, [2, 0, 1]) == Scalar(15) * G
     assert affine(subset_sum(stored, [1])) == affine_mul(5, affine(G))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(points, max_size=6))
-def test_encode_batch_matches_pointwise_encode(pts):
-    pts = pts + [IDENTITY, -G, G + G]
-    assert encode_batch(pts) == [point.encode() for point in pts]
-    assert encode_batch([]) == []
 
 
 # --------------------------------------------------------------------------

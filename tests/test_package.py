@@ -1,15 +1,14 @@
-"""The top-level ``iodcrypt`` namespace: its names, its laziness, and its one caller.
+"""The top-level ``iodcrypt`` package: what importing it and the CLI's commands load.
 
-Every name in ``iodcrypt.__all__`` must be the very object its submodule
-defines, bound on first use.  Fresh interpreters check what a bare
-``import iodcrypt`` and the CLI's commands load, since the test process
-itself has imported every submodule long before.
+The package re-exports nothing; each name is imported from its
+submodule.  Fresh interpreters check what a bare ``import iodcrypt`` and
+the CLI's commands load, since the test process itself has imported
+every submodule long before.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib
 import json
 import os
 import re
@@ -21,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import iodcrypt
+import iodcrypt.encrypt
+import iodcrypt.sign
 from iodcrypt.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,27 +35,6 @@ def _fresh(code: str) -> str:
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
-
-
-def test_every_name_is_its_submodules_object():
-    assert len(iodcrypt.__all__) == len(set(iodcrypt.__all__)) == 98
-    for name in iodcrypt.__all__:
-        module = importlib.import_module(f"iodcrypt.{iodcrypt._OWNER[name]}")
-        value = getattr(iodcrypt, name)
-        assert value is getattr(module, name), name
-        # Classes, functions and instances also name the module that made them.
-        assert getattr(value, "__module__", module.__name__) == module.__name__, name
-
-
-def test_star_import_binds_every_name():
-    namespace: dict = {}
-    exec("from iodcrypt import *", namespace)
-    for name in iodcrypt.__all__:
-        assert namespace[name] is getattr(iodcrypt, name), name
-
-
-def test_dir_lists_every_name():
-    assert set(iodcrypt.__all__) <= set(dir(iodcrypt))
 
 
 def test_unknown_name_raises_attribute_error():
@@ -73,15 +53,10 @@ def test_sign_and_encrypt_stay_modules():
 
 def test_import_loads_no_submodule():
     out = _fresh(
-        "import json, sys, types, iodcrypt\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('iodcrypt.'))\n"
-        "lazy = isinstance(iodcrypt.sign, types.ModuleType)\n"
-        "print(json.dumps([loaded, lazy, 'iodcrypt.encrypt' in sys.modules]))\n"
+        "import json, sys, iodcrypt\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('iodcrypt.'))))\n"
     )
-    loaded, sign_is_module, encrypt_loaded = json.loads(out)
-    assert loaded == []
-    # Reading a submodule name imports it, and only what it needs.
-    assert sign_is_module and not encrypt_loaded
+    assert json.loads(out) == []
 
 
 def test_sign_and_verify_commands_leave_encrypt_unloaded(tmp_path):

@@ -256,7 +256,7 @@ def test_finalize_validates_peer_message(setup):
     for bad_u in (bytes(32), IDENTITY.encode(), b"\xff" * 32,
                   affine_u(affine(T8)).to_bytes(32, "little")):
         with pytest.raises(MalformedElement):
-            aq_hang_finalize(a, sa, b.record.wire() + bad_u)
+            aq_hang_finalize(a, sa, serialize_record(b.record) + bad_u)
 
 
 def test_handshake_key_rebuilt_from_the_affine_oracle(setup):
@@ -265,7 +265,8 @@ def test_handshake_key_rebuilt_from_the_affine_oracle(setup):
     rng = random.Random(16)
     sa, sb = aq_hang_initiate(a, rng), aq_hang_initiate(b, rng)
     t_a, t_b = sa.ephemeral_secret.value, sb.ephemeral_secret.value
-    assert sa.message == a.record.wire() + affine_u(affine_mul(t_a, affine(G))).to_bytes(32, "little")
+    u_t = affine_u(affine_mul(t_a, affine(G))).to_bytes(32, "little")
+    assert sa.message == serialize_record(a.record) + u_t
     ephemeral_u = affine_u(affine_mul(t_a * t_b % N, affine(G)))
     transcript = hashlib.sha256(b"".join(sorted((sa.message, sb.message)))).digest()
     ikm = aq_shared_static(a, b.record).encode() + ephemeral_u.to_bytes(32, "little") + transcript
@@ -329,7 +330,7 @@ def test_key_file_error_mapping(setup):
 
 def test_record_prefix_parsing(setup):
     _, a, _ = setup
-    wire = a.record.wire()
+    wire = serialize_record(a.record)
     record, consumed = parse_record(wire + b"extra")
     assert record == a.record
     assert consumed == len(wire)
