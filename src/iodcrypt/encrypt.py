@@ -3,42 +3,38 @@
 The sender builds (once, offline) a designated table over the
 recipient's reconstructed public key X.  Encrypting is then free of
 scalar multiplications: a subset sum yields (r, R = r*G, S = r*X), u(S),
-the Montgomery u of S (RFC 7748 section 5), is fed through a KDF into
-independent cipher and MAC keys, and the message is sealed as
+the Montgomery u of S (RFC 7748 section 5), is fed through HKDF into one
+key k, and the message is sealed with the RFC 8439 AEAD (the one that
+also seals table files):
 
-    c   = ChaCha20(k_enc, zero nonce) XOR m
-    tag = Poly1305(one_time_key(k_mac), c)
+    c || tag = ChaCha20-Poly1305(k, zero nonce).encrypt(m)
 
 R travels as u(R), since the receiver only multiplies it: u(x*R) = u(S) is
 one X25519 call after the decode's check, with no square root.  It
-re-derives the keys, checks the tag in constant time, and only then
-decrypts — a tag mismatch never releases plaintext.
+re-derives k and opens the AEAD, which returns no plaintext unless the
+tag verifies (RFC 5116 section 2.2).
 
-The zero ChaCha20 nonce is sound because k_enc is single-use: every
-encryption draws a fresh random subset, so (key, nonce) pairs never
-repeat.  The Poly1305 key is derived from k_mac by encrypting 32 zero
-bytes at counter 0, the standard one-time-key discipline; the message
-stream under k_enc also starts at counter 0, which is safe because the
-two keys are independent halves of the KDF output.
+The zero nonce is sound because k is single-use: every encryption draws
+a fresh random subset, so (key, nonce) pairs never repeat.  This is the
+DEM of HPKE (RFC 9180): a single-use KDF key, then the RFC 8439 AEAD.
 
 Wire forms::
 
     bare ciphertext   u(R) (32B) | c (|m| bytes) | tag (16B)  -- 48B overhead
-    ciphertext file   "IODCENC2" | group id (1B) | u(R) (32B)
+    ciphertext file   "IODCENC3" | group id (1B) | u(R) (32B)
                       | c_len (4B LE) | c | tag (16B)
 
-u < P, little-endian.  ``IODCENC1`` files (R in Edwards form) raise UnsupportedVersion.
+u < P, little-endian.  Messages are at most 2^31 - 1 bytes, the AEAD's limit.
+``IODCENC1`` files (R in Edwards form) and ``IODCENC2`` files (two KDF
+keys, a raw stream cipher and a separate MAC) raise UnsupportedVersion.
 """
 
 from __future__ import annotations
 
-import hmac
-
-from cryptography.hazmat.primitives.ciphers import Cipher
-from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 from .bpv import BpvParams, PrecompTable, dbpv_offline, dbpv_online
 from .errors import (
@@ -63,18 +59,17 @@ from .group import (
 )
 from .selfcert import IdentityRecord, SelfCertKeypair, reconstruct_pub
 
-MAGIC_CIPHERTEXT = b"IODCENC2"
+MAGIC_CIPHERTEXT = b"IODCENC3"
 TAG_LEN = 16
 WIRE_OVERHEAD = 32 + TAG_LEN
 
-_KDF_INFO = b"IODCRYPT-ECIES-v2"
+_KDF_INFO = b"IODCRYPT-ECIES-v3"
 _ZERO_NONCE = bytes(12)
-_COUNTER_ZERO = bytes(4)  # little-endian initial block counter
 
 
 @record
 class Ciphertext:
-    """Sealed message: the ephemeral point's u, stream-encrypted body, MAC tag."""
+    """Sealed message: the ephemeral point's u, the AEAD's body and tag."""
 
     ephemeral: int
     body: bytes
@@ -89,14 +84,6 @@ def decode_ciphertext(data: bytes) -> Ciphertext:
     if len(data) < WIRE_OVERHEAD:
         raise TruncatedFile(f"ciphertext shorter than its overhead ({len(data)} bytes)")
     return Ciphertext(decode_u(data[:32]), data[32:-TAG_LEN], data[-TAG_LEN:])
-
-
-@record
-class SymKeys:
-    """Independent single-use cipher and MAC keys from one shared point."""
-
-    k_enc: bytes
-    k_mac: bytes
 
 
 @record
@@ -125,52 +112,32 @@ def enc_kg_sender(
 ) -> SenderContext:
     """Build the sender's designated table over the recipient's public key."""
     recipient_key = reconstruct_pub(receiver, system_public, ctr)
-    if recipient_key.is_identity():
-        raise InvalidDesignatedPoint("recipient record reconstructs to the identity")
     return SenderContext(
         table=dbpv_offline(params, recipient_key, receiver.binding(), rng, ctr),
         receiver=receiver,
     )
 
 
-def kdf(shared_u: int) -> SymKeys:
-    """Derive (k_enc, k_mac) from u of a shared point; the identity's, 0, is refused."""
+def kdf(shared_u: int) -> bytes:
+    """Derive the single-use AEAD key from u of a shared point; the identity's, 0, is refused."""
     if shared_u == 0:
         raise InvalidSharedPoint("shared point must not be the identity")
-    okm = HKDF(algorithm=SHA256(), length=64, salt=None, info=_KDF_INFO).derive(
+    return HKDF(algorithm=SHA256(), length=32, salt=None, info=_KDF_INFO).derive(
         shared_u.to_bytes(32, "little")
     )
-    return SymKeys(k_enc=okm[:32], k_mac=okm[32:])
-
-
-def _keystream_xor(key: bytes, data: bytes) -> bytes:
-    """ChaCha20 under the fixed zero nonce, counter starting at 0."""
-    cipher = Cipher(ChaCha20(key, _COUNTER_ZERO + _ZERO_NONCE), mode=None)
-    return cipher.encryptor().update(data)
-
-
-def _one_time_key(k_mac: bytes) -> bytes:
-    """Poly1305 key: first 32 ChaCha20 keystream bytes under k_mac."""
-    cipher = Cipher(ChaCha20(k_mac, _COUNTER_ZERO + _ZERO_NONCE), mode=None)
-    return cipher.encryptor().update(bytes(32))
-
-
-def _tag(k_mac: bytes, body: bytes) -> bytes:
-    return Poly1305.generate_tag(_one_time_key(k_mac), body)
 
 
 def _seal(ephemeral: GroupElement, shared: GroupElement, message: bytes) -> Ciphertext:
-    """Seal under the keys of u(S), sending u(R): one inversion for both."""
+    """Seal under the key of u(S), sending u(R): one inversion for both."""
+    if len(message) >= 2**31:
+        raise ValueError("message too long: the AEAD takes at most 2^31 - 1 bytes")
     ephemeral_u, shared_u = montgomery_u((ephemeral, shared))
-    keys = kdf(shared_u)
-    body = _keystream_xor(keys.k_enc, message)
-    return Ciphertext(ephemeral=ephemeral_u, body=body, tag=_tag(keys.k_mac, body))
+    sealed = ChaCha20Poly1305(kdf(shared_u)).encrypt(_ZERO_NONCE, message, None)
+    return Ciphertext(ephemeral=ephemeral_u, body=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
 def encrypt(ctx: SenderContext, message: bytes, rng, ctr: OpCounter | None = None) -> Ciphertext:
     """Seal ``message`` for the context's recipient: additions only."""
-    if len(message) >= 2**32:
-        raise ValueError("message too long for the 4-byte length field")
     _r, ephemeral, shared = dbpv_online(ctx.table, rng, ctr)
     return _seal(ephemeral, shared, message)
 
@@ -178,14 +145,14 @@ def encrypt(ctx: SenderContext, message: bytes, rng, ctr: OpCounter | None = Non
 def decrypt(keypair: SelfCertKeypair, ct: Ciphertext, ctr: OpCounter | None = None) -> bytes:
     """Open a ciphertext with one scalar multiplication, u(x*R) on X25519.
 
-    The tag is checked in constant time before any decryption; on
-    mismatch :class:`MacMismatch` is raised and no plaintext bytes are
-    ever produced.
+    The AEAD checks the tag and returns no plaintext unless it verifies;
+    on mismatch :class:`MacMismatch` is raised.
     """
-    keys = kdf(mul_u(keypair.secret, ct.ephemeral, ctr))
-    if not hmac.compare_digest(_tag(keys.k_mac, ct.body), ct.tag):
-        raise MacMismatch("authentication tag mismatch; wrong recipient or tampered data")
-    return _keystream_xor(keys.k_enc, ct.body)
+    aead = ChaCha20Poly1305(kdf(mul_u(keypair.secret, ct.ephemeral, ctr)))
+    try:
+        return aead.decrypt(_ZERO_NONCE, ct.body + ct.tag, None)
+    except InvalidTag:
+        raise MacMismatch("authentication tag mismatch; wrong recipient or tampered data") from None
 
 
 def reference_encrypt(
@@ -198,8 +165,6 @@ def reference_encrypt(
     """
     if recipient_key.is_identity():
         raise InvalidDesignatedPoint("recipient key must not be the identity")
-    if len(message) >= 2**32:
-        raise ValueError("message too long for the 4-byte length field")
     r = random_scalar(rng)
     return _seal(scalar_mult(r, G, ctr), scalar_mult(r, recipient_key, ctr), message)
 

@@ -304,9 +304,10 @@ def _private_key(s):
     return X25519PrivateKey.from_private_bytes(s.to_bytes(SCALAR_LEN, "little"))
 
 
-# Kept: the check key, built on first use, and mul_u's last (_mul's scalars change each call).
+# Kept: the check key, built on first use, and mul_u's last two (_mul's scalars change each
+# call), so a handshake's fresh ephemeral does not evict a station's decrypt key.
 _check_key = lru_cache(maxsize=1)(_private_key)
-_last_key = lru_cache(maxsize=1)(_private_key)
+_last_key = lru_cache(maxsize=2)(_private_key)
 
 
 def _x25519(u, scalars, key=_private_key):

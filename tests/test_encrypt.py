@@ -1,7 +1,7 @@
 """Tests for designated-table hybrid encryption.
 
 The symmetric layer is validated two ways: the backing primitives are
-pinned against published RFC 7539 / RFC 5869 test vectors, and whole
+pinned against published RFC 8439 / RFC 5869 test vectors, and whole
 ciphertexts are re-derived step by step in-test from the ephemeral
 scalar, with the Montgomery u of each point taken from the affine oracle.
 """
@@ -10,6 +10,7 @@ import random
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -20,7 +21,6 @@ from iodcrypt.bpv import BpvParams, bpv_offline
 from iodcrypt.encrypt import (
     Ciphertext,
     SenderContext,
-    SymKeys,
     decode_ciphertext,
     decrypt,
     deserialize_ciphertext_file,
@@ -43,6 +43,8 @@ from iodcrypt.errors import (
 from iodcrypt import group
 from iodcrypt.group import G, IDENTITY, OpCounter, Scalar, montgomery_u, random_scalar
 from iodcrypt.selfcert import (
+    aq_hang_finalize,
+    aq_hang_initiate,
     aq_kg,
     deserialize_drone_keypair,
     kgc_setup,
@@ -70,39 +72,26 @@ def setup():
 # --------------------------------------------------------------------------
 
 
-def test_chacha20_encryption_matches_rfc_7539_vector():
-    key = bytes(range(32))
-    nonce = bytes.fromhex("000000000000004a00000000")
+def test_chacha20_poly1305_matches_rfc_8439_aead_vector():
+    # RFC 8439 section 2.8.2: the AEAD that seals messages and table files.
+    key = bytes.fromhex(
+        "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f"
+    )
+    nonce = bytes.fromhex("070000004041424344454647")
+    aad = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
     message = (
         b"Ladies and Gentlemen of the class of '99: If I could offer you "
         b"only one tip for the future, sunscreen would be it."
     )
-    cipher = Cipher(ChaCha20(key, (1).to_bytes(4, "little") + nonce), mode=None)
-    assert cipher.encryptor().update(message).hex() == (
-        "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
-        "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
-        "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
-        "5af90bbf74a35be6b40b8eedf2785e42874d"
+    sealed = ChaCha20Poly1305(key).encrypt(nonce, message, aad)
+    assert sealed[:-16].hex() == (
+        "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+        "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+        "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+        "3ff4def08e4b7a9de576d26586cec64b6116"
     )
-
-
-def test_poly1305_tag_matches_rfc_7539_vector():
-    key = bytes.fromhex(
-        "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b"
-    )
-    tag = Poly1305.generate_tag(key, b"Cryptographic Forum Research Group")
-    assert tag.hex() == "a8061dc1305136c6c22b8baf0c0127a9"
-
-
-def test_one_time_key_derivation_matches_rfc_7539_vector():
-    key = bytes.fromhex(
-        "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f"
-    )
-    nonce = bytes.fromhex("000000000001020304050607")
-    cipher = Cipher(ChaCha20(key, (0).to_bytes(4, "little") + nonce), mode=None)
-    assert cipher.encryptor().update(bytes(32)).hex() == (
-        "8ad5a08b905f81cc815040274ab29471a833b637e3fd0da508dbb8e2fdd1a646"
-    )
+    assert sealed[-16:].hex() == "1ae10b594f09e26a7e902ecbd0600691"
+    assert ChaCha20Poly1305(key).decrypt(nonce, sealed, aad) == message
 
 
 def test_hkdf_matches_rfc_5869_vector_with_default_salt():
@@ -122,13 +111,11 @@ def _u(point):
     return montgomery_u([point])[0]
 
 
-def test_kdf_is_deterministic_and_splits_the_output(setup):
-    *_, ctx = setup
+def test_kdf_is_deterministic_and_gives_one_key():
     u = _u(Scalar(12345) * G)
-    keys = kdf(u)
-    assert keys == kdf(u)
-    assert len(keys.k_enc) == len(keys.k_mac) == 32
-    assert keys.k_enc != keys.k_mac
+    key = kdf(u)
+    assert key == kdf(u)
+    assert isinstance(key, bytes) and len(key) == 32
 
 
 def test_kdf_rejects_identity():
@@ -139,21 +126,16 @@ def test_kdf_rejects_identity():
 
 
 def test_kdf_outputs_unrelated_across_nearby_points():
-    prefixes = set()
-    for i in range(1, 1001):
-        keys = kdf(_u(Scalar(i) * G))
-        assert keys.k_enc != keys.k_mac
-        prefixes.add(keys.k_enc[:8])
-        prefixes.add(keys.k_mac[:8])
-    assert len(prefixes) == 2000
+    prefixes = {kdf(_u(Scalar(i) * G))[:8] for i in range(1, 1001)}
+    assert len(prefixes) == 1000
 
 
 def test_kdf_matches_direct_hkdf_over_the_encoded_u():
     u = affine_u(affine_mul(777, affine(G)))
     okm = HKDF(
-        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v2"
+        algorithm=SHA256(), length=32, salt=None, info=b"IODCRYPT-ECIES-v3"
     ).derive(u.to_bytes(32, "little"))
-    assert kdf(u) == SymKeys(k_enc=okm[:32], k_mac=okm[32:])
+    assert kdf(u) == okm
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +155,15 @@ def test_sender_memory_footprint_at_production_parameters():
     bob = aq_kg(kgc, b"bob-m", rng)
     ctx = enc_kg_sender(bob.record, kgc.public, BpvParams(28, 256), rng)
     assert ctx.memory_bytes == 24_608
+
+
+def test_sender_refuses_a_record_that_reconstructs_to_the_identity(setup):
+    # With D = -H(id, U)*U as the system key, X = H(id, U)*U + D is the identity.
+    _, _, bob, _ = setup
+    system_public = Scalar(-bob.record.key_hash().value) * bob.record.commitment
+    assert reconstruct_pub(bob.record, system_public).is_identity()
+    with pytest.raises(InvalidDesignatedPoint):
+        enc_kg_sender(bob.record, system_public, TOY, random.Random(423))
 
 
 def test_context_rejects_tables_bound_to_someone_else(setup):
@@ -243,21 +234,14 @@ def test_reference_ciphertext_rebuilt_from_first_principles(setup):
 
     r = random_scalar(random.Random(seed))  # same draw as inside the call
     shared_u = affine_u(affine_mul(r.value, affine(recipient_key)))
-    okm = HKDF(
-        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v2"
+    key = HKDF(
+        algorithm=SHA256(), length=32, salt=None, info=b"IODCRYPT-ECIES-v3"
     ).derive(shared_u.to_bytes(32, "little"))
-    stream = Cipher(
-        ChaCha20(okm[:32], bytes(4) + bytes(12)), mode=None
-    ).encryptor()
-    body = stream.update(message)
-    otk = Cipher(
-        ChaCha20(okm[32:], bytes(4) + bytes(12)), mode=None
-    ).encryptor().update(bytes(32))
-    tag = Poly1305.generate_tag(otk, body)
+    sealed = ChaCha20Poly1305(key).encrypt(bytes(12), message, None)
 
     assert ct.ephemeral == affine_u(affine_mul(r.value, affine(G)))
-    assert ct.body == body
-    assert ct.tag == tag
+    assert ct.body == sealed[:-16]
+    assert ct.tag == sealed[-16:]
     assert decrypt(bob, ct) == message
 
 
@@ -311,26 +295,30 @@ def test_wrong_recipient_gets_mac_mismatch(setup):
         decrypt(alice, ct)
 
 
-def test_no_decryption_happens_on_tag_mismatch(setup, monkeypatch):
-    _, _, bob, ctx = setup
-    ct = encrypt(ctx, b"sealed", random.Random(415))
-    bad = Ciphertext(ephemeral=ct.ephemeral, body=ct.body, tag=bytes(16))
-    calls = []
-    original = encrypt_module._keystream_xor
-
-    def spy(key, data):
-        calls.append(len(data))
-        return original(key, data)
-
-    monkeypatch.setattr(encrypt_module, "_keystream_xor", spy)
-    with pytest.raises(MacMismatch):
-        decrypt(bob, bad)
-    assert calls == []  # tag rejected before any keystream was produced
-
-
 def test_identity_recipient_rejected(setup):
     with pytest.raises(InvalidDesignatedPoint):
         reference_encrypt(IDENTITY, b"m", random.Random(416))
+
+
+class _Huge(bytes):
+    """Empty bytes that report the AEAD's first refused length."""
+
+    def __len__(self):
+        return 2**31
+
+
+def test_messages_of_2_to_the_31_bytes_are_refused_before_any_key_derivation(
+    setup, monkeypatch
+):
+    kgc, _, bob, ctx = setup
+    recipient_key = reconstruct_pub(bob.record, kgc.public)
+    derived = []
+    monkeypatch.setattr(encrypt_module, "kdf", lambda u: derived.append(u))
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        encrypt(ctx, _Huge(), random.Random(424))
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        reference_encrypt(recipient_key, _Huge(), random.Random(424))
+    assert derived == []
 
 
 def test_ephemeral_values_never_repeat_at_production_parameters():
@@ -382,13 +370,37 @@ def test_ciphertext_file_round_trip_and_errors(setup):
         deserialize_ciphertext_file(blob[:9] + b"\xff" * 32 + blob[41:])
 
 
-def test_first_version_ciphertext_files_are_refused(setup):
-    # IODCENC1 carried R in Edwards form; the layout is otherwise the same.
+def test_earlier_version_ciphertext_files_are_refused(setup):
+    # IODCENC1 carried R in Edwards form, IODCENC2 the two-key seal; the
+    # layout is otherwise the same.
     _, _, _, ctx = setup
     blob = serialize_ciphertext_file(encrypt(ctx, b"old", random.Random(420)))
-    assert blob[:8] == b"IODCENC2"
-    with pytest.raises(UnsupportedVersion):
-        deserialize_ciphertext_file(b"IODCENC1" + blob[8:])
+    assert blob[:8] == b"IODCENC3"
+    for magic in (b"IODCENC1", b"IODCENC2"):
+        with pytest.raises(UnsupportedVersion):
+            deserialize_ciphertext_file(magic + blob[8:])
+
+
+def _v2_seal(shared_u, message):
+    """The second version's seal: HKDF into two keys, ChaCha20, then Poly1305."""
+    okm = HKDF(
+        algorithm=SHA256(), length=64, salt=None, info=b"IODCRYPT-ECIES-v2"
+    ).derive(shared_u.to_bytes(32, "little"))
+    nonce = bytes(4) + bytes(12)
+    body = Cipher(ChaCha20(okm[:32], nonce), mode=None).encryptor().update(message)
+    otk = Cipher(ChaCha20(okm[32:], nonce), mode=None).encryptor().update(bytes(32))
+    return body, Poly1305.generate_tag(otk, body)
+
+
+def test_second_version_bare_ciphertext_raises_mac_mismatch(setup):
+    kgc, _, bob, _ = setup
+    recipient_key = reconstruct_pub(bob.record, kgc.public)
+    r = random_scalar(random.Random(425))
+    shared_u = affine_u(affine_mul(r.value, affine(recipient_key)))
+    body, tag = _v2_seal(shared_u, b"sealed by the old format")
+    old = Ciphertext(affine_u(affine_mul(r.value, affine(G))), body, tag)
+    with pytest.raises(MacMismatch):
+        decrypt(bob, decode_ciphertext(old.encode()))
 
 
 def test_ciphertext_carries_u_of_the_ephemeral_point(setup):
@@ -463,3 +475,27 @@ def test_second_decrypt_under_one_key_derives_no_key_and_takes_no_square_root(
     assert (len(counting_keys.built), len(counting_keys.exchanges)) == (0, 2)
     assert lifts == []
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+
+
+def test_decrypt_after_a_handshake_derives_no_key(setup, counting_keys):
+    # The handshake's fresh ephemeral t goes through mul_u too; it must not
+    # evict the key that the station decrypts with.
+    kgc, alice, bob, ctx = setup
+    rng = random.Random(426)
+    files = [serialize_ciphertext_file(encrypt(ctx, b"frame %d" % i, rng)) for i in range(3)]
+    frames = map(deserialize_ciphertext_file, files)
+    peer_message = aq_hang_initiate(alice, rng).message
+    state = aq_hang_initiate(bob, rng)
+    for cache in (group._check_key, group._last_key):
+        cache.cache_clear()
+    built = []
+    for step in ("decrypt", "decrypt", "handshake", "decrypt"):
+        del counting_keys.built[:]
+        if step == "decrypt":
+            decrypt(bob, next(frames))
+        else:
+            aq_hang_finalize(bob, state, peer_message, kgc.public)
+        built.append(len(counting_keys.built))
+    # The first decrypt builds the check key and the secret's; the handshake
+    # builds its two static keys and t's.
+    assert built == [2, 0, 3, 0]

@@ -10,7 +10,7 @@ Each table loader maps the other table format's version byte to
 UnsupportedVersion.
 
 The two wire forms that carry a Montgomery u, the ciphertext file
-(``IODCENC2``) and the handshake message, map each fault of that u to
+(``IODCENC3``) and the handshake message, map each fault of that u to
 MalformedElement, and a first-version ciphertext file (``IODCENC1``) to
 UnsupportedVersion.
 """

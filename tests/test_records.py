@@ -15,7 +15,7 @@ import pytest
 
 from iodcrypt.bench import BenchResult, DeviceProfile, EnergyReport, ReferenceRow
 from iodcrypt.bpv import BpvParams, PrecompTable, bpv_offline
-from iodcrypt.encrypt import Ciphertext, SenderContext, SymKeys, enc_kg_sender, encrypt
+from iodcrypt.encrypt import Ciphertext, SenderContext, enc_kg_sender, encrypt
 from iodcrypt.errors import (InvalidIdentity, InvalidMeasurement, TableIntegrity,
                              UnsupportedParams)
 from iodcrypt.group import G, OpCounter, Scalar
@@ -34,7 +34,6 @@ FIELDS = {
     SignerContext: ("keypair", "table"),
     VerifierContext: ("record", "system_public", "cached_key"),
     Ciphertext: ("ephemeral", "body", "tag"),
-    SymKeys: ("k_enc", "k_mac"),
     SenderContext: ("table", "receiver"),
     DeviceProfile: ("name", "voltage", "current", "clock_hz"),
     BenchResult: ("op_name", "iterations", "median_seconds", "scalar_mults", "point_adds"),
@@ -59,7 +58,7 @@ def records():
     profile = DeviceProfile("bench", 3.3, 0.04, 1e8)
     found = [params, kgc, a.record, a, state, session, sign(signer, b"m", rng), signer,
              VerifierContext.build(a.record, kgc.public), encrypt(sender, b"m", rng),
-             SymKeys(b"\x01" * 32, b"\x02" * 32), sender, profile,
+             sender, profile,
              BenchResult("sign", 10, 1e-4, 0, 27), EnergyReport(profile, 1e-4, 1.3e-5),
              ReferenceRow("sign", 2_490_000, 15.57, 16_416, "64")]
     return {type(record): record for record in found}
@@ -86,9 +85,7 @@ def test_frozen_records_construct_compare_hash_and_refuse_assignment(records, cl
 def test_records_of_different_values_or_classes_differ(records):
     sig = records[Signature]
     assert Signature(sig.e, sig.s) != sig
-    keys = records[SymKeys]
-    assert SymKeys(keys.k_mac, keys.k_enc) != keys
-    assert keys != (keys.k_enc, keys.k_mac)
+    assert sig != (sig.s, sig.e)
 
 
 def test_reprs_never_show_secrets(records):
