@@ -25,16 +25,17 @@ seal key::
 
 Deserialization checks the trailing hash before anything else, so any
 bit-level corruption surfaces as :class:`IntegrityMismatch`.  It then
-recomputes every stored point from its scalar, once per base, with
-:func:`~iodcrypt.group.batch_scalar_mult` and compares the canonical
-encodings byte for byte, so a loaded table is already verified: an entry
-that is well formed but wrong raises :class:`TableIntegrity`, and bytes
-that are malformed, non-canonical or carry a torsion component raise
-:class:`MalformedElement`.  This costs k scalar multiplications per base:
-on the process-wide comb of G for r_i*G, on X25519 for r_i*X; no stored
-point is decompressed unless it fails to match.  :func:`verify_table`
-runs the same recomputation for tables held in memory, against the
-stored points that the online phase sums.
+recomputes every stored point from its scalar with
+:func:`~iodcrypt.group.scalar_mult`, one shared inversion per base, and
+compares the canonical encodings byte for byte, so a loaded table is
+already verified: an entry that is well formed but wrong raises
+:class:`TableIntegrity`, and bytes that are malformed, non-canonical or
+carry a torsion component raise :class:`MalformedElement`.  This costs k
+scalar multiplications per base: on the process-wide comb of G for
+r_i*G, on X25519 for r_i*X; no stored point is decompressed unless it
+fails to match.  :func:`verify_table` runs the same recomputation for
+tables held in memory, against the stored points that the online phase
+sums.
 
 The sealed format, ``IODCBPV2``, is what it writes given a 32-byte seal
 key.  The clear header is authenticated as associated data, and the
@@ -101,11 +102,11 @@ from .group import (
     _encode_affine,
     _normalize,
     addends,
-    batch_scalar_mult,
     decode_element,
     decode_scalar,
     random_scalar,
     record,
+    scalar_mult,
     subset_sum,
 )
 
@@ -192,8 +193,8 @@ class PrecompTable:
 
 
 def _columns(bases, scalars, ctr):
-    """The stored column r_i*B of each base B: k scalar mults per base."""
-    return [addends(batch_scalar_mult(base, scalars, ctr)) for base in bases]
+    """The stored column r_i*B of each base B: k scalar mults and one inversion per base."""
+    return [addends([scalar_mult(k, base, ctr) for k in scalars]) for base in bases]
 
 
 def _mismatch(idx: int, column: int) -> TableIntegrity:
@@ -255,10 +256,9 @@ def verify_table(table: PrecompTable, ctr: OpCounter | None = None) -> None:
     """Recompute every stored point from its scalar; raise TableIntegrity on drift.
 
     Checks the very points that the online phase sums, at a cost of k
-    scalar multiplications per base with
-    :func:`~iodcrypt.group.batch_scalar_mult`.  Loading an open table
-    file already runs this check; a sealed load does not, and relies on
-    the seal instead.
+    scalar multiplications (:func:`~iodcrypt.group.scalar_mult`) and one
+    shared inversion per base.  Loading an open table file already runs
+    this check; a sealed load does not, and relies on the seal instead.
     """
     fresh = _columns(table.bases, table.scalars, ctr)
     for column, (stored, recomputed) in enumerate(zip(table.stored, fresh), 1):

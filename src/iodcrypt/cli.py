@@ -331,12 +331,9 @@ def cmd_encrypt(args) -> int:
     rng = _rng(args)
     table_path = _resolve(args, args.table, ".dtbl") if args.table else _designated(args, record)
     if args.table or table_path.exists():
-        table = _load_table(args, table_path)
-        if len(table.bases) != 2:
-            raise UnsupportedParams(f"{table_path} is not a designated table")
-        if table.bases[1] != reconstruct_pub(record, system_public):
+        ctx = SenderContext(table=_load_table(args, table_path), receiver=record)
+        if ctx.table.bases[1] != reconstruct_pub(record, system_public):
             raise TableIntegrity(f"{table_path} was not built under this system key")
-        ctx = SenderContext(table=table, receiver=record)
         ct = encrypt(ctx, message, rng)
         mode = "table"
     else:
@@ -548,8 +545,8 @@ def main(argv=None) -> int:
             setattr(args, dest, value)
     if args.test_seed is not None and not args.insecure_test:
         parser.error("--test-seed requires --insecure-test")
-    if getattr(args, "designated", False) and not getattr(args, "recipient", None):
-        parser.error("--designated requires --recipient")
+    if getattr(args, "designated", False) != bool(getattr(args, "recipient", None)):
+        parser.error("--designated and --recipient must be given together")
     func = getattr(args, "func", None)
     if func is cmd_bench:
         from .bench import MIN_ITERATIONS

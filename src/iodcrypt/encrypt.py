@@ -43,6 +43,7 @@ from .errors import (
     MacMismatch,
     TableIntegrity,
     TruncatedFile,
+    UnsupportedParams,
 )
 from .group import (
     G,
@@ -88,12 +89,18 @@ def decode_ciphertext(data: bytes) -> Ciphertext:
 
 @record
 class SenderContext:
-    """A (G, X) table bound to the recipient X it encrypts to."""
+    """A (G, X) table bound to the recipient X it encrypts to.
+
+    A table over any other number of bases raises UnsupportedParams; one
+    bound to another recipient, TableIntegrity.
+    """
 
     table: PrecompTable
     receiver: IdentityRecord
 
     def __post_init__(self):
+        if len(self.table.bases) != 2:
+            raise UnsupportedParams("encryption needs a designated table, not a signing one")
         if self.table.owner_binding != self.receiver.binding():
             raise TableIntegrity("table was precomputed for a different recipient")
 

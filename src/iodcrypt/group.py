@@ -14,9 +14,9 @@ Two layers of API:
 * :func:`scalar_mult` and :func:`point_add` are the instrumented entry
   points used by the protocol layers; they tick an :class:`OpCounter` so
   that per-operation group-op budgets can be asserted exactly.
-  :func:`batch_scalar_mult` is the counted entry point for many products
-  of one base (the precomputation tables), and :func:`subset_sum` the
-  counted sum of stored points (their online phase).
+  :func:`subset_sum` is the counted sum of stored points (the online
+  phase of the precomputation tables); :func:`addends` turns a table's
+  products, taken one :func:`scalar_mult` each, into that stored form.
 
 Products run on two paths:
 
@@ -27,12 +27,12 @@ Products run on two paths:
   in C in ``cryptography``, imported on first use) give u(k*B) and
   u((k+-1)*B); the Okeya-Sakurai formula recovers v.  Nothing is cached
   on the element, but the last base's Montgomery form is kept, so the
-  products of one batch share it.  These products assume a base in the
-  prime-order subgroup, as every decoded element is; the subgroup check
-  of :func:`decode_element` (one X25519 call) does not rely on them.
+  products of one table column share it.  These products assume a base
+  in the prime-order subgroup, as every decoded element is; the subgroup
+  check of :func:`decode_element` (one X25519 call) does not rely on them.
 
 ``GroupElement.__rmul__`` alone chooses between the two; every counted
-product, batched or not, goes through it.  Points only ever multiplied travel as
+product goes through it.  Points only ever multiplied travel as
 Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
 Elements decode from/encode to the canonical 32-byte little-endian form
@@ -320,7 +320,7 @@ def _x25519(u, scalars, key=_private_key):
 @lru_cache(maxsize=1)
 def _montgomery(coords):
     # (u, v) of a point with x != 0 (not the identity or (0, -1)), with one inversion.
-    # It and _x25519_base keep their last result: a batch over one base pays each once.
+    # It and _x25519_base keep their last result: a table column pays each once.
     x, y, z, _ = coords
     inv = pow((z - y) * x % P, -1, P)
     return (z + y) * x % P * inv % P, _SQRT_M486664 * (z + y) % P * z % P * inv % P
@@ -592,20 +592,6 @@ def mul_u(k: Scalar, u: int, ctr: OpCounter | None = None) -> int:
     return _x25519(u, (s,), _last_key)[0] if k else 0
 
 
-def batch_scalar_mult(
-    base: GroupElement, scalars: list[Scalar], ctr: OpCounter | None = None
-) -> list[GroupElement]:
-    """Return [k * base for k in scalars], counting one scalar multiplication each.
-
-    Each product is ``k * base``, on the path that operator chooses.  All
-    outputs are normalised to Z = 1 with a single shared field inversion.
-    """
-    if ctr is not None:
-        ctr.scalar_mults += len(scalars)
-    products = [(k * base).coords for k in scalars]
-    return [GroupElement((x, y, 1, x * y % P)) for x, y in _normalize(products)]
-
-
 def point_add(a: GroupElement, b: GroupElement, ctr: OpCounter | None = None) -> GroupElement:
     """Return a + b, counting one point addition."""
     if ctr is not None:
@@ -616,7 +602,8 @@ def point_add(a: GroupElement, b: GroupElement, ctr: OpCounter | None = None) ->
 def addends(points: list[GroupElement]) -> list:
     """Return ``points`` in the stored form :func:`subset_sum` adds from.
 
-    Uncounted: one shared field inversion and one product per point.
+    Uncounted: one shared field inversion and one product per point.  The
+    points may be in any projective form, such as :func:`scalar_mult` returns.
     """
     return _cached(_normalize([point.coords for point in points]))
 

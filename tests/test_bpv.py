@@ -9,6 +9,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
 
+from iodcrypt import group
 from iodcrypt.bpv import (
     PrecompTable,
     BpvParams,
@@ -557,6 +558,29 @@ def test_verify_table_counts_one_mult_per_recomputed_point():
         ctr = OpCounter()
         verify_table(table, ctr)
         assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
+
+
+def test_every_table_path_normalises_once_per_base(monkeypatch):
+    # Build, open load and check each take one shared inversion per base: the
+    # products go to addends as they come, with no normalisation of their own.
+    group._g_comb()
+    plain, designated = toy_table(), toy_designated()[0]
+    files = serialize_table(plain), serialize_table(designated)
+    calls = []
+    real = group._normalize
+    monkeypatch.setattr(group, "_normalize", lambda coords: calls.append(len(coords)) or real(coords))
+    steps = (
+        (toy_table, 1),
+        (toy_designated, 2),
+        (lambda: deserialize_table(files[0]), 1),
+        (lambda: deserialize_table(files[1]), 2),
+        (lambda: verify_table(plain), 1),
+        (lambda: verify_table(designated), 2),
+    )
+    for step, bases in steps:
+        del calls[:]
+        step()
+        assert calls == [TOY.k] * bases
 
 
 def test_verify_table_flags_swapped_points():

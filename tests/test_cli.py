@@ -532,9 +532,11 @@ def test_test_seed_requires_insecure_flag(realm):
     assert exc.value.code == 2
 
 
-def test_designated_requires_recipient(realm):
+@pytest.mark.parametrize("given", [["--designated"], ["--recipient", "bravo"]])
+def test_designated_requires_recipient(realm, given):
+    # Either flag alone is a usage error, so --recipient alone cannot write a signing table.
     with pytest.raises(SystemExit) as exc:
-        cli(realm, "table", "gen", "--designated")
+        cli(realm, "table", "gen", *given)
     assert exc.value.code == 2
 
 

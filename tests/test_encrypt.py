@@ -38,6 +38,7 @@ from iodcrypt.errors import (
     MalformedElement,
     TableIntegrity,
     TruncatedFile,
+    UnsupportedParams,
     UnsupportedVersion,
 )
 from iodcrypt import group
@@ -175,7 +176,7 @@ def test_context_rejects_tables_bound_to_someone_else(setup):
 def test_context_rejects_a_signing_table(setup):
     _, _, bob, _ = setup
     plain = bpv_offline(BpvParams(2, 4, allow_unsafe=True), random.Random(406))
-    with pytest.raises(TableIntegrity):
+    with pytest.raises(UnsupportedParams):
         SenderContext(table=plain, receiver=bob.record)
 
 

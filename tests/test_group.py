@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iodcrypt import group
+from iodcrypt import bpv, group
 from iodcrypt.bpv import BpvParams, dbpv_offline, deserialize_table, serialize_table, verify_table
 from iodcrypt.errors import MalformedElement, MalformedScalar
 from iodcrypt.group import (
@@ -31,7 +31,6 @@ from iodcrypt.group import (
     OpCounter,
     Scalar,
     addends,
-    batch_scalar_mult,
     decode_element,
     decode_scalar,
     decode_u,
@@ -136,14 +135,14 @@ def test_g_comb_is_built_once_per_process(monkeypatch):
     k = Scalar(0xABCDEF)
     expected = affine_mul(k.value, affine(G))
     decoded_g = decode_element(G.encode())
-    for out in (k * G, k * decoded_g, scalar_mult(k, G), *batch_scalar_mult(G, [k, k])):
+    for out in (k * G, k * decoded_g, scalar_mult(k, G)):
         assert affine(out) == expected
     params = BpvParams(v=2, k=4, allow_unsafe=True)
     table = dbpv_offline(params, decode_element(_OTHER_BASE.encode()), bytes(32), random.Random(7))
     verify_table(deserialize_table(serialize_table(table)))
-    # The five products of G above, then k for the G column of each of the
+    # The three products of G above, then k for the G column of each of the
     # build, the load and the check.
-    assert found_empty == [True] + [False] * (5 - 1 + 3 * params.k)
+    assert found_empty == [True] + [False] * (3 - 1 + 3 * params.k)
 
 
 # --------------------------------------------------------------------------
@@ -221,6 +220,11 @@ def test_check_scalar_clears_the_torsion_part(j):
     assert group._x25519(u_point, [c]) == [u_base] != [u_point]
 
 
+def _column(base, ks, ctr=None):
+    # The stored column of ``base`` over ``ks``, as a table builds, loads and checks it.
+    return bpv._columns((base,), [Scalar(k) for k in ks], ctr)[0]
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(group, name)
@@ -229,9 +233,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_second_product_runs_no_doubling(monkeypatch):
-    # A decode is one X25519 call and a product two, batched or not, with no
-    # addition in Python and no comb, except k = 8j, |j| small: 8 * (j*B),
-    # three doublings.
+    # A decode is one X25519 call and a product two, in a table column or
+    # not, with no addition in Python and no comb, except k = 8j, |j| small:
+    # 8 * (j*B), three doublings.
     wire = (Scalar(0xD1CE) * G).encode()
     ks = (3, N - 1, N - 9)
     expected = {k: affine_mul(k, affine(decode_element(wire))) for k in (*ks, 16, 64)}
@@ -243,8 +247,7 @@ def test_second_product_runs_no_doubling(monkeypatch):
         assert affine(scalar_mult(Scalar(k), point)) == expected[k]
     assert len(x25519) == 4
     assert calls == [[], [], []]
-    batch = batch_scalar_mult(point, [Scalar(k) for k in ks])
-    assert [affine(q) for q in batch] == [expected[k] for k in ks]
+    assert bpv._affine(_column(point, ks)) == [expected[k] for k in ks]
     assert len(x25519) == 7 and calls == [[], [], []]
     for k, doublings in ((16, 3), (64, 6)):
         assert affine(Scalar(k) * point) == expected[k]
@@ -258,7 +261,7 @@ def test_g_never_gets_a_ladder(monkeypatch):
     k = Scalar(0xC0FFEE)
     k * G
     scalar_mult(k, G)
-    batch_scalar_mult(G, [k])
+    _column(G, [k.value])
     k * decode_element(G.encode())
     assert x25519 == ["_x25519"]  # the decode's subgroup check only
 
@@ -285,30 +288,31 @@ def test_comb_product_runs_one_mixed_addition_per_nonzero_digit_after_the_first(
 @settings(max_examples=8, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=N - 1), max_size=3),
        st.integers(min_value=1, max_value=N - 1))
-def test_batch_scalar_mult_matches_affine_oracle(ks, b):
+def test_table_column_matches_affine_oracle(ks, b):
+    # Each entry is exactly (y+x, y-x, 2d*x*y) of the affine product, reduced mod P.
     ks = _EDGE_SCALARS + ks
     for base in (G, Scalar(b) * G):
-        out = batch_scalar_mult(base, [Scalar(k) for k in ks])
-        assert [point.coords[2] for point in out] == [1] * len(ks)
-        assert [affine(point) for point in out] == [affine_mul(k, affine(base)) for k in ks]
+        expected = [affine_mul(k, affine(base)) for k in ks]
+        assert _column(base, ks) == [((y + x) % P, (y - x) % P, x * y * group._2D % P)
+                                     for x, y in expected]
 
 
-def test_batch_scalar_mult_counts_one_mult_per_output():
+def test_table_column_counts_one_mult_per_product():
     ctr = OpCounter()
-    assert batch_scalar_mult(G, [], ctr) == []
+    assert _column(G, [], ctr) == []
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
-    out = batch_scalar_mult(G, [Scalar(3), Scalar(5), Scalar(3)], ctr)
+    out = _column(G, [3, 5, 3], ctr)
     assert (ctr.scalar_mults, ctr.point_adds) == (3, 0)
-    assert out == [Scalar(3) * G, Scalar(5) * G, Scalar(3) * G]
+    assert out == addends([Scalar(3) * G, Scalar(5) * G, Scalar(3) * G])
 
 
-def test_batch_over_another_base_maps_it_to_montgomery_form_once():
+def test_table_column_over_another_base_maps_it_to_montgomery_form_once():
     group._montgomery.cache_clear()
     group._x25519_base.cache_clear()
     ks = [8, 16, *range(3, 40, 5), N - 8]  # with multiples of 8, which recurse
-    out = batch_scalar_mult(_OTHER_BASE, [Scalar(k) for k in ks])
-    assert [affine(point) for point in out] == [affine_mul(k, affine(_OTHER_BASE)) for k in ks]
-    # One inversion and one X25519 public key for the whole batch.
+    out = _column(_OTHER_BASE, ks)
+    assert bpv._affine(out) == [affine_mul(k, affine(_OTHER_BASE)) for k in ks]
+    # One inversion and one X25519 public key for the whole column.
     assert group._montgomery.cache_info().misses == 1
     assert group._x25519_base.cache_info().misses == 1
 
