@@ -36,6 +36,10 @@ Exit codes: 0 success; 1 cryptographic failure (one stderr line,
 atomic (temp file then rename) and secret files are created with
 owner-only permissions where the platform supports it.
 
+``kgc init`` refuses a home that already has a ``kgc.sec`` (exit 3) and
+writes nothing: a new master key would fail every key issued under the
+old one.  Deleting the file is how to start over.
+
 ``--test-seed`` makes randomness reproducible and must be paired with
 ``--insecure-test``; without that guard the flag is refused.
 
@@ -220,6 +224,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_kgc_init(args) -> int:
     home = _home(args)
+    if (home / "kgc.sec").exists():
+        raise FileExistsError(f"{home / 'kgc.sec'} exists; delete it to start a new realm")
     kgc = kgc_setup(_rng(args))
     _write(home / "kgc.sec", serialize_kgc_keypair(kgc), secret=True)
     _write(home / "system.pub", serialize_system_public(kgc.public))
@@ -456,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     kgc = commands.add_parser("kgc", help="key generation centre role")
     kgc_commands = kgc.add_subparsers(dest="kgc_command")
     kgc_init = kgc_commands.add_parser("init", parents=[common],
-                                       help="create a fresh KGC master key")
+                                       help="create a fresh KGC master key (refused if one exists)")
     kgc_init.set_defaults(func=cmd_kgc_init)
     kgc_issue = kgc_commands.add_parser("issue", parents=[common],
                                         help="issue a self-certified key")

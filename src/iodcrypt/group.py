@@ -25,11 +25,16 @@ Products run on two paths:
   at most 63 mixed additions and no doublings.
 * **any other base**: two calls of the X25519 Montgomery ladder (RFC 7748,
   in C in ``cryptography``, imported on first use) give u(k*B) and
-  u((k+-1)*B); the Okeya-Sakurai formula recovers v.  Nothing is cached
-  on the element, but the last base's Montgomery form is kept, so the
-  products of one table column share it.  These products assume a base
-  in the prime-order subgroup, as every decoded element is; the subgroup
-  check of :func:`decode_element` (one X25519 call) does not rely on them.
+  u((k+1)*B), or u((k-1)*B) for k = N-1; the Okeya-Sakurai formula
+  recovers v.  Nothing is cached on the element, but the last base's
+  Montgomery form is kept, so the products of one table column share it.
+  These products assume a base in the prime-order subgroup, as every
+  decoded element is; the subgroup check of :func:`decode_element` (one
+  X25519 call) does not rely on them.
+
+One routine makes every X25519 call, for products, :func:`mul_u` and the
+check alike; a scalar 8j that X25519 cannot take (|j| <= N - 2^252) is
+u(j*B) and three x-only doublings.
 
 ``GroupElement.__rmul__`` alone chooses between the two; every counted
 product goes through it.  Points only ever multiplied travel as
@@ -287,10 +292,6 @@ def _clamp_form(k):
     return None
 
 
-# +-1 (mod N) and 0 (mod 8): c * (Q + T) = +-Q for T of order dividing 8.
-_CHECK_SCALAR = _clamp_form(1)
-
-
 @lru_cache(maxsize=1)
 def _x25519_base(u):
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
@@ -310,11 +311,21 @@ _check_key = lru_cache(maxsize=1)(_private_key)
 _last_key = lru_cache(maxsize=2)(_private_key)
 
 
-def _x25519(u, scalars, key=_private_key):
-    # u(s * B) for each clamp-form s under key(s), where u = u(B); ValueError when an
-    # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
-    base = _x25519_base(u)
-    return [int.from_bytes(key(s).exchange(base), "little") for s in scalars]
+def _ladder_u(k, u, key=_private_key):
+    # u(k * B) for 0 <= k < N from u = u(B) (0 for k = 0): one exchange under key(s) for
+    # the clamp form s of k; a k = 8j with no clamp form takes u(j * B), then three x-only
+    # doublings on (X : Z).  ValueError when the exchange's output is all-zero (s * B is
+    # the identity: s = 0 mod 8 clears order 2).
+    if k == 0:
+        return 0
+    s = _clamp_form(k)
+    if s is not None:
+        return int.from_bytes(key(s).exchange(_x25519_base(u)), "little")
+    x, z = _ladder_u(k * _INV_8 % N, u, key), 1
+    for _ in range(3):
+        xx, zz, xz = x * x % P, z * z % P, x * z % P
+        x, z = (xx - zz) ** 2 % P, 4 * xz * (xx + _A * xz + zz) % P
+    return x * pow(z, -1, P) % P
 
 
 @lru_cache(maxsize=1)
@@ -327,20 +338,12 @@ def _montgomery(coords):
 
 
 def _mul(coords, k):
-    # k * B for 0 < k < N and B != identity in the prime-order subgroup.
-    s = _clamp_form(k)
-    if s is None:  # k = 8j, |j| small: 8 * (j * B), three doublings
-        q = _mul(coords, k * _INV_8 % N)
-        for _ in range(3):
-            q = _add_raw(q, q)
-        return q
-    # u of the neighbour (k+1)*B, or of (k-1)*B when k + 1 has no clamp form
-    # (they cannot both lack one): Q = k*B and it differ by step * B.
-    step, s2 = 1, _clamp_form(k + 1)
-    if s2 is None:
-        step, s2 = -1, _clamp_form(k - 1)
+    # k * B for 0 < k < N and B != identity in the prime-order subgroup, from u of
+    # Q = k*B and of its neighbour Q + step*B: (k+1)*B, or (k-1)*B for k = N - 1, whose
+    # (k+1)*B is the identity (u = 0), with which the formula would give +B, not -B.
+    step = 1 if k < N - 1 else -1
     u, v = _montgomery(coords)
-    uq, un = _x25519(u, (s, s2))
+    uq, un = _ladder_u(k, u), _ladder_u(k + step, u)
     # Okeya-Sakurai (CHES 2001): v(Q) = num / (2 * step * v); then back to
     # Edwards, x = sqrt(-486664)*uq/v(Q) and y = (uq - 1)/(uq + 1).
     num = ((u * uq + 1) * (u + uq + 2 * _A) - 2 * _A - (u - uq) ** 2 % P * un) % P
@@ -375,8 +378,6 @@ class Scalar:
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return Scalar(self.v * other.v)
-        if isinstance(other, GroupElement):
-            return other.__rmul__(self)
         return NotImplemented
 
     def __neg__(self) -> "Scalar":
@@ -509,8 +510,9 @@ def decode_element(data: bytes) -> GroupElement:
     """Decode 32 bytes into a group element.
 
     Rejects what :func:`_lift` rejects, and points outside the prime-order
-    subgroup: R = Q + T (Q in the subgroup, 8T = 0) passes iff u(c * R),
-    which is u(+-Q), equals u(R), that is iff T is the identity.
+    subgroup: for R = Q + T (Q in the subgroup, 8T = 0) and the clamp form c
+    of 1 (c = +-1 mod N, c = 0 mod 8), R passes iff u(c * R), which is
+    u(+-Q), equals u(R), that is iff T is the identity.
     """
     point = _lift(data)
     y = point.coords[1]
@@ -537,7 +539,7 @@ def decode_u(data: bytes) -> int:
     if len(data) != ELEMENT_LEN or not 0 < u < P:
         raise MalformedElement("not a canonical 32-byte u other than 0")
     try:
-        if _x25519(u, (_CHECK_SCALAR,), _check_key) == [u]:
+        if _ladder_u(1, u, _check_key) == u:
             return u
     except ValueError:  # c * R is the identity: R is a torsion point
         pass
@@ -582,14 +584,7 @@ def mul_u(k: Scalar, u: int, ctr: OpCounter | None = None) -> int:
     """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product."""
     if ctr is not None:
         ctr.scalar_mults += 1
-    k, s = k.v, _clamp_form(k.v)
-    if s is None and k:  # k = 8j, |j| small: u(j * B), then three x-only doublings on (X : Z)
-        x, z = mul_u(Scalar(k * _INV_8), u), 1
-        for _ in range(3):
-            xx, zz, xz = x * x % P, z * z % P, x * z % P
-            x, z = (xx - zz) ** 2 % P, 4 * xz * (xx + _A * xz + zz) % P
-        return x * pow(z, -1, P) % P
-    return _x25519(u, (s,), _last_key)[0] if k else 0
+    return _ladder_u(k.v, u, _last_key)
 
 
 def point_add(a: GroupElement, b: GroupElement, ctr: OpCounter | None = None) -> GroupElement:

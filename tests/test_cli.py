@@ -590,6 +590,18 @@ def test_missing_home_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("IOError:")
 
 
+def test_second_kgc_init_is_io_error_and_keeps_the_realm(tmp_path, capsys):
+    # A new master key would fail keyver for every key issued under the old one.
+    home = _fresh_home(tmp_path, "alpha")
+    files = {name: (home / name).read_bytes() for name in ("kgc.sec", "system.pub")}
+    capsys.readouterr()
+    rc = main(["kgc", "init", "--home", str(home), "--test-seed", "9", "--insecure-test"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("IOError:")
+    assert {name: (home / name).read_bytes() for name in files} == files
+    assert main(["keyver", "--key", "alpha", "--home", str(home)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------

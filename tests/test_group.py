@@ -162,6 +162,11 @@ def _le(hex_bytes):
     return int.from_bytes(bytes.fromhex(hex_bytes), "little")
 
 
+def _exchange(s, u):
+    # One X25519 exchange, as products, mul_u and the subgroup check make it.
+    return int.from_bytes(group._private_key(s).exchange(group._x25519_base(u)), "little")
+
+
 def test_x25519_reproduces_rfc7748_vectors():
     # Section 5.2: two single products (the second u has its top bit set,
     # which X25519 masks), then the iterated k = u = 9 after 1 and 1000 rounds.
@@ -173,10 +178,10 @@ def test_x25519_reproduces_rfc7748_vectors():
          "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
          "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"),
     ):
-        assert group._x25519(_le(u) % 2**255, [_le(scalar)]) == [_le(out)]
+        assert _exchange(_le(scalar), _le(u) % 2**255) == _le(out)
     k = u = 9
     for rounds in range(1, 1001):
-        k, u = group._x25519(u, [k])[0], k
+        k, u = _exchange(k, u), k
         if rounds == 1:
             assert k == _le("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079")
     assert k == _le("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51")
@@ -212,12 +217,12 @@ def test_clamp_forms_are_clamp_fixed_points_of_plus_or_minus_k(k):
 def test_check_scalar_clears_the_torsion_part(j):
     # c = +-1 (mod N) and c = 0 (mod 8), so c * (Q + j*T8) = +-Q, whose u is
     # not that of Q + j*T8: the check rejects the point.
-    c = group._CHECK_SCALAR
+    c = group._clamp_form(1)
     assert _clamp(c) == c and c % 8 == 0 and c % N in (1, N - 1)
     point = _OTHER_BASE + times(j, T8)
     assert affine_mul(c, affine(point)) in (affine(_OTHER_BASE), affine(-_OTHER_BASE))
     u_point, u_base = group._montgomery(point.coords)[0], group._montgomery(_OTHER_BASE.coords)[0]
-    assert group._x25519(u_point, [c]) == [u_base] != [u_point]
+    assert _exchange(c, u_point) == u_base != u_point
 
 
 def _column(base, ks, ctr=None):
@@ -232,38 +237,35 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_second_product_runs_no_doubling(monkeypatch):
-    # A decode is one X25519 call and a product two, in a table column or
-    # not, with no addition in Python and no comb, except k = 8j, |j| small:
-    # 8 * (j*B), three doublings.
+@pytest.mark.parametrize("k", [3, 64, *_EDGE_SCALARS])
+def test_second_product_runs_no_doubling(monkeypatch, k):
+    # A decode is one X25519 exchange and a product of k > 0 two, by the operator,
+    # counted or in a table column, with no addition in Python and no comb.  That
+    # holds where k or its neighbour has no clamp form (7, 16, 64, N-9, 8c, N-1):
+    # its u is u(j*B) and x-only doublings.  The counts spy on _x25519_base, which
+    # every exchange calls once.
     wire = (Scalar(0xD1CE) * G).encode()
-    ks = (3, N - 1, N - 9)
-    expected = {k: affine_mul(k, affine(decode_element(wire))) for k in (*ks, 16, 64)}
+    expected = affine_mul(k, affine(decode_element(wire)))
     calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw", "_g_comb")]
-    x25519 = _count_calls(monkeypatch, "_x25519")
+    exchanges = _count_calls(monkeypatch, "_x25519_base")
     point = decode_element(wire)
-    assert len(x25519) == 1
-    for k in ks:
-        assert affine(scalar_mult(Scalar(k), point)) == expected[k]
-    assert len(x25519) == 4
+    assert len(exchanges) == 1
+    per_product = 2 if k else 0
+    assert affine(Scalar(k) * point) == expected
+    assert affine(scalar_mult(Scalar(k), point)) == expected
+    assert bpv._affine(_column(point, [k])) == [expected]
+    assert len(exchanges) == 1 + 3 * per_product
     assert calls == [[], [], []]
-    assert bpv._affine(_column(point, ks)) == [expected[k] for k in ks]
-    assert len(x25519) == 7 and calls == [[], [], []]
-    for k, doublings in ((16, 3), (64, 6)):
-        assert affine(Scalar(k) * point) == expected[k]
-        assert len(calls[0]) == doublings
-        del calls[0][:]
-    assert len(x25519) == 9 and calls == [[], [], []]
 
 
 def test_g_never_gets_a_ladder(monkeypatch):
-    x25519 = _count_calls(monkeypatch, "_x25519")
+    exchanges = _count_calls(monkeypatch, "_x25519_base")
     k = Scalar(0xC0FFEE)
     k * G
     scalar_mult(k, G)
     _column(G, [k.value])
     k * decode_element(G.encode())
-    assert x25519 == ["_x25519"]  # the decode's subgroup check only
+    assert exchanges == ["_x25519_base"]  # the decode's subgroup check only
 
 
 def test_nothing_is_built_at_import_time():
@@ -367,7 +369,7 @@ def test_check_scalar_is_no_unit_modulo_the_twist_prime():
     # 4-torsion, and c != +-1 (mod N') moves every point of order N'.
     assert 2 * (P + 1) - 8 * N == 4 * _TWIST_PRIME
     assert _probably_prime(_TWIST_PRIME)
-    c = group._CHECK_SCALAR
+    c = group._clamp_form(1)
     assert c % 4 == 0 and c % _TWIST_PRIME not in (1, _TWIST_PRIME - 1)
 
 
@@ -426,13 +428,13 @@ def test_decode_u_rejects_twist_points():
 
 
 def test_decode_u_makes_no_call_for_what_it_rejects_on_sight(monkeypatch):
-    x25519 = _count_calls(monkeypatch, "_x25519")
+    exchanges = _count_calls(monkeypatch, "_x25519_base")
     for data in (bytes(32), P.to_bytes(32, "little"), (1 << 255 | 9).to_bytes(32, "little")):
         with pytest.raises(MalformedElement):
             decode_u(data)
-    assert x25519 == []
+    assert exchanges == []
     decode_u(_u_bytes(9))
-    assert x25519 == ["_x25519"]
+    assert exchanges == ["_x25519_base"]
 
 
 @settings(max_examples=10, deadline=None)
@@ -448,13 +450,13 @@ def test_mul_u_matches_the_affine_oracle(k, b):
 
 def test_mul_u_counts_one_product_and_makes_one_x25519_call(monkeypatch):
     u = affine_u(affine(_OTHER_BASE))
-    x25519 = _count_calls(monkeypatch, "_x25519")
+    exchanges = _count_calls(monkeypatch, "_x25519_base")
     # 16 and 64 have no clamp form; 8 * (c + 1) has one.
     for k, calls in ((3, 1), (16, 2), (64, 3), (8 * (_C + 1), 4)):
         ctr = OpCounter()
         assert mul_u(Scalar(k), u, ctr) == affine_u(affine_mul(k, affine(_OTHER_BASE)))
         assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
-        assert len(x25519) == calls
+        assert len(exchanges) == calls
 
 
 def test_mul_u_keeps_the_key_of_its_last_scalar_and_the_check_its_own():

@@ -156,22 +156,29 @@ def test_both_verifiers_agree_on_honest_and_corrupt_signatures(setup):
 
 
 def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
+    # X25519 exchanges per operation; each calls _x25519_base once.
     kgc, ctx, _ = setup
-    calls = []
-    real = group._x25519
-    monkeypatch.setattr(
-        group, "_x25519", lambda u, scalars, *key: calls.append(len(scalars)) or real(u, scalars, *key)
-    )
+    exchanges, calls = [], []
+    real = group._x25519_base
+    monkeypatch.setattr(group, "_x25519_base", lambda u: exchanges.append(u) or real(u))
+
+    def tally():
+        calls.append(len(exchanges))
+        del exchanges[:]
+
     # A record from the wire: decoding U is one subgroup check.
     record = deserialize_record(serialize_record(ctx.keypair.record))
+    tally()
     assert calls == [1]
     vctx = VerifierContext.build(record, kgc.public)
+    tally()
     assert calls == [1, 2]  # the product H(id, U) * U
     rng = random.Random(82)
     for i in range(5):
         message = rng.randbytes(16)
         ctr = OpCounter()
         assert verify(vctx, message, sign(ctx, message, rng), ctr)
+        tally()
         assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
     # e * cached_key on X25519; s * G on the comb.
     assert calls == [1, 2] + [2] * 5
