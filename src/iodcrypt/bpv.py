@@ -14,28 +14,26 @@ outputs, so subset indices are sampled fresh per call from the caller's
 randomness source and are never logged or serialized.
 
 Two table file formats exist (all integers little-endian).  The open
-format, ``IODCBPV1``, is what :func:`serialize_table` writes without a
-seal key::
+format, ``IODCBPV3``, is what :func:`serialize_table` writes without a
+seal key, and stores no r_i*B::
 
-    magic "IODCBPV1" | group_id (1B) | kind (1B: number of bases - 1)
+    magic "IODCBPV3" | group_id (1B) | kind (1B: number of bases - 1)
     | k (4B) | v (4B)
     | [kind 0x01 only: X (32B) | owner_binding (32B)]
-    | k entries of scalar (32B) | r_i*G (32B) [| r_i*X (32B)]
+    | k scalars (32B each)
     | sha256 of all preceding bytes (32B)
 
 Deserialization checks the trailing hash before anything else, so any
-bit-level corruption surfaces as :class:`IntegrityMismatch`.  It then
-recomputes every stored point from its scalar with
-:func:`~iodcrypt.group.scalar_mult`, one shared inversion per base, and
-compares the canonical encodings byte for byte, so a loaded table is
-already verified: an entry that is well formed but wrong raises
-:class:`TableIntegrity`, and bytes that are malformed, non-canonical or
-carry a torsion component raise :class:`MalformedElement`.  This costs k
-scalar multiplications per base: on the process-wide comb of G for
-r_i*G, on X25519 for r_i*X; no stored point is decompressed unless it
-fails to match.  :func:`verify_table` runs the same recomputation for
-tables held in memory, against the stored points that the online phase
-sums.
+bit-level corruption surfaces as :class:`IntegrityMismatch`; then the
+header by the one header rule (``IODCBPV1`` files, which also stored
+every r_i*B, raise :class:`UnsupportedVersion`), X
+(:class:`MalformedElement`, or :class:`InvalidDesignatedPoint` for the
+identity) and each scalar.  It computes every point from its scalar
+with :func:`~iodcrypt.group.scalar_mult`, one shared inversion per base:
+k scalar multiplications per base, on the process-wide comb of G for
+r_i*G and on X25519 for r_i*X, so a loaded open table is correct by
+construction.  :func:`verify_table` recomputes the points of a table
+held in memory, against the stored points that the online phase sums.
 
 The sealed format, ``IODCBPV2``, is what it writes given a 32-byte seal
 key.  The clear header is authenticated as associated data, and the
@@ -55,20 +53,20 @@ each point must have both coordinates below P and satisfy the curve
 equation (:class:`MalformedElement`); the stored form is then built
 from the checked x, y and x*y, and only the base X becomes a
 :class:`~iodcrypt.group.GroupElement`.  A k=256 table is about 24 KiB
-(40 KiB designated), against 16 KiB (24 KiB) in the open format.
+(40 KiB designated), against 8 242 B (8 306 B) in the open format.
 
 Threat model of the seal.  Whoever can read an open table learns every
 nonce scalar and so, from one signature, the signing key
-(s = r - e*x); whoever can write one can plant a consistent table whose
-scalars they know, which the recomputation accepts.  The seal stops
-both, and any corruption: without the key a sealed table can be neither
-read nor replaced by another that opens.  A load given the key reads no
-open table, so one planted in place of a sealed table is refused.  With
-the seal key the stored points are exactly the ones written, so
-recomputing them from their scalars would prove nothing more, and the
-sealed load skips it.  The seal does not help against an attacker who
-can read the key itself, which is stored next to the signing keys;
-:func:`verify_table` remains as an explicit deep check.
+(s = r - e*x); whoever can write one can plant scalars of their choice,
+which the load accepts.  The seal stops both, and any corruption:
+without the key a sealed table can be neither read nor replaced by
+another that opens.  A load given the key reads no open table, so one
+planted in place of a sealed table is refused.  With the seal key the
+stored points are exactly the ones written, so recomputing them from
+their scalars would prove nothing more, and the sealed load skips it.
+The seal does not help against an attacker who can read the key itself,
+which is stored next to the signing keys; :func:`verify_table` remains
+as an explicit deep check.
 """
 
 from __future__ import annotations
@@ -99,7 +97,6 @@ from .group import (
     _2D,
     _D,
     _check_header,
-    _encode_affine,
     _normalize,
     addends,
     decode_element,
@@ -110,7 +107,7 @@ from .group import (
     subset_sum,
 )
 
-MAGIC = b"IODCBPV1"
+MAGIC = b"IODCBPV3"
 MAGIC_SEALED = b"IODCBPV2"
 KIND_STANDARD = 0x00
 KIND_DESIGNATED = 0x01
@@ -160,10 +157,11 @@ class PrecompTable:
     can be matched to the receiver it was built for, and is empty for a
     ``(G,)`` table.  Any other length raises :class:`InvalidOwnerBinding`
     when the table is made, since the file has room for exactly that.
+    A base X that is the identity raises :class:`InvalidDesignatedPoint`.
 
     ``stored[c][i]`` is r_i * bases[c] in the form of
     :func:`~iodcrypt.group.addends`, the one form that
-    :func:`~iodcrypt.group.subset_sum` adds, serialization writes and
+    :func:`~iodcrypt.group.subset_sum` adds, the sealed format writes and
     :func:`verify_table` checks; it is reduced mod P, so equal tables
     compare equal.  Anything but k scalars and one k-long column per
     base raises :class:`TableIntegrity`.  The repr leaves out the
@@ -177,6 +175,8 @@ class PrecompTable:
     owner_binding: bytes = b""
 
     def __post_init__(self):
+        if any(base.is_identity() for base in self.bases[1:]):
+            raise InvalidDesignatedPoint("designated point must not be the identity")
         expected = 32 * (len(self.bases) - 1)
         if len(self.owner_binding) != expected:
             raise InvalidOwnerBinding(
@@ -195,11 +195,6 @@ class PrecompTable:
 def _columns(bases, scalars, ctr):
     """The stored column r_i*B of each base B: k scalar mults and one inversion per base."""
     return [addends([scalar_mult(k, base, ctr) for k in scalars]) for base in bases]
-
-
-def _mismatch(idx: int, column: int) -> TableIntegrity:
-    kind = "generator" if column == 1 else "designated"
-    return TableIntegrity(f"entry {idx}: {kind} point does not match its scalar")
 
 
 def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
@@ -240,8 +235,6 @@ def dbpv_offline(
     ctr: OpCounter | None = None,
 ) -> PrecompTable:
     """Build a receiver-bound table over (G, designated_point): 2k scalar mults."""
-    if designated_point.is_identity():
-        raise InvalidDesignatedPoint("designated point must not be the identity")
     return _build(params, (G, designated_point), bytes(owner_binding), rng, ctr)
 
 
@@ -257,14 +250,14 @@ def verify_table(table: PrecompTable, ctr: OpCounter | None = None) -> None:
 
     Checks the very points that the online phase sums, at a cost of k
     scalar multiplications (:func:`~iodcrypt.group.scalar_mult`) and one
-    shared inversion per base.  Loading an open table file already runs
-    this check; a sealed load does not, and relies on the seal instead.
+    shared inversion per base.  An open load computes every point afresh;
+    a sealed load reads the stored points, and relies on the seal instead.
     """
     fresh = _columns(table.bases, table.scalars, ctr)
-    for column, (stored, recomputed) in enumerate(zip(table.stored, fresh), 1):
+    for name, stored, recomputed in zip(("generator", "designated"), table.stored, fresh):
         for idx, (point, expected) in enumerate(zip(stored, recomputed)):
             if point != expected:
-                raise _mismatch(idx, column)
+                raise TableIntegrity(f"entry {idx}: {name} point does not match its scalar")
 
 
 def subset_space_bits(params: BpvParams) -> float:
@@ -297,11 +290,11 @@ def _xy(x: int, y: int) -> bytes:
     return x.to_bytes(32, "little") + y.to_bytes(32, "little")
 
 
-def _encoded(table: PrecompTable, encode) -> tuple[bytes, bytes]:
-    """(the extra bases, then every entry), each point's affine (x, y) written by ``encode``."""
-    bases = b"".join(encode(x, y) for x, y in _normalize([base.coords for base in table.bases[1:]]))
-    columns = [[encode(x, y) for x, y in _affine(column)] for column in table.stored]
-    return bases, b"".join(r.encode() + b"".join(codes) for r, *codes in zip(table.scalars, *columns))
+def _sealed_body(table: PrecompTable) -> bytes:
+    """The extra bases, then every entry, each point written as its affine x | y."""
+    bases = b"".join(_xy(x, y) for x, y in _normalize([base.coords for base in table.bases[1:]]))
+    columns = [[_xy(x, y) for x, y in _affine(column)] for column in table.stored]
+    return bases + b"".join(r.encode() + b"".join(xys) for r, *xys in zip(table.scalars, *columns))
 
 
 def _affine_point(data: bytes, at: int) -> tuple[int, int, int]:
@@ -329,17 +322,19 @@ def _aead(seal_key: bytes) -> ChaCha20Poly1305:
 def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=None) -> bytes:
     """Serialize to one of the two layouts described above.
 
-    Without ``seal_key`` the open, integrity-hashed ``IODCBPV1``; with it
-    the sealed ``IODCBPV2``, under a nonce drawn from ``rng``.  Each
-    point's affine (x, y) comes from its stored form with no inversion.
+    Without ``seal_key`` the open, integrity-hashed ``IODCBPV3``, with no
+    r_i*B; with it the sealed ``IODCBPV2``, under a nonce drawn from
+    ``rng``.  Each point's affine (x, y) comes from its stored form with
+    no inversion.
     """
     if seal_key is None:
-        bases, entries = _encoded(table, _encode_affine)
-        out = _header(MAGIC, table) + bases + table.owner_binding + entries
+        bases = b"".join(base.encode() for base in table.bases[1:])
+        out = (_header(MAGIC, table) + bases + table.owner_binding
+               + b"".join(r.encode() for r in table.scalars))
         return out + hashlib.sha256(out).digest()
     nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
     clear = _header(MAGIC_SEALED, table) + table.owner_binding + nonce
-    return clear + _aead(seal_key).encrypt(nonce, b"".join(_encoded(table, _xy)), clear)
+    return clear + _aead(seal_key).encrypt(nonce, _sealed_body(table), clear)
 
 
 def _fields(data: bytes) -> tuple[int, int, int]:
@@ -354,7 +349,7 @@ def _fields(data: bytes) -> tuple[int, int, int]:
 
 def _table_len(data: bytes) -> int:
     kind, k, _ = _fields(data)
-    return _HEADER_LEN + 64 * kind + k * 32 * (2 + kind) + 32
+    return _HEADER_LEN + 64 * kind + 32 * k + 32
 
 
 def _sealed_len(data: bytes) -> int:
@@ -399,13 +394,12 @@ def deserialize_table(
     sealed bytes raise IntegrityMismatch.
 
     In the open format the trailing hash is checked before any field,
-    then the header, the length and every scalar; then r_i*B is
-    recomputed for each base B and compared byte for byte with the stored
-    point, counting k scalar multiplications per base.  Raises
-    TruncatedFile, IntegrityMismatch, BadMagic, UnsupportedVersion or
-    MalformedScalar for a bad file, MalformedElement for a stored point
-    that does not decode to a group element, and TableIntegrity for one
-    that decodes but is not its scalar's product.
+    then the header (``IODCBPV1`` bytes raise UnsupportedVersion), the
+    length, X and every scalar; then r_i*B is computed for each base B,
+    counting k scalar multiplications per base.  Raises TruncatedFile,
+    IntegrityMismatch, BadMagic, UnsupportedVersion or MalformedScalar
+    for a bad file, MalformedElement for a malformed X, and, in either
+    format, InvalidDesignatedPoint for an identity X.
     """
     if seal_key is not None:
         return _open(data, seal_key)
@@ -425,14 +419,5 @@ def deserialize_table(
         bases += (decode_element(data[off : off + 32]),)
         owner_binding = data[off + 32 : off + 64]
         off += 64
-    width = 32 * (1 + len(bases))
-    starts = range(off, off + k * width, width)
-    scalars = [decode_scalar(data[s : s + 32]) for s in starts]
-    stored = _columns(bases, scalars, ctr)
-    for column, points in enumerate(stored, 1):
-        for idx, (start, (x, y)) in enumerate(zip(starts, _affine(points))):
-            code = data[start + 32 * column : start + 32 * (column + 1)]
-            if code != _encode_affine(x, y):
-                decode_element(code)  # malformed or torsion bytes raise MalformedElement
-                raise _mismatch(idx, column)
-    return PrecompTable(params, bases, scalars, stored, owner_binding)
+    scalars = [decode_scalar(data[s : s + 32]) for s in range(off, off + 32 * k, 32)]
+    return PrecompTable(params, bases, scalars, _columns(bases, scalars, ctr), owner_binding)

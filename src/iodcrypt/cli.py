@@ -16,18 +16,18 @@ is a path; any other is a name looked up only in the home:
 never searched.  The identity given to ``kgc issue --id``, and the signer
 id that ``verify`` reads from a signature file, must be plain names: one
 that contains a separator or a NUL, or is empty, ``.`` or ``..``, raises
-``InvalidIdentity`` before any file is written or read for it.  A
-designated table is named after its recipient record's identity
-(``home/<id>.dtbl``), whatever spelling named the record.  ``encrypt``
-takes the direct path only when that default table is absent; a table
-named with ``--table`` is always loaded, so a missing one is an I/O
-error (exit 3) and nothing is encrypted.
+``InvalidIdentity`` before any file is written or read for it, as does a
+non-UTF-8 ``--id``.  A designated table is named after its recipient
+record's identity (``home/<id>.dtbl``), whatever spelling named the
+record.  ``encrypt`` takes the direct path only when that default table
+is absent; a table named with ``--table`` is always loaded, so a missing
+one is an I/O error (exit 3) and nothing is encrypted.
 
 ``table gen`` writes sealed tables (``IODCBPV2``) under the home's
 ``table.seal``: 32 random bytes, created by the first ``table gen`` and
 never replaced, so every table of a home opens with it.  ``sign`` and
 ``encrypt`` read only sealed tables, opened with it: an open
-(``IODCBPV1``) table raises ``UnsupportedVersion``, and in a home with no
+(``IODCBPV3``) table raises ``UnsupportedVersion``, and in a home with no
 ``table.seal`` every table load fails with ``IntegrityMismatch``, as it
 does for a table sealed in another home (exit 1).
 
@@ -239,8 +239,12 @@ def cmd_kgc_init(args) -> int:
 
 def cmd_kgc_issue(args) -> int:
     home = _home(args)
+    try:
+        drone_id = _plain_name(args.id).encode()
+    except UnicodeEncodeError:  # bytes that are not UTF-8 arrive as surrogates
+        raise InvalidIdentity(f"{args.id!r} is not valid UTF-8") from None
     kgc = deserialize_kgc_keypair((home / "kgc.sec").read_bytes())
-    keypair = aq_kg(kgc, _plain_name(args.id).encode(), _rng(args))
+    keypair = aq_kg(kgc, drone_id, _rng(args))
     key_path = home / f"{args.id}.key"
     rec_path = home / f"{args.id}.rec"
     _write(key_path, serialize_drone_keypair(keypair), secret=True)

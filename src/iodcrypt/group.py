@@ -181,10 +181,6 @@ def _normalize(coords_list):
     return out
 
 
-def _encode_affine(x, y):
-    return (y | ((x & 1) << 255)).to_bytes(ELEMENT_LEN, "little")
-
-
 def _cached(affine):
     # (y+x, y-x, 2d*x*y) of each affine point: the form in which
     # _madd_raw takes its second operand.
@@ -471,7 +467,8 @@ class GroupElement:
         """Canonical 32-byte encoding: little-endian y, sign of x in bit 255."""
         x, y, z, _ = self.coords
         zi = pow(z, -1, P)
-        return _encode_affine(x * zi % P, y * zi % P)
+        x, y = x * zi % P, y * zi % P
+        return (y | ((x & 1) << 255)).to_bytes(ELEMENT_LEN, "little")
 
 
 def _lift(data: bytes) -> GroupElement:

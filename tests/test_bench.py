@@ -120,7 +120,7 @@ def test_bench_counts_match_the_analytical_budgets():
         "decrypt": (1, 0),
         "aq_shared": (1, 1),
         "aq_hang": (2, 28),  # table-fed initiate + static and ephemeral parts
-        "table_load": (256, 0),  # open format: k products recomputed
+        "table_load": (256, 0),  # open format: k products computed from the scalars
         "table_open": (0, 0),  # sealed format: no group operation
     }
     assert set(expectations) == set(BENCH_OPS)

@@ -9,7 +9,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
 
-from iodcrypt import group
+from iodcrypt import bpv, group
 from iodcrypt.bpv import (
     PrecompTable,
     BpvParams,
@@ -120,6 +120,9 @@ def test_designated_offline_entries_and_cost():
 def test_designated_offline_rejects_identity_point():
     with pytest.raises(InvalidDesignatedPoint):
         dbpv_offline(TOY, IDENTITY, b"\x00" * 32, random.Random(0))
+    table, _, _ = toy_designated()
+    with pytest.raises(InvalidDesignatedPoint):
+        PrecompTable(TOY, (G, IDENTITY), table.scalars, table.stored, table.owner_binding)
 
 
 # The file has room for exactly a 32-byte binding after X and none in a
@@ -336,9 +339,11 @@ def test_wrong_magic_detected_even_with_valid_hash():
         deserialize_table(_rehash(raw))
 
 
-def test_unknown_version_byte_detected():
+# "1" is the first open format, which also stored every r_i*B.
+@pytest.mark.parametrize("version", [b"9", b"1"])
+def test_unknown_version_byte_detected(version):
     raw = bytearray(serialize_table(toy_table()))
-    raw[7] = ord("9")
+    raw[7] = version[0]
     with pytest.raises(UnsupportedVersion):
         deserialize_table(_rehash(raw))
 
@@ -363,35 +368,33 @@ def test_truncation_detected():
         deserialize_table(_rehash(raw))
 
 
-def test_loading_counts_one_mult_per_recomputed_point():
+def test_loading_counts_one_mult_per_computed_point(monkeypatch):
+    # The open file holds no point but X: a plain load decodes nothing.
     designated, _, _ = toy_designated()
-    for table, mults in ((toy_table(), TOY.k), (designated, 2 * TOY.k)):
+    decoded = []
+    real = bpv.decode_element
+    monkeypatch.setattr(bpv, "decode_element", lambda data: decoded.append(data) or real(data))
+    for table, mults, decodes in ((toy_table(), TOY.k, 0), (designated, 2 * TOY.k, 1)):
         ctr = OpCounter()
+        del decoded[:]
         assert deserialize_table(serialize_table(table), ctr) == table
         assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
+        assert len(decoded) == decodes
 
 
 # --------------------------------------------------------------------------
-# Load-time recomputation: faults planted in re-hashed files
+# The one stored point of an open file, X: faults planted in re-hashed files
 # --------------------------------------------------------------------------
 
 
 HEADER_LEN = 18  # magic, group id, kind, k, v
 
 
-def _plant(table, idx, column, point_bytes):
-    """The table's file with one stored point replaced, hash recomputed."""
-    extra_bases = len(table.bases) - 1
-    first = HEADER_LEN + 64 * extra_bases
-    start = first + idx * 32 * (2 + extra_bases) + 32 * column
+def _plant(table, point_bytes):
+    """The designated table's open file with X replaced, hash recomputed."""
     raw = bytearray(serialize_table(table))
-    raw[start : start + 32] = point_bytes
+    raw[HEADER_LEN : HEADER_LEN + 32] = point_bytes
     return _rehash(raw)
-
-
-def _point_columns():
-    designated, _, _ = toy_designated()
-    return [(toy_table(), 1), (designated, 1), (designated, 2)]
 
 
 def test_order_8_point_is_torsion_of_order_exactly_8():
@@ -399,23 +402,27 @@ def test_order_8_point_is_torsion_of_order_exactly_8():
     assert not times(4, T8).is_identity()
 
 
+# An identity X used to load from both formats (the build refused it), and
+# encrypt then failed with InvalidSharedPoint.
 @pytest.mark.parametrize("fault,error", [
-    ("swapped", TableIntegrity),
-    ("drifted", TableIntegrity),
     ("order-8-torsion", MalformedElement),
     ("y-not-below-P", MalformedElement),
+    ("not-on-curve", MalformedElement),
+    ("sign-bit-on-x-zero", MalformedElement),
+    ("identity", InvalidDesignatedPoint),
 ])
-@pytest.mark.parametrize("table,column", _point_columns(), ids=["plain-R", "designated-R", "designated-S"])
-def test_load_rejects_a_planted_point(table, column, fault, error):
-    point = stored_point(table, column, 1)
+def test_load_rejects_a_planted_point(fault, error):
+    table, _, point = toy_designated()
     planted = {
-        "swapped": stored_point(table, column, 0).encode(),
-        "drifted": (point + G).encode(),
         "order-8-torsion": (point + T8).encode(),
         "y-not-below-P": (P + 1).to_bytes(32, "little"),
+        "not-on-curve": (2).to_bytes(32, "little"),  # no x on the curve has y = 2
+        "sign-bit-on-x-zero": (1 | 1 << 255).to_bytes(32, "little"),
+        "identity": IDENTITY.encode(),
     }[fault]
+    assert deserialize_table(_plant(table, point.encode())) == table
     with pytest.raises(error):
-        deserialize_table(_plant(table, 1, column, planted))
+        deserialize_table(_plant(table, planted))
 
 
 def test_kind_byte_distinguishes_table_flavours():
@@ -428,12 +435,13 @@ def test_kind_byte_distinguishes_table_flavours():
     assert deserialize_table(designated).bases == (G, point)
 
 
-# Digests of serialize_table output for two seeded k=16 tables, taken from the
-# two-class implementation that preceded the single table type: the file
-# format must not move.
+# Digests of serialize_table output for two seeded k=16 tables.  The open
+# format has moved once: IODCBPV1 also stored every r_i*B, which its load
+# only compared with the point it had just computed from r_i, so IODCBPV3
+# holds the scalars alone.  It must not move again unnoticed.
 @pytest.mark.parametrize("kind,digest", [
-    ("plain", "537bf33fc0639e2dfd45e37708b1421b9aa2f0d9209f1b6c1b4ad2b469df634f"),
-    ("designated", "7beb08728393d7512cad3d9a09e22a29257e3f73ec4acc69820b8fb62b8fded0"),
+    ("plain", "a1783beeb2a07250e7e07c500b7a9ae782c9e18df08827f769866148296a6b97"),
+    ("designated", "0f02a39f74b8045fd31098f1e2ba7df2ecabb7f7600f6689765e7a57ad13bf1d"),
 ])
 def test_serialized_tables_keep_their_pinned_bytes(kind, digest):
     params = BpvParams(v=4, k=16, allow_unsafe=True)
@@ -489,13 +497,15 @@ def test_sealed_table_round_trips_bit_exact_with_no_group_operation(kind):
     assert bpv_online(again, random.Random(41)) == bpv_online(table, random.Random(41))
 
 
-def test_sealed_tables_at_production_size_are_24_and_40_kib():
+def test_tables_at_production_size_are_8_kib_open_and_24_and_40_kib_sealed():
     rng = random.Random(42)
     params = BpvParams(28, 256)
-    plain = _sealed(bpv_offline(params, rng))
-    designated = _sealed(dbpv_offline(params, Scalar(99) * G, bytes(32), rng))
-    assert len(plain) == 18 + 12 + 256 * (32 + 64) + 16 == 24_622
-    assert len(designated) == 18 + 32 + 12 + 64 + 256 * (32 + 2 * 64) + 16 == 41_102
+    plain = bpv_offline(params, rng)
+    designated = dbpv_offline(params, Scalar(99) * G, bytes(32), rng)
+    assert len(_sealed(plain)) == 18 + 12 + 256 * (32 + 64) + 16 == 24_622
+    assert len(_sealed(designated)) == 18 + 32 + 12 + 64 + 256 * (32 + 2 * 64) + 16 == 41_102
+    assert len(serialize_table(plain)) == 18 + 256 * 32 + 32 == 8_242
+    assert len(serialize_table(designated)) == 18 + 64 + 256 * 32 + 32 == 8_306
 
 
 @pytest.mark.parametrize("key", [None, bytes(32), SEAL[:31], SEAL + b"\x00"],
@@ -528,6 +538,13 @@ def test_sealed_load_rejects_a_malformed_value_under_the_right_key(kind, offset,
     assert deserialize_table(_reseal(blob, where, b""), seal_key=SEAL) == table
     with pytest.raises(error):
         deserialize_table(_reseal(blob, where, value), seal_key=SEAL)
+
+
+def test_sealed_load_refuses_an_identity_designated_point():
+    blob = _sealed(toy_designated()[0])
+    identity = (0).to_bytes(32, "little") + (1).to_bytes(32, "little")
+    with pytest.raises(InvalidDesignatedPoint):
+        deserialize_table(_reseal(blob, 0, identity), seal_key=SEAL)
 
 
 def test_open_table_is_refused_with_no_product_when_a_seal_key_is_given():

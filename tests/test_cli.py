@@ -370,7 +370,10 @@ def test_verify_refuses_a_signer_id_that_is_not_a_plain_name(realm, tmp_path, ca
     assert capsys.readouterr().err.startswith("InvalidIdentity:")
 
 
-@pytest.mark.parametrize("identity", ["absolute", "../escape", ".."])
+# A non-UTF-8 --id (the byte 0xff, as argv decodes it) used to end in a
+# UnicodeEncodeError traceback.
+@pytest.mark.parametrize("identity", ["absolute", "../escape", "..", "\udcff"],
+                         ids=["absolute", "../escape", "..", "not-utf-8"])
 def test_kgc_issue_refuses_an_identity_that_is_not_a_plain_name(realm, tmp_path, capsys, identity):
     if identity == "absolute":
         identity = str(tmp_path / "outside")

@@ -13,7 +13,8 @@ import random
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
 
-from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline, deserialize_table, serialize_table
+from iodcrypt.bpv import (BpvParams, bpv_offline, dbpv_offline, deserialize_table, serialize_table,
+                          verify_table)
 from iodcrypt.encrypt import Ciphertext, deserialize_ciphertext_file, serialize_ciphertext_file
 from iodcrypt.errors import IodCryptError
 from iodcrypt.group import G, N, P, Scalar, decode_element, decode_u, montgomery_u
@@ -248,6 +249,7 @@ def test_deserialize_table_fails_closed(data):
         for point in table.bases[1:]:
             _check_element(point)
         assert serialize_table(table) == data
+        verify_table(table)
 
 
 # The same two tables sealed: accepted blobs must re-serialize byte for byte
