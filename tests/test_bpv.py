@@ -522,11 +522,15 @@ def test_sealed_table_opens_only_under_its_seal_key(key):
     ("y-not-below-P", MalformedElement),
     ("scalar-not-below-N", MalformedScalar),
 ])
-@pytest.mark.parametrize("kind,offset", [("plain", 32), ("designated", 64 + 32), ("designated", 0)],
-                         ids=["plain-R", "designated-R", "designated-X"])
-def test_sealed_load_rejects_a_malformed_value_under_the_right_key(kind, offset, fault, error):
+@pytest.mark.parametrize("kind,column,offset", [
+    ("plain", 1, 32),
+    ("designated", 1, 64 + 32),
+    ("designated", 2, 64 + 32 + 64),
+    ("designated", 0, 0),
+], ids=["plain-R", "designated-R", "designated-S", "designated-X"])
+def test_sealed_load_rejects_a_malformed_value_under_the_right_key(kind, column, offset, fault, error):
     table = toy_table() if kind == "plain" else toy_designated()[0]
-    point = stored_point(table, 1, 0) if offset else table.bases[1]
+    point = stored_point(table, column, 0) if column else table.bases[1]
     x, y = affine(point)
     where, value = {
         "off-curve": (offset, ((x + 1) % P).to_bytes(32, "little")),
