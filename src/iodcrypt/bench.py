@@ -201,6 +201,7 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
         a = aq_kg(kgc, b"bench-a", rng)
         b = aq_kg(kgc, b"bench-b", rng)
         table = bpv_offline(params, rng)
+        # One peer throughout: from the warm-up on, a knows its record (a known-peer handshake).
         peer_message = aq_hang_initiate(b, rng).message
 
         def one_handshake(ctr):

@@ -26,11 +26,11 @@ Products run on two paths:
 * **any other base**: two calls of the X25519 Montgomery ladder (RFC 7748,
   in C in ``cryptography``, imported on first use) give u(k*B) and
   u((k+1)*B), or u((k-1)*B) for k = N-1; the Okeya-Sakurai formula
-  recovers v.  Nothing is cached on the element, but the last base's
-  Montgomery form is kept, so the products of one table column share it.
-  These products assume a base in the prime-order subgroup, as every
-  decoded element is; the subgroup check of :func:`decode_element` (one
-  X25519 call) does not rely on them.
+  recovers v.  The base keeps its Montgomery (u, v) and X25519 public key
+  from its first product on, so a table column, or every verify against
+  one verifier's key, maps it once.  These products assume a base in the
+  prime-order subgroup, as every decoded element is; the subgroup check of
+  :func:`decode_element` (one X25519 call) does not rely on them.
 
 One routine makes every X25519 call, for products, :func:`mul_u` and the
 check alike; a scalar 8j that X25519 cannot take (|j| <= N - 2^252) is
@@ -288,6 +288,8 @@ def _clamp_form(k):
     return None
 
 
+# The public key of the last u, which decode_u's check builds and then mul_u, or an
+# element's first product, reuses.
 @lru_cache(maxsize=1)
 def _x25519_base(u):
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
@@ -307,39 +309,40 @@ _check_key = lru_cache(maxsize=1)(_private_key)
 _last_key = lru_cache(maxsize=2)(_private_key)
 
 
-def _ladder_u(k, u, key=_private_key):
-    # u(k * B) for 0 <= k < N from u = u(B) (0 for k = 0): one exchange under key(s) for
-    # the clamp form s of k; a k = 8j with no clamp form takes u(j * B), then three x-only
-    # doublings on (X : Z).  ValueError when the exchange's output is all-zero (s * B is
-    # the identity: s = 0 mod 8 clears order 2).
+def _ladder_u(k, base, key=_private_key):
+    # u(k * B) for 0 <= k < N from B's X25519 public key (0 for k = 0): one exchange under
+    # key(s) for the clamp form s of k.  A k with no clamp form is 8j: it takes u(j * B) by
+    # the same rule, then three x-only doublings on (X : Z).  ValueError when the exchange's
+    # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
     if k == 0:
         return 0
+    doublings = 0
     s = _clamp_form(k)
-    if s is not None:
-        return int.from_bytes(key(s).exchange(_x25519_base(u)), "little")
-    x, z = _ladder_u(k * _INV_8 % N, u, key), 1
-    for _ in range(3):
+    while s is None:
+        k, doublings = k * _INV_8 % N, doublings + 3
+        s = _clamp_form(k)
+    x, z = int.from_bytes(key(s).exchange(base), "little"), 1
+    for _ in range(doublings):
         xx, zz, xz = x * x % P, z * z % P, x * z % P
         x, z = (xx - zz) ** 2 % P, 4 * xz * (xx + _A * xz + zz) % P
-    return x * pow(z, -1, P) % P
+    return x if z == 1 else x * pow(z, -1, P) % P
 
 
-@lru_cache(maxsize=1)
 def _montgomery(coords):
     # (u, v) of a point with x != 0 (not the identity or (0, -1)), with one inversion.
-    # It and _x25519_base keep their last result: a table column pays each once.
     x, y, z, _ = coords
     inv = pow((z - y) * x % P, -1, P)
     return (z + y) * x % P * inv % P, _SQRT_M486664 * (z + y) % P * z % P * inv % P
 
 
-def _mul(coords, k):
-    # k * B for 0 < k < N and B != identity in the prime-order subgroup, from u of
-    # Q = k*B and of its neighbour Q + step*B: (k+1)*B, or (k-1)*B for k = N - 1, whose
-    # (k+1)*B is the identity (u = 0), with which the formula would give +B, not -B.
+def _mul(base, k):
+    # k * B for 0 < k < N and B != identity in the prime-order subgroup, given B's
+    # (u, v, X25519 public key), from u of Q = k*B and of its neighbour Q + step*B:
+    # (k+1)*B, or (k-1)*B for k = N - 1, whose (k+1)*B is the identity (u = 0), with
+    # which the formula would give +B, not -B.
     step = 1 if k < N - 1 else -1
-    u, v = _montgomery(coords)
-    uq, un = _ladder_u(k, u), _ladder_u(k + step, u)
+    u, v, public = base
+    uq, un = _ladder_u(k, public), _ladder_u(k + step, public)
     # Okeya-Sakurai (CHES 2001): v(Q) = num / (2 * step * v); then back to
     # Edwards, x = sqrt(-486664)*uq/v(Q) and y = (uq - 1)/(uq + 1).
     num = ((u * uq + 1) * (u + uq + 2 * _A) - 2 * _A - (u - uq) ** 2 % P * un) % P
@@ -416,13 +419,15 @@ class GroupElement:
 
     Immutable in value.  ``k * G`` runs on the process-wide comb of G;
     ``k * P`` for any other point on two X25519 calls, which assume that P
-    is in the prime-order subgroup, as every decoded element is.
+    is in the prime-order subgroup, as every decoded element is.  P keeps
+    its (u, v, X25519 public key) from its first product on.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_ladder")
 
     def __init__(self, coords):
         self.coords = coords
+        self._ladder = None
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(_add_raw(self.coords, other.coords))
@@ -442,9 +447,12 @@ class GroupElement:
         k %= N
         if k == 0 or self.is_identity():
             return IDENTITY
-        if self.coords == G.coords:
-            return GroupElement(_comb_mul(_g_comb(), k))
-        return GroupElement(_mul(self.coords, k))
+        if self._ladder is None:
+            if self.coords == G.coords:
+                return GroupElement(_comb_mul(_g_comb(), k))
+            u, v = _montgomery(self.coords)
+            self._ladder = (u, v, _x25519_base(u))
+        return GroupElement(_mul(self._ladder, k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -536,7 +544,7 @@ def decode_u(data: bytes) -> int:
     if len(data) != ELEMENT_LEN or not 0 < u < P:
         raise MalformedElement("not a canonical 32-byte u other than 0")
     try:
-        if _ladder_u(1, u, _check_key) == u:
+        if _ladder_u(1, _x25519_base(u), _check_key) == u:
             return u
     except ValueError:  # c * R is the identity: R is a torsion point
         pass
@@ -581,7 +589,7 @@ def mul_u(k: Scalar, u: int, ctr: OpCounter | None = None) -> int:
     """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product."""
     if ctr is not None:
         ctr.scalar_mults += 1
-    return _ladder_u(k.v, u, _last_key)
+    return _ladder_u(k.v, _x25519_base(u), _last_key)
 
 
 def point_add(a: GroupElement, b: GroupElement, ctr: OpCounter | None = None) -> GroupElement:

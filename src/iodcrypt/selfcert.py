@@ -35,6 +35,7 @@ File formats (magic | group id byte | payload, little-endian lengths)::
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -66,6 +67,7 @@ MAGIC_KGC = b"IODCKGCS"
 MAGIC_DRONE = b"IODCDRNK"
 
 _HANG_INFO = b"IODCRYPT-HANG-v2"
+_KNOWN_PEERS = 256  # static points a keypair keeps; the least recently used goes first
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +111,18 @@ class SelfCertKeypair:
     addition.  It may be None for keys imported from systems that do not
     carry the cache; shared-secret derivation then recomputes from the
     system public key.
+
+    Each keypair also keeps, outside its fields and its repr, the encoded
+    static point of the last 256 peers it finalized a handshake with, keyed
+    by the peer record's exact bytes (and the system key without x*D).
     """
 
     record: IdentityRecord
     secret: Scalar
     cached_term: GroupElement | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_known_peers", OrderedDict())
 
 
 @record(hidden=("ephemeral_secret",))
@@ -256,19 +265,36 @@ def aq_hang_finalize(
     The key mixes the static secret (implicit mutual authentication),
     the ephemeral secret u(t_a * t_b * G) (forward secrecy), and the
     hash of both messages in a fixed order (transcript binding).
+
+    A peer record whose exact bytes ``own`` finalized before reuses that
+    static point: one multiplication, u(t_a * T_b), and no addition.  Any
+    other record is parsed and checked afresh; the length check and the
+    check of u(T) run on every message.
     """
-    peer_record, off = parse_record(peer_message)
+    peers = own._known_peers
+    off = 1 + peer_message[0] + 32 if peer_message else 0
+    known = bytes(peer_message[:off])
+    if own.cached_term is None:
+        known = (known, system_public)
+    static = peers.get(known)
+    if static is None:
+        peer_record, off = parse_record(peer_message)
     if len(peer_message) != off + 32:
         raise InvalidEphemeral(
             f"handshake message must carry exactly one ephemeral point "
             f"(got {len(peer_message) - off} trailing bytes)"
         )
     peer_u = decode_u(peer_message[off:])
-    static_point = aq_shared_static(own, peer_record, system_public, ctr)
+    if static is None:
+        static = peers[known] = aq_shared_static(own, peer_record, system_public, ctr).encode()
+        if len(peers) > _KNOWN_PEERS:
+            peers.popitem(last=False)
+    else:
+        peers[known] = peers.pop(known, static)  # now the most recent
     ephemeral_u = mul_u(state.ephemeral_secret, peer_u, ctr)
     first, second = sorted((state.message, peer_message))
     transcript = hashlib.sha256(first + second).digest()
-    ikm = static_point.encode() + ephemeral_u.to_bytes(32, "little") + transcript
+    ikm = static + ephemeral_u.to_bytes(32, "little") + transcript
     key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HANG_INFO).derive(ikm)
     return SessionKey(key=key, transcript_hash=transcript)
 

@@ -84,8 +84,9 @@ class VerifierContext:
     """Verifier-side state with the signer's public key already reconstructed.
 
     ``cached_key`` must equal the reconstruction H(id, U)*U + D; build
-    through :meth:`build` to guarantee that.  It holds the three points
-    only: every verify computes e * cached_key afresh, on X25519.
+    through :meth:`build` to guarantee that.  It holds the three points;
+    the first verify leaves cached_key's Montgomery form and X25519 public
+    key on it, so each later verify is e * cached_key on two X25519 calls.
     """
 
     record: IdentityRecord

@@ -19,12 +19,12 @@ import stat
 import pytest
 
 from iodcrypt.bpv import BpvParams, PrecompTable, bpv_offline, dbpv_offline, serialize_table
-from iodcrypt import bench
+from iodcrypt import bench, cli as cli_module
 from iodcrypt.cli import BENCH_OPS, BENCH_PROFILES, _write, main
 from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
 from iodcrypt.group import G, N, Scalar, addends
 from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
-                               deserialize_system_public, reconstruct_pub)
+                               deserialize_system_public, reconstruct_pub, serialize_record)
 from iodcrypt.sign import deserialize_signature_file, serialize_signature_file
 
 
@@ -203,6 +203,21 @@ def test_exchange_fresh_keys_per_invocation(realm, capsys):
         "--json", "--test-seed", "206", "--insecure-test")
     second = json.loads(capsys.readouterr().out)["fingerprint_a"]
     assert first != second
+
+
+def test_exchange_sides_keep_no_shared_peer_state(realm, monkeypatch, capsys):
+    # Each side finalizes with its own keypair, which then knows the other's record only.
+    sides = []
+    real = cli_module.aq_hang_finalize
+    monkeypatch.setattr(cli_module, "aq_hang_finalize",
+                        lambda own, *args: sides.append(own) or real(own, *args))
+    assert cli(realm, "exchange", "--key-a", "alpha", "--key-b", "bravo",
+               "--test-seed", "207", "--insecure-test") == 0
+    assert "session keys agree" in capsys.readouterr().out
+    alpha, bravo = sides
+    assert alpha._known_peers is not bravo._known_peers
+    assert list(alpha._known_peers) == [serialize_record(bravo.record)]
+    assert list(bravo._known_peers) == [serialize_record(alpha.record)]
 
 
 def test_table_gen_seals_every_table_under_one_home_secret(realm, tmp_path):

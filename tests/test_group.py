@@ -242,12 +242,14 @@ def test_second_product_runs_no_doubling(monkeypatch, k):
     # A decode is one X25519 exchange and a product of k > 0 two, by the operator,
     # counted or in a table column, with no addition in Python and no comb.  That
     # holds where k or its neighbour has no clamp form (7, 16, 64, N-9, 8c, N-1):
-    # its u is u(j*B) and x-only doublings.  The counts spy on _x25519_base, which
-    # every exchange calls once.
+    # its u is u(j*B) and x-only doublings.  The counts spy on _ladder_u, which
+    # makes one exchange a call; the point maps to Montgomery form on its first
+    # product only.
     wire = (Scalar(0xD1CE) * G).encode()
     expected = affine_mul(k, affine(decode_element(wire)))
     calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw", "_g_comb")]
-    exchanges = _count_calls(monkeypatch, "_x25519_base")
+    exchanges = _count_calls(monkeypatch, "_ladder_u")
+    conversions = _count_calls(monkeypatch, "_montgomery")
     point = decode_element(wire)
     assert len(exchanges) == 1
     per_product = 2 if k else 0
@@ -255,17 +257,21 @@ def test_second_product_runs_no_doubling(monkeypatch, k):
     assert affine(scalar_mult(Scalar(k), point)) == expected
     assert bpv._affine(_column(point, [k])) == [expected]
     assert len(exchanges) == 1 + 3 * per_product
+    assert len(conversions) == (1 if k else 0)
     assert calls == [[], [], []]
 
 
 def test_g_never_gets_a_ladder(monkeypatch):
-    exchanges = _count_calls(monkeypatch, "_x25519_base")
+    exchanges = _count_calls(monkeypatch, "_ladder_u")
+    conversions = _count_calls(monkeypatch, "_montgomery")
     k = Scalar(0xC0FFEE)
     k * G
     scalar_mult(k, G)
     _column(G, [k.value])
-    k * decode_element(G.encode())
-    assert exchanges == ["_x25519_base"]  # the decode's subgroup check only
+    decoded = decode_element(G.encode())
+    k * decoded
+    assert exchanges == ["_ladder_u"]  # the decode's subgroup check only
+    assert conversions == [] and G._ladder is None and decoded._ladder is None
 
 
 def test_nothing_is_built_at_import_time():
@@ -308,15 +314,19 @@ def test_table_column_counts_one_mult_per_product():
     assert out == addends([Scalar(3) * G, Scalar(5) * G, Scalar(3) * G])
 
 
-def test_table_column_over_another_base_maps_it_to_montgomery_form_once():
-    group._montgomery.cache_clear()
-    group._x25519_base.cache_clear()
-    ks = [8, 16, *range(3, 40, 5), N - 8]  # with multiples of 8, which recurse
-    out = _column(_OTHER_BASE, ks)
+def test_table_column_over_another_base_maps_it_to_montgomery_form_once(monkeypatch):
+    base = GroupElement(_OTHER_BASE.coords)  # an element no product has touched
+    conversions = _count_calls(monkeypatch, "_montgomery")
+    public_keys = _count_calls(monkeypatch, "_x25519_base")
+    ks = [8, 16, *range(3, 40, 5), N - 8]  # with multiples of 8, which take doublings
+    out = _column(base, ks)
     assert bpv._affine(out) == [affine_mul(k, affine(_OTHER_BASE)) for k in ks]
-    # One inversion and one X25519 public key for the whole column.
-    assert group._montgomery.cache_info().misses == 1
-    assert group._x25519_base.cache_info().misses == 1
+    # One inversion and one X25519 public key for the whole column, kept on the base
+    # for the next.
+    assert (len(conversions), len(public_keys)) == (1, 1)
+    assert base._ladder[0] == affine_u(affine(_OTHER_BASE))
+    assert _column(base, ks) == out
+    assert (len(conversions), len(public_keys)) == (1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -428,13 +438,13 @@ def test_decode_u_rejects_twist_points():
 
 
 def test_decode_u_makes_no_call_for_what_it_rejects_on_sight(monkeypatch):
-    exchanges = _count_calls(monkeypatch, "_x25519_base")
+    exchanges = _count_calls(monkeypatch, "_ladder_u")
     for data in (bytes(32), P.to_bytes(32, "little"), (1 << 255 | 9).to_bytes(32, "little")):
         with pytest.raises(MalformedElement):
             decode_u(data)
     assert exchanges == []
     decode_u(_u_bytes(9))
-    assert exchanges == ["_x25519_base"]
+    assert exchanges == ["_ladder_u"]
 
 
 @settings(max_examples=10, deadline=None)
@@ -450,7 +460,7 @@ def test_mul_u_matches_the_affine_oracle(k, b):
 
 def test_mul_u_counts_one_product_and_makes_one_x25519_call(monkeypatch):
     u = affine_u(affine(_OTHER_BASE))
-    exchanges = _count_calls(monkeypatch, "_x25519_base")
+    exchanges = _count_calls(monkeypatch, "_ladder_u")
     # 16 and 64 have no clamp form; 8 * (c + 1) has one.
     for k, calls in ((3, 1), (16, 2), (64, 3), (8 * (_C + 1), 4)):
         ctr = OpCounter()

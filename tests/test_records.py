@@ -2,9 +2,10 @@
 
 Every record is built twice from the same field values, once by keyword
 and once by position, so each class's field names and order are pinned
-here too.  Secrets (private scalars, the cached x*D, session keys, the
-nonce scalars of a table) must never reach a repr, where a log line or a
-traceback would carry them.
+here too.  Secrets (private scalars, the cached x*D, the static points
+a keypair keeps per peer, session keys, the nonce scalars of a table)
+must never reach a repr, where a log line or a traceback would carry
+them.
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ def test_reprs_never_show_secrets(records):
     signer, sender = records[SignerContext], records[SenderContext]
     signer_nonces = list(signer.table.scalars)
     sender_nonces = list(sender.table.scalars)
+    # The static points of the peers a keypair knows: each keys a session with that peer.
+    static_points = list(keypair._known_peers.values())
+    assert len(static_points) == 1  # the fixture's handshake
     secrets = [
         (kgc, [kgc.secret]),
-        (keypair, [keypair.secret, keypair.cached_term]),
+        (keypair, [keypair.secret, keypair.cached_term, *static_points]),
         (signer.keypair, [keypair.secret, keypair.cached_term]),
         (state, [state.ephemeral_secret]),
         (session, [session.key]),
@@ -115,6 +119,7 @@ def test_reprs_never_show_secrets(records):
             assert repr(secret) not in text
             if isinstance(secret, Scalar):
                 assert f"{secret.v:x}" not in text
+    assert "known" not in repr(keypair)
     # Public fields stay visible.
     assert repr(keypair.record) in repr(keypair)
     assert repr(session.transcript_hash) in repr(session)

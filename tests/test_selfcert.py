@@ -33,6 +33,7 @@ from iodcrypt.selfcert import (
     kgc_setup,
     key_ver,
     parse_record,
+    _KNOWN_PEERS as KNOWN_PEERS,
     reconstruct_pub,
     serialize_drone_keypair,
     serialize_kgc_keypair,
@@ -209,8 +210,14 @@ def test_handshake_with_precomputed_table_still_agrees_and_adds_only(setup):
     assert aq_hang_finalize(a, sa, sb.message).key == aq_hang_finalize(b, sb, sa.message).key
 
 
+def _fresh(keypair):
+    """The same key as a new keypair, which has finalized no handshake."""
+    return SelfCertKeypair(keypair.record, keypair.secret, keypair.cached_term)
+
+
 def test_handshake_costs_without_a_table(setup):
     _, a, b = setup
+    a = _fresh(a)
     rng = random.Random(13)
     ctr = OpCounter()
     sa = aq_hang_initiate(a, rng, ctr=ctr)
@@ -218,8 +225,15 @@ def test_handshake_costs_without_a_table(setup):
     sb = aq_hang_initiate(b, rng)
     assert a.cached_term is not None
     ctr = OpCounter()
-    aq_hang_finalize(a, sa, sb.message, ctr=ctr)
-    assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
+    first = aq_hang_finalize(a, sa, sb.message, ctr=ctr)
+    assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)  # first contact
+    # A known peer, in a new session on either side: u(t_a * T_b) alone.
+    for sa, sb in ((sa, sb), (aq_hang_initiate(a, rng), aq_hang_initiate(b, rng))):
+        ctr = OpCounter()
+        key = aq_hang_finalize(a, sa, sb.message, ctr=ctr).key
+        assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+        assert key == aq_hang_finalize(b, sb, sa.message).key
+    assert key != first.key
 
 
 def test_handshake_keys_are_fresh_per_session(setup):
@@ -272,6 +286,102 @@ def test_handshake_key_rebuilt_from_the_affine_oracle(setup):
     ikm = aq_shared_static(a, b.record).encode() + ephemeral_u.to_bytes(32, "little") + transcript
     key = HKDF(algorithm=SHA256(), length=32, salt=None, info=b"IODCRYPT-HANG-v2").derive(ikm)
     assert aq_hang_finalize(a, sa, sb.message).key == key == aq_hang_finalize(b, sb, sa.message).key
+
+
+# --------------------------------------------------------------------------
+# Known peers: the static point of a record already finalized
+# --------------------------------------------------------------------------
+
+
+def test_known_peers_give_the_keys_of_a_fresh_computation(setup):
+    # Interleaved peers, on a station with x*D and on one without it (keyed by D too).
+    kgc, _, _ = setup
+    rng = random.Random(17)
+    peers = [aq_kg(kgc, b"peer-%d" % i, rng) for i in range(4)]
+    issued = aq_kg(kgc, b"station", rng)
+    bare = SelfCertKeypair(issued.record, issued.secret, None)
+    other_system = kgc_setup(rng).public
+    for station, systems in ((issued, [None]), (bare, [kgc.public, other_system])):
+        for _ in range(3):
+            for peer in rng.sample(peers, len(peers)):
+                for system in systems:
+                    ss, sp = aq_hang_initiate(station, rng), aq_hang_initiate(peer, rng)
+                    key = aq_hang_finalize(station, ss, sp.message, system).key
+                    assert key == aq_hang_finalize(_fresh(station), ss, sp.message, system).key
+                    assert key == aq_hang_finalize(station, ss, bytearray(sp.message), system).key
+                    if system is not other_system:
+                        assert key == aq_hang_finalize(peer, sp, ss.message).key
+        assert len(station._known_peers) == len(peers) * len(systems)
+
+
+def _failure(call):
+    """The class of the exception ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def test_a_record_off_a_known_one_is_checked_afresh(setup):
+    # Each record below differs from a known one; a fresh keypair (first contact)
+    # and the station that knows the honest record raise the same class.
+    kgc, a, b = setup
+    rng = random.Random(18)
+    station = _fresh(a)
+    honest = aq_hang_initiate(b, rng).message
+    aq_hang_finalize(station, aq_hang_initiate(station, rng), honest)
+    known = dict(station._known_peers)
+    at = 1 + len(b.record.drone_id)
+    u_t = honest[at + 32:]
+    flips = [honest[:at + i] + bytes([honest[at + i] ^ 1 << j]) + honest[at + i + 1:]
+             for i in range(32) for j in range(8)]
+    flipped = next(m for m in flips if _failure(lambda: parse_record(m)) is MalformedElement)
+    variants = {
+        "flipped U": flipped,
+        "identity U": honest[:at] + IDENTITY.encode() + u_t,
+        "U + T8": honest[:at] + (b.record.commitment + T8).encode() + u_t,
+        "one id byte gone": honest[:1] + honest[2:],
+        "id length off by one": bytes([honest[0] + 1]) + honest[1:],
+        # The known record itself, with a bad u(T) or a byte too many.
+        "u(T) of order 4": honest[:at + 32] + (1).to_bytes(32, "little"),
+        "trailing byte": honest + b"\x00",
+    }
+    for name, message in variants.items():
+        state = aq_hang_initiate(station, rng)
+        expected = _failure(lambda: aq_hang_finalize(_fresh(a), state, message))
+        assert expected in (MalformedElement, InvalidIdentity, InvalidEphemeral, TruncatedFile)
+        assert _failure(lambda: aq_hang_finalize(station, state, message)) is expected, name
+    assert station._known_peers == known
+    state = aq_hang_initiate(station, rng)
+    ctr = OpCounter()
+    aq_hang_finalize(station, state, honest, ctr=ctr)
+    assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+
+
+def test_known_peers_stay_bounded_and_keep_the_most_recent(setup):
+    # Records with any subgroup point as U, and one u(T) for all of them.
+    _, a, b = setup
+    rng = random.Random(19)
+    station = _fresh(a)
+    u_t = aq_hang_initiate(b, rng).message[-32:]
+    wires = [serialize_record(IdentityRecord(b"p%03d" % i, Scalar(i + 2) * G))
+             for i in range(KNOWN_PEERS + 4)]
+
+    def finalize(wire):
+        ctr = OpCounter()
+        aq_hang_finalize(station, aq_hang_initiate(station, rng), wire + u_t, ctr=ctr)
+        return ctr.scalar_mults, ctr.point_adds
+
+    for wire in wires[:KNOWN_PEERS]:
+        assert finalize(wire) == (2, 1)
+    assert finalize(wires[0]) == (1, 0)  # now the most recent
+    for wire in wires[KNOWN_PEERS:]:
+        assert finalize(wire) == (2, 1)
+    assert len(station._known_peers) == KNOWN_PEERS
+    assert list(station._known_peers) == [*wires[5:KNOWN_PEERS], wires[0], *wires[KNOWN_PEERS:]]
+    assert finalize(wires[1]) == (2, 1)  # evicted: first contact again
+    assert len(station._known_peers) == KNOWN_PEERS and wires[5] not in station._known_peers
 
 
 def test_tampered_peer_identity_changes_the_key(setup):

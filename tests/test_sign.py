@@ -155,24 +155,32 @@ def test_both_verifiers_agree_on_honest_and_corrupt_signatures(setup):
         assert verify(vctx, message, sig) == reference_verify(public, message, sig)
 
 
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(group, name)
+    monkeypatch.setattr(group, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
-    # X25519 exchanges per operation; each calls _x25519_base once.
+    # X25519 exchanges per operation (_ladder_u makes one a call), and Montgomery
+    # conversions: one per base, on its first product.
     kgc, ctx, _ = setup
-    exchanges, calls = [], []
-    real = group._x25519_base
-    monkeypatch.setattr(group, "_x25519_base", lambda u: exchanges.append(u) or real(u))
+    exchanges, conversions = _spy(monkeypatch, "_ladder_u"), _spy(monkeypatch, "_montgomery")
+    calls = []
 
     def tally():
-        calls.append(len(exchanges))
-        del exchanges[:]
+        calls.append((len(exchanges), len(conversions)))
+        del exchanges[:], conversions[:]
 
     # A record from the wire: decoding U is one subgroup check.
     record = deserialize_record(serialize_record(ctx.keypair.record))
     tally()
-    assert calls == [1]
+    assert calls == [(1, 0)]
     vctx = VerifierContext.build(record, kgc.public)
     tally()
-    assert calls == [1, 2]  # the product H(id, U) * U
+    assert calls == [(1, 0), (2, 1)]  # the product H(id, U) * U
+    assert vctx.cached_key._ladder is None  # build leaves the key to its first verify
     rng = random.Random(82)
     for i in range(5):
         message = rng.randbytes(16)
@@ -181,11 +189,33 @@ def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
         tally()
         assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
     # e * cached_key on X25519; s * G on the comb.
-    assert calls == [1, 2] + [2] * 5
+    assert calls == [(1, 0), (2, 1), (2, 1)] + [(2, 0)] * 4
+
+
+def test_round_robin_contexts_convert_no_key_after_its_first_verify(setup, monkeypatch):
+    # A station serving 16 signers in turn maps each context's key to Montgomery
+    # form on its first verify only; the other verifies are the two exchanges.
+    kgc, _, _ = setup
+    rng = random.Random(86)
+    keypairs = [aq_kg(kgc, b"drone-%02d" % i, rng) for i in range(16)]
+    contexts = [VerifierContext.build(deserialize_record(serialize_record(kp.record)), kgc.public)
+                for kp in keypairs]
+    signed = [(b"frame %d" % i, reference_sign(kp.secret, b"frame %d" % i, rng))
+              for i, kp in enumerate(keypairs)]
+    for vctx, (message, sig) in zip(contexts, signed):
+        assert verify(vctx, message, sig)
+    exchanges, conversions = _spy(monkeypatch, "_ladder_u"), _spy(monkeypatch, "_montgomery")
+    for _ in range(3):
+        for vctx, (message, sig) in zip(contexts, signed):
+            assert verify(vctx, message, sig)
+            assert not verify(vctx, message + b"!", sig)
+    assert conversions == []
+    assert len(exchanges) == 2 * 2 * 3 * 16
 
 
 def test_sixteen_contexts_from_wire_bytes_hold_no_commitment_ladders(setup):
-    # A context keeps three points and nothing derived from them.
+    # A context keeps three points; U also keeps the Montgomery form and X25519
+    # public key of build's product, and nothing else derived from them.
     kgc, _, _ = setup
     rng = random.Random(85)
     wires = [serialize_record(aq_kg(kgc, b"drone-%02d" % i, rng).record) for i in range(16)]
