@@ -71,7 +71,6 @@ as an explicit deep check.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 from cryptography.exceptions import InvalidTag
@@ -101,6 +100,7 @@ from .group import (
     addends,
     decode_element,
     decode_scalar,
+    digest,
     random_scalar,
     record,
     scalar_mult,
@@ -331,7 +331,7 @@ def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=N
         bases = b"".join(base.encode() for base in table.bases[1:])
         out = (_header(MAGIC, table) + bases + table.owner_binding
                + b"".join(r.encode() for r in table.scalars))
-        return out + hashlib.sha256(out).digest()
+        return out + digest(out)
     nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
     clear = _header(MAGIC_SEALED, table) + table.owner_binding + nonce
     return clear + _aead(seal_key).encrypt(nonce, _sealed_body(table), clear)
@@ -406,7 +406,7 @@ def deserialize_table(
     min_len = _HEADER_LEN + 32
     if len(data) < min_len:
         raise TruncatedFile(f"table file shorter than header ({len(data)} bytes)")
-    if hashlib.sha256(data[:-32]).digest() != data[-32:]:
+    if digest(data[:-32]) != data[-32:]:
         sealed = data.startswith(MAGIC_SEALED)
         raise IntegrityMismatch("a sealed table needs its seal key" if sealed
                                 else "table integrity hash mismatch")

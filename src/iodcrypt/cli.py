@@ -48,6 +48,16 @@ A process imports only what its command runs: ``encrypt`` only for
 ``statistics``) only for ``bench``; ``json`` only for ``--json``.  The
 package does not use ``dataclasses``, whose import and decorators took
 about a quarter of the time to import this module.
+
+A process also does only the work its command reads.  ``sign`` (the id
+and x) and ``decrypt`` (x) read the key file with ``read_drone_key``,
+which checks its header, length, id and x but decodes neither U nor x*D,
+so they accept a file whose U or x*D is malformed; ``keyver`` and
+``exchange`` decode and check both.  A ``sign`` process so loads no
+X25519 and no OpenSSL backend module.  ``main`` builds the parser of the
+first command word in argv alone; where its top level would print usage
+or help, or no command word is given, it starts over with the whole
+parser, so every help text and usage error reads as the whole one's.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ from .selfcert import (
     deserialize_system_public,
     key_ver,
     kgc_setup,
+    read_drone_key,
     reconstruct_pub,
     serialize_drone_keypair,
     serialize_kgc_keypair,
@@ -295,18 +306,17 @@ def cmd_table_gen(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
+    key = read_drone_key(_resolve(args, args.key, ".key").read_bytes())
     table = _load_table(args, _resolve(args, args.table, ".tbl"))
     if len(table.bases) != 1:
         raise UnsupportedParams("signing needs a standard table, not a designated one")
-    ctx = SignerContext(keypair=keypair, table=table)
     message = Path(args.infile).read_bytes()
-    sig = sign(ctx, message, _rng(args))
+    sig = sign(SignerContext(key, table), message, _rng(args))
     out = Path(args.out) if args.out else Path(args.infile + ".sig")
-    _write(out, serialize_signature_file(keypair.record.drone_id, sig))
+    _write(out, serialize_signature_file(key.drone_id, sig))
     _emit(
         args,
-        {"ok": True, "signature": str(out), "signer": keypair.record.drone_id.decode(errors="replace")},
+        {"ok": True, "signature": str(out), "signer": key.drone_id.decode(errors="replace")},
         f"signed {args.infile} -> {out}",
     )
     return 0
@@ -363,15 +373,10 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     from .encrypt import decrypt, deserialize_ciphertext_file
 
-    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
+    key = read_drone_key(_resolve(args, args.key, ".key").read_bytes())
     ct = deserialize_ciphertext_file(Path(args.infile).read_bytes())
-    message = decrypt(keypair, ct)
-    if args.out:
-        out = Path(args.out)
-    elif args.infile.endswith(".enc"):
-        out = Path(args.infile[: -len(".enc")] + ".dec")
-    else:
-        out = Path(args.infile + ".dec")
+    message = decrypt(key, ct)
+    out = Path(args.out or args.infile.removesuffix(".enc") + ".dec")
     _write(out, message)
     _emit(
         args,
@@ -440,119 +445,145 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Global options live in a parent parser attached to every leaf
-    # subcommand too, so they are accepted both before and after the
-    # subcommand words.  SUPPRESS keeps an unused occurrence from
-    # clobbering a value parsed at the other position.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--home", default=argparse.SUPPRESS,
-                        help="key directory (default: $IODCRYPT_HOME or ~/.iodcrypt)")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="machine-readable output")
-    common.add_argument("--test-seed", type=int, default=argparse.SUPPRESS,
-                        help="deterministic randomness for tests; requires --insecure-test")
-    common.add_argument("--insecure-test", action="store_true", default=argparse.SUPPRESS,
-                        help="acknowledge that seeded randomness is insecure")
+class _WholeParser(Exception):
+    """Raised where a parser of one subcommand would print top-level usage or help."""
 
-    parser = argparse.ArgumentParser(
+
+class _OneCommandParser(argparse.ArgumentParser):
+    # The top level of build_parser(command): its usage and help would list one subcommand,
+    # so main starts over with the whole parser, which prints them as they always read.
+    def error(self, *_):
+        raise _WholeParser
+
+    print_help = error
+
+
+COMMANDS = ("kgc", "keyver", "table", "sign", "verify", "encrypt", "decrypt", "exchange", "bench")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of ``command``, one of COMMANDS.
+
+    A subcommand's own parser, its help and its errors are the same either
+    way; the top level of a one-command parser raises instead of printing.
+    """
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="iodcrypt",
         description="Self-certified keys, precomputed signing, and hybrid "
         "encryption for drone-class devices.",
-        parents=[common],
     )
-    commands = parser.add_subparsers(dest="command")
+    # The global options go on the top level with their defaults, and on a parent
+    # parser of every leaf subcommand, so they are accepted both before and after
+    # the subcommand words.  SUPPRESS keeps a leaf from setting one it was not
+    # given, so a value parsed at the top level stands unless the leaf has its own.
+    common = argparse.ArgumentParser(add_help=False)
+    for target, default in ((parser, {}), (common, {"default": argparse.SUPPRESS})):
+        target.add_argument("--home", **default,
+                            help="key directory (default: $IODCRYPT_HOME or ~/.iodcrypt)")
+        target.add_argument("--json", action="store_true", **default, help="machine-readable output")
+        target.add_argument("--test-seed", type=int, **default,
+                            help="deterministic randomness for tests; requires --insecure-test")
+        target.add_argument("--insecure-test", action="store_true", **default,
+                            help="acknowledge that seeded randomness is insecure")
+    commands = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
-    kgc = commands.add_parser("kgc", help="key generation centre role")
-    kgc_commands = kgc.add_subparsers(dest="kgc_command")
-    kgc_init = kgc_commands.add_parser("init", parents=[common],
-                                       help="create a fresh KGC master key (refused if one exists)")
-    kgc_init.set_defaults(func=cmd_kgc_init)
-    kgc_issue = kgc_commands.add_parser("issue", parents=[common],
-                                        help="issue a self-certified key")
-    kgc_issue.add_argument("--id", required=True, help="identity to issue for")
-    kgc_issue.set_defaults(func=cmd_kgc_issue)
+    if command in (None, "kgc"):
+        kgc = commands.add_parser("kgc", help="key generation centre role")
+        kgc_commands = kgc.add_subparsers(dest="kgc_command")
+        kgc_init = kgc_commands.add_parser("init", parents=[common],
+                                           help="create a fresh KGC master key (refused if one exists)")
+        kgc_init.set_defaults(func=cmd_kgc_init)
+        kgc_issue = kgc_commands.add_parser("issue", parents=[common],
+                                            help="issue a self-certified key")
+        kgc_issue.add_argument("--id", required=True, help="identity to issue for")
+        kgc_issue.set_defaults(func=cmd_kgc_issue)
 
-    keyver = commands.add_parser("keyver", parents=[common],
-                                 help="check a key against the system key")
-    keyver.add_argument("--key", required=True, help=f"drone key {_FILE_ARG}")
-    keyver.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
-    keyver.set_defaults(func=cmd_keyver)
+    if command in (None, "keyver"):
+        keyver = commands.add_parser("keyver", parents=[common],
+                                     help="check a key against the system key")
+        keyver.add_argument("--key", required=True, help=f"drone key {_FILE_ARG}")
+        keyver.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
+        keyver.set_defaults(func=cmd_keyver)
 
-    table = commands.add_parser("table", help="precomputation tables")
-    table_commands = table.add_subparsers(dest="table_command")
-    table_gen = table_commands.add_parser("gen", parents=[common], help="generate a table")
-    table_gen.add_argument("--designated", action="store_true",
-                           help="bind the table to a recipient for encryption")
-    table_gen.add_argument("--recipient", help=f"recipient record for --designated {_FILE_ARG}")
-    table_gen.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
-    table_gen.add_argument("--params", default=f"{DEFAULT_PARAMS[0]},{DEFAULT_PARAMS[1]}",
-                           help="v,k sizing (default %(default)s)")
-    table_gen.add_argument("--out", help="output path")
-    table_gen.set_defaults(func=cmd_table_gen)
+    if command in (None, "table"):
+        table = commands.add_parser("table", help="precomputation tables")
+        table_commands = table.add_subparsers(dest="table_command")
+        table_gen = table_commands.add_parser("gen", parents=[common], help="generate a table")
+        table_gen.add_argument("--designated", action="store_true",
+                               help="bind the table to a recipient for encryption")
+        table_gen.add_argument("--recipient", help=f"recipient record for --designated {_FILE_ARG}")
+        table_gen.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
+        table_gen.add_argument("--params", default=f"{DEFAULT_PARAMS[0]},{DEFAULT_PARAMS[1]}",
+                               help="v,k sizing (default %(default)s)")
+        table_gen.add_argument("--out", help="output path")
+        table_gen.set_defaults(func=cmd_table_gen)
 
-    sign_cmd = commands.add_parser("sign", parents=[common], help="sign a file")
-    sign_cmd.add_argument("--key", required=True, help=f"signer key {_FILE_ARG}")
-    sign_cmd.add_argument("--table", default="bpv", help=f"sealed nonce table {_FILE_ARG}")
-    sign_cmd.add_argument("--out", help="signature output path (default <in>.sig)")
-    sign_cmd.add_argument("infile", help="file to sign")
-    sign_cmd.set_defaults(func=cmd_sign)
+    if command in (None, "sign"):
+        sign_cmd = commands.add_parser("sign", parents=[common], help="sign a file")
+        sign_cmd.add_argument("--key", required=True, help=f"signer key {_FILE_ARG}")
+        sign_cmd.add_argument("--table", default="bpv", help=f"sealed nonce table {_FILE_ARG}")
+        sign_cmd.add_argument("--out", help="signature output path (default <in>.sig)")
+        sign_cmd.add_argument("infile", help="file to sign")
+        sign_cmd.set_defaults(func=cmd_sign)
 
-    verify_cmd = commands.add_parser("verify", parents=[common],
-                                     help="verify a detached signature")
-    verify_cmd.add_argument("--sig", required=True, help="signature file")
-    verify_cmd.add_argument("--record", help=f"signer record {_FILE_ARG}, default the signer id")
-    verify_cmd.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
-    verify_cmd.add_argument("infile", help="signed file")
-    verify_cmd.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        verify_cmd = commands.add_parser("verify", parents=[common],
+                                         help="verify a detached signature")
+        verify_cmd.add_argument("--sig", required=True, help="signature file")
+        verify_cmd.add_argument("--record", help=f"signer record {_FILE_ARG}, default the signer id")
+        verify_cmd.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
+        verify_cmd.add_argument("infile", help="signed file")
+        verify_cmd.set_defaults(func=cmd_verify)
 
-    encrypt_cmd = commands.add_parser("encrypt", parents=[common],
-                                      help="encrypt a file to an identity")
-    encrypt_cmd.add_argument("--to", required=True, help=f"recipient record {_FILE_ARG}")
-    encrypt_cmd.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
-    encrypt_cmd.add_argument("--table", help=f"sealed designated table {_FILE_ARG}, default <id>.dtbl")
-    encrypt_cmd.add_argument("--out", help="ciphertext output path (default <in>.enc)")
-    encrypt_cmd.add_argument("infile", help="file to encrypt")
-    encrypt_cmd.set_defaults(func=cmd_encrypt)
+    if command in (None, "encrypt"):
+        encrypt_cmd = commands.add_parser("encrypt", parents=[common],
+                                          help="encrypt a file to an identity")
+        encrypt_cmd.add_argument("--to", required=True, help=f"recipient record {_FILE_ARG}")
+        encrypt_cmd.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
+        encrypt_cmd.add_argument("--table", help=f"sealed designated table {_FILE_ARG}, default <id>.dtbl")
+        encrypt_cmd.add_argument("--out", help="ciphertext output path (default <in>.enc)")
+        encrypt_cmd.add_argument("infile", help="file to encrypt")
+        encrypt_cmd.set_defaults(func=cmd_encrypt)
 
-    decrypt_cmd = commands.add_parser("decrypt", parents=[common],
-                                      help="decrypt a ciphertext file")
-    decrypt_cmd.add_argument("--key", required=True, help=f"recipient key {_FILE_ARG}")
-    decrypt_cmd.add_argument("--out", help="plaintext output path")
-    decrypt_cmd.add_argument("infile", help="ciphertext file")
-    decrypt_cmd.set_defaults(func=cmd_decrypt)
+    if command in (None, "decrypt"):
+        decrypt_cmd = commands.add_parser("decrypt", parents=[common],
+                                          help="decrypt a ciphertext file")
+        decrypt_cmd.add_argument("--key", required=True, help=f"recipient key {_FILE_ARG}")
+        decrypt_cmd.add_argument("--out", help="plaintext output path")
+        decrypt_cmd.add_argument("infile", help="ciphertext file")
+        decrypt_cmd.set_defaults(func=cmd_decrypt)
 
-    exchange = commands.add_parser("exchange", parents=[common],
-                                   help="run both sides of a key exchange")
-    exchange.add_argument("--key-a", required=True, help=f"first key {_FILE_ARG}")
-    exchange.add_argument("--key-b", required=True, help=f"second key {_FILE_ARG}")
-    exchange.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
-    exchange.set_defaults(func=cmd_exchange)
+    if command in (None, "exchange"):
+        exchange = commands.add_parser("exchange", parents=[common],
+                                       help="run both sides of a key exchange")
+        exchange.add_argument("--key-a", required=True, help=f"first key {_FILE_ARG}")
+        exchange.add_argument("--key-b", required=True, help=f"second key {_FILE_ARG}")
+        exchange.add_argument("--system", default="system", help=f"system public key {_FILE_ARG}")
+        exchange.set_defaults(func=cmd_exchange)
 
-    bench = commands.add_parser("bench", parents=[common],
-                                help="benchmarks and energy projection")
-    bench.add_argument("--profile", required=True, choices=[*BENCH_PROFILES, "host"])
-    bench.add_argument("--op", choices=BENCH_OPS, help="operation to benchmark")
-    bench.add_argument("--iterations", type=int, default=50)
-    bench.add_argument("--voltage", type=float, help="host energy projection: volts")
-    bench.add_argument("--current", type=float, help="host energy projection: amperes")
-    bench.set_defaults(func=cmd_bench)
+    if command in (None, "bench"):
+        bench = commands.add_parser("bench", parents=[common],
+                                    help="benchmarks and energy projection")
+        bench.add_argument("--profile", required=True, choices=[*BENCH_PROFILES, "host"])
+        bench.add_argument("--op", choices=BENCH_OPS, help="operation to benchmark")
+        bench.add_argument("--iterations", type=int, default=50)
+        bench.add_argument("--voltage", type=float, help="host energy projection: volts")
+        bench.add_argument("--current", type=float, help="host energy projection: amperes")
+        bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
-_GLOBAL_DEFAULTS = (("home", None), ("json", False),
-                    ("test_seed", None), ("insecure_test", False))
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # only the subcommand of the first command word, if there is one
+        return _main(build_parser(next((w for w in argv if w in COMMANDS), None)), argv)
+    except _WholeParser:
+        return _main(build_parser(), argv)
+
+
+def _main(parser, argv) -> int:
     args = parser.parse_args(argv)
-    # The global flags use SUPPRESS defaults (so either position wins);
-    # fill in the base values for any that were never given.
-    for dest, value in _GLOBAL_DEFAULTS:
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
     if args.test_seed is not None and not args.insecure_test:
         parser.error("--test-seed requires --insecure-test")
     if getattr(args, "designated", False) != bool(getattr(args, "recipient", None)):

@@ -58,7 +58,7 @@ from .group import (
     record,
     scalar_mult,
 )
-from .selfcert import IdentityRecord, SelfCertKeypair, reconstruct_pub
+from .selfcert import DroneKey, IdentityRecord, SelfCertKeypair, reconstruct_pub
 
 MAGIC_CIPHERTEXT = b"IODCENC3"
 TAG_LEN = 16
@@ -149,8 +149,10 @@ def encrypt(ctx: SenderContext, message: bytes, rng, ctr: OpCounter | None = Non
     return _seal(ephemeral, shared, message)
 
 
-def decrypt(keypair: SelfCertKeypair, ct: Ciphertext, ctr: OpCounter | None = None) -> bytes:
+def decrypt(keypair: SelfCertKeypair | DroneKey, ct: Ciphertext, ctr: OpCounter | None = None) -> bytes:
     """Open a ciphertext with one scalar multiplication, u(x*R) on X25519.
+
+    Reads only the keypair's ``secret``, so a :class:`DroneKey` serves too.
 
     The AEAD checks the tag and returns no plaintext unless it verifies;
     on mismatch :class:`MacMismatch` is raised.

@@ -34,7 +34,6 @@ File formats (magic | group id byte | payload, little-endian lengths)::
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 
 from cryptography.hazmat.primitives.hashes import SHA256
@@ -53,6 +52,7 @@ from .group import (
     decode_element,
     decode_scalar,
     decode_u,
+    digest,
     hash_to_scalar,
     montgomery_u,
     mul_u,
@@ -95,7 +95,7 @@ class IdentityRecord:
 
     def binding(self) -> bytes:
         """32-byte hash of the wire form; names this record in other files."""
-        return hashlib.sha256(serialize_record(self)).digest()
+        return digest(serialize_record(self))
 
     def key_hash(self) -> Scalar:
         """The record's hash coefficient H(id, U) used in reconstruction."""
@@ -125,6 +125,19 @@ class SelfCertKeypair:
         object.__setattr__(self, "_known_peers", OrderedDict())
 
 
+@record(hidden=("secret",))
+class DroneKey:
+    """What ``sign`` and ``decrypt`` read of a drone key file: the id and x.
+
+    :func:`read_drone_key` gives one.  Signing (``SignerContext``) and
+    ``decrypt`` read only a keypair's ``secret``, so either takes a
+    ``DroneKey`` in place of a :class:`SelfCertKeypair`.
+    """
+
+    drone_id: bytes
+    secret: Scalar
+
+
 @record(hidden=("ephemeral_secret",))
 class HangState:
     """Initiator-side state between the two handshake halves."""
@@ -142,7 +155,7 @@ class SessionKey:
 
     def fingerprint(self) -> str:
         """Short public hex fingerprint, safe to compare out loud."""
-        return hashlib.sha256(self.key).hexdigest()[:16]
+        return digest(self.key).hex()[:16]
 
 
 def _check_identity(drone_id: bytes) -> None:
@@ -180,8 +193,14 @@ def aq_kg(kgc: KgcKeypair, drone_id: bytes, rng, ctr: OpCounter | None = None) -
 def reconstruct_pub(
     record: IdentityRecord, system_public: GroupElement, ctr: OpCounter | None = None
 ) -> GroupElement:
-    """X = H(id, U)*U + D, the implicitly certified public key."""
-    return point_add(scalar_mult(record.key_hash(), record.commitment, ctr), system_public, ctr)
+    """X = H(id, U)*U + D, the implicitly certified public key.
+
+    The product runs on a copy of U, so a record kept for long, as a
+    ``VerifierContext`` keeps one, holds no Montgomery form or X25519
+    key of U.
+    """
+    commitment = GroupElement(record.commitment.coords)
+    return point_add(scalar_mult(record.key_hash(), commitment, ctr), system_public, ctr)
 
 
 def key_ver(
@@ -293,7 +312,7 @@ def aq_hang_finalize(
         peers[known] = peers.pop(known, static)  # now the most recent
     ephemeral_u = mul_u(state.ephemeral_secret, peer_u, ctr)
     first, second = sorted((state.message, peer_message))
-    transcript = hashlib.sha256(first + second).digest()
+    transcript = digest(first + second)
     ikm = static + ephemeral_u.to_bytes(32, "little") + transcript
     key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HANG_INFO).derive(ikm)
     return SessionKey(key=key, transcript_hash=transcript)
@@ -360,16 +379,21 @@ def _id_file(data: bytes, magic: bytes, tail: int) -> tuple[bytes, int]:
     return data[head:end], end
 
 
-def deserialize_drone_keypair(data: bytes) -> SelfCertKeypair:
+def read_drone_key(data: bytes) -> DroneKey:
+    """The id and x of a drone key file, without decoding its U or x*D.
+
+    Applies every check of :func:`deserialize_drone_keypair` that comes
+    before its decode of U: the one header rule, the length, the id and
+    x.  So it accepts a file whose U or x*D is malformed.
+    """
     drone_id, off = _id_file(data, MAGIC_DRONE, 96)
-    secret = decode_scalar(data[off : off + 32])
-    commitment = decode_element(data[off + 32 : off + 64])
-    cached_term = decode_element(data[off + 64 : off + 96])
-    return SelfCertKeypair(
-        record=IdentityRecord(drone_id=drone_id, commitment=commitment),
-        secret=secret,
-        cached_term=cached_term,
-    )
+    return DroneKey(drone_id, decode_scalar(data[off : off + 32]))
+
+
+def deserialize_drone_keypair(data: bytes) -> SelfCertKeypair:
+    key = read_drone_key(data)
+    record = IdentityRecord(key.drone_id, decode_element(data[-64:-32]))
+    return SelfCertKeypair(record, key.secret, decode_element(data[-32:]))
 
 
 def parse_record(data: bytes) -> tuple[IdentityRecord, int]:

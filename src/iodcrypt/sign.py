@@ -42,8 +42,8 @@ from .group import (
     record,
     scalar_mult,
 )
-from .selfcert import (IdentityRecord, KgcKeypair, SelfCertKeypair, _check_identity, _id_file,
-                       aq_kg, reconstruct_pub)
+from .selfcert import (DroneKey, IdentityRecord, KgcKeypair, SelfCertKeypair, _check_identity,
+                       _id_file, aq_kg, reconstruct_pub)
 
 MAGIC_SIGNATURE = b"IODCSIG1"
 SIGNATURE_LEN = 64
@@ -68,9 +68,13 @@ def decode_signature(data: bytes) -> Signature:
 
 @record
 class SignerContext:
-    """Issued keypair plus the precomputation table that feeds its nonces."""
+    """Issued keypair plus the precomputation table that feeds its nonces.
 
-    keypair: SelfCertKeypair
+    Signing reads only the keypair's ``secret``, so ``keypair`` may also be
+    the :class:`~iodcrypt.selfcert.DroneKey` read from a key file.
+    """
+
+    keypair: SelfCertKeypair | DroneKey
     table: PrecompTable
 
     @property

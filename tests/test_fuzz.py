@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from iodcrypt.bpv import (BpvParams, bpv_offline, dbpv_offline, deserialize_table, serialize_table,
                           verify_table)
 from iodcrypt.encrypt import Ciphertext, deserialize_ciphertext_file, serialize_ciphertext_file
-from iodcrypt.errors import IodCryptError
+from iodcrypt.errors import IodCryptError, MalformedElement
 from iodcrypt.group import G, N, P, Scalar, decode_element, decode_u, montgomery_u
 from iodcrypt.selfcert import (
     IdentityRecord,
@@ -31,6 +31,7 @@ from iodcrypt.selfcert import (
     deserialize_system_public,
     kgc_setup,
     parse_record,
+    read_drone_key,
     serialize_drone_keypair,
     serialize_kgc_keypair,
     serialize_record,
@@ -224,6 +225,30 @@ def test_deserialize_drone_keypair_fails_closed(data):
         _check_element(keypair.record.commitment)
         _check_element(keypair.cached_term)
         assert serialize_drone_keypair(keypair) == data
+
+
+@_FUZZ
+@given(_near(drone_keys))
+def test_read_drone_key_fails_closed_as_the_eager_reader_does_before_its_points(data):
+    try:
+        key = read_drone_key(data)
+    except IodCryptError as exc:  # the eager reader refuses the same bytes the same way
+        try:
+            deserialize_drone_keypair(data)
+        except IodCryptError as eager:
+            assert (type(eager), str(eager)) == (type(exc), str(exc))
+        else:
+            raise AssertionError("deserialize_drone_keypair accepted what read_drone_key refused")
+        return
+    try:
+        keypair = deserialize_drone_keypair(data)
+    except MalformedElement:  # only U or x*D is left to refuse
+        pass
+    else:
+        assert (key.drone_id, key.secret) == (keypair.record.drone_id, keypair.secret)
+    # Whatever the stored points were, the id and x are the file's.
+    good = serialize_drone_keypair(SelfCertKeypair(IdentityRecord(key.drone_id, G), key.secret, G))
+    assert data[:-64] + G.encode() * 2 == good
 
 
 # Two small tables, built once: each example then costs one k=16 load.

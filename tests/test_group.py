@@ -43,7 +43,8 @@ from iodcrypt.group import (
     subset_sum,
 )
 
-from curve_oracle import T8, affine, affine_add, affine_mul, affine_u, points_of_u, times
+from curve_oracle import (AFFINE_IDENTITY, T8, affine, affine_add, affine_mul, affine_u, points_of_u,
+                          times)
 
 scalars = st.integers(min_value=0, max_value=N - 1).map(Scalar)
 nonzero_scalars = st.integers(min_value=1, max_value=N - 1).map(Scalar)
@@ -71,6 +72,39 @@ def test_descriptor_fields():
     assert len(G.encode()) == ELEMENT_LEN
     assert len(Scalar(N - 1).encode()) == SCALAR_LEN
     assert G == decode_element(bytes.fromhex("58" + "66" * 31))
+
+
+def test_curve_constants_are_derived_from_their_definitions():
+    d = -121665 * pow(121666, -1, P) % P
+    assert group._D == d
+    assert group._2D == 2 * d % P
+    assert group._INV_D == pow(d, -1, P) and group._INV_D * d % P == 1
+    assert group._SQRT_M1 == pow(2, (P - 1) // 4, P)
+    assert group._SQRT_M1**2 % P == P - 1
+
+
+def test_base_point_lifts_from_y_four_fifths_with_even_x_and_has_order_n():
+    y = 4 * pow(5, -1, P) % P
+    x = group._GX
+    assert group._lift(y.to_bytes(ELEMENT_LEN, "little")).coords == G.coords == (x, y, 1, x * y % P)
+    assert x % 2 == 0 and group._GY == y
+    d = -121665 * pow(121666, -1, P) % P
+    assert (y * y - x * x - 1 - d * x * x * y * y) % P == 0
+    assert affine_mul(N, (x, y)) == AFFINE_IDENTITY and (x, y) != AFFINE_IDENTITY
+
+
+def test_digest_is_hashlibs_byte_for_byte():
+    import hashlib
+
+    rng = random.Random(57)
+    for n in (0, 1, 55, 64, 111, 128, 2048):
+        data = rng.randbytes(n)
+        assert group.digest(data) == hashlib.sha256(data).digest()
+        assert group.digest(data, group.SHA512) == hashlib.sha512(data).digest()
+    parts = [rng.randbytes(300), G.encode()]
+    framed = b"".join(len(part).to_bytes(4, "little") + part for part in parts)
+    expected = hashlib.sha512(bytes([DOMAIN_SIG]) + framed).digest()
+    assert hash_to_scalar(DOMAIN_SIG, parts) == Scalar(int.from_bytes(expected, "little"))
 
 
 def test_order_minus_one_times_base_is_negation():

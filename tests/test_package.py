@@ -121,6 +121,57 @@ def test_crypto_commands_load_no_bench_json_or_dataclasses_module(tmp_path):
                                            "decrypt"]
 
 
+# What a sign process leaves unloaded: hashlib's OpenSSL, a second one next to
+# cryptography's, and cryptography's OpenSSL backend with X25519, which only a decode
+# or a product of a point other than G would import.
+NOT_IN_SIGN = ("_hashlib", "hashlib", "cryptography.hazmat.backends.openssl.backend",
+               "cryptography.hazmat.primitives.asymmetric.x25519")
+
+
+def test_sign_loads_no_x25519_no_openssl_backend_and_no_hashlib(tmp_path):
+    home = str(tmp_path / "home")
+    message = tmp_path / "msg.txt"
+    message.write_bytes(b"fence 3 breached\n")
+    for argv in (["kgc", "init"], ["kgc", "issue", "--id", "alpha"], ["table", "gen"]):
+        assert main([*argv, "--home", home, "--test-seed", "303", "--insecure-test"]) == 0
+    out = _fresh(
+        "import json, sys\n"
+        "from iodcrypt.cli import main\n"
+        f"code = main(['sign', '--key', 'alpha', {str(message)!r}, '--home', {home!r}])\n"
+        f"print(json.dumps([code, sorted(set({NOT_IN_SIGN!r}) & set(sys.modules))]))\n"
+        f"main(['verify', '--sig', {str(message) + '.sig'!r}, {str(message)!r}, '--home', {home!r}])\n"
+        f"print(json.dumps(sorted(set({NOT_IN_SIGN!r}) & set(sys.modules))))\n"
+    )
+    lines = out.splitlines()
+    assert json.loads(lines[1]) == [0, []]
+    # The control: verify's product of the signer's key imports the backend and X25519.
+    assert json.loads(lines[-1]) == list(NOT_IN_SIGN[2:])
+
+
+def test_no_command_loads_hashlib(tmp_path):
+    home = str(tmp_path / "home")
+    message = str(tmp_path / "msg.txt")
+    Path(message).write_bytes(b"return to base\n")
+    seeded = ["--test-seed", "304", "--insecure-test"]
+    commands = [
+        ["kgc", "init", *seeded], ["kgc", "issue", "--id", "alpha", *seeded],
+        ["kgc", "issue", "--id", "bravo", *seeded], ["keyver", "--key", "alpha"],
+        ["table", "gen", *seeded], ["table", "gen", "--designated", "--recipient", "bravo", *seeded],
+        ["sign", "--key", "alpha", message], ["verify", "--sig", f"{message}.sig", message],
+        ["encrypt", "--to", "bravo", message], ["decrypt", "--key", "bravo", f"{message}.enc"],
+        ["exchange", "--key-a", "alpha", "--key-b", "bravo"], ["bench", "--profile", "avr"],
+        ["bench", "--profile", "host", "--op", "aq_hang", "--iterations", "10", *seeded],
+    ]
+    out = _fresh(
+        "import json, sys\n"
+        "from iodcrypt.cli import main\n"
+        f"codes = [main([*argv, '--home', {home!r}]) for argv in {commands!r}]\n"
+        "print(json.dumps([codes, sorted({'hashlib', '_hashlib'} & set(sys.modules))]))\n"
+    )
+    assert json.loads(out.splitlines()[-1]) == [[0] * len(commands), []]
+    assert Path(f"{message}.dec").read_bytes() == Path(message).read_bytes()
+
+
 def test_readme_quickstart_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quickstart", 1)[1]

@@ -20,8 +20,9 @@ from iodcrypt.encrypt import Ciphertext, SenderContext, enc_kg_sender, encrypt
 from iodcrypt.errors import (InvalidIdentity, InvalidMeasurement, TableIntegrity,
                              UnsupportedParams)
 from iodcrypt.group import G, OpCounter, Scalar
-from iodcrypt.selfcert import (HangState, IdentityRecord, KgcKeypair, SelfCertKeypair,
-                               SessionKey, aq_hang_finalize, aq_hang_initiate, aq_kg, kgc_setup)
+from iodcrypt.selfcert import (DroneKey, HangState, IdentityRecord, KgcKeypair, SelfCertKeypair,
+                               SessionKey, aq_hang_finalize, aq_hang_initiate, aq_kg, kgc_setup,
+                               read_drone_key, serialize_drone_keypair)
 from iodcrypt.sign import Signature, SignerContext, VerifierContext, sign
 
 FIELDS = {
@@ -29,6 +30,7 @@ FIELDS = {
     KgcKeypair: ("secret", "public"),
     IdentityRecord: ("drone_id", "commitment"),
     SelfCertKeypair: ("record", "secret", "cached_term"),
+    DroneKey: ("drone_id", "secret"),
     HangState: ("ephemeral_secret", "message"),
     SessionKey: ("key", "transcript_hash"),
     Signature: ("s", "e"),
@@ -57,7 +59,7 @@ def records():
     state = aq_hang_initiate(a, rng)
     session = aq_hang_finalize(a, state, aq_hang_initiate(b, rng).message)
     profile = DeviceProfile("bench", 3.3, 0.04, 1e8)
-    found = [params, kgc, a.record, a, state, session, sign(signer, b"m", rng), signer,
+    found = [params, kgc, a.record, a, read_drone_key(serialize_drone_keypair(a)), state, session, sign(signer, b"m", rng), signer,
              VerifierContext.build(a.record, kgc.public), encrypt(sender, b"m", rng),
              sender, profile,
              BenchResult("sign", 10, 1e-4, 0, 27), EnergyReport(profile, 1e-4, 1.3e-5),
@@ -90,7 +92,7 @@ def test_records_of_different_values_or_classes_differ(records):
 
 
 def test_reprs_never_show_secrets(records):
-    kgc, keypair = records[KgcKeypair], records[SelfCertKeypair]
+    kgc, keypair, key = records[KgcKeypair], records[SelfCertKeypair], records[DroneKey]
     state, session = records[HangState], records[SessionKey]
     signer, sender = records[SignerContext], records[SenderContext]
     signer_nonces = list(signer.table.scalars)
@@ -101,6 +103,7 @@ def test_reprs_never_show_secrets(records):
     secrets = [
         (kgc, [kgc.secret]),
         (keypair, [keypair.secret, keypair.cached_term, *static_points]),
+        (key, [keypair.secret]),
         (signer.keypair, [keypair.secret, keypair.cached_term]),
         (state, [state.ephemeral_secret]),
         (session, [session.key]),
