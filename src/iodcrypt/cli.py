@@ -53,7 +53,8 @@ A process also does only the work its command reads.  ``sign`` (the id
 and x) and ``decrypt`` (x) read the key file with ``read_drone_key``,
 which checks its header, length, id and x but decodes neither U nor x*D,
 so they accept a file whose U or x*D is malformed; ``keyver`` and
-``exchange`` decode and check both.  A ``sign`` process so loads no
+``exchange`` decode and check both, and ``keyver`` also checks x*D
+against x times the system key.  A ``sign`` process so loads no
 X25519 and no OpenSSL backend module.  ``main`` builds the parser of the
 first command word in argv alone; where its top level would print usage
 or help, or no command word is given, it starts over with the whole
@@ -80,6 +81,7 @@ from .errors import (
     UnsupportedParams,
     VerifyFailed,
 )
+from .group import scalar_mult
 from .selfcert import (
     aq_hang_finalize,
     aq_hang_initiate,
@@ -271,7 +273,8 @@ def cmd_kgc_issue(args) -> int:
 def cmd_keyver(args) -> int:
     keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
     system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
-    if not key_ver(keypair.record, keypair.secret, system_public):
+    if not (key_ver(keypair.record, keypair.secret, system_public)
+            and keypair.cached_term == scalar_mult(keypair.secret, system_public)):
         raise KeyVerFailed(f"key for {keypair.record.drone_id!r} fails verification")
     _emit(
         args,

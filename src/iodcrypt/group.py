@@ -20,9 +20,9 @@ Two layers of API:
 
 Products run on two paths:
 
-* **G**: a signed radix-16 comb (64 rows of 8 affine points, Lim-Lee),
-  built on first use and kept for the life of the process; a product is
-  at most 63 mixed additions and no doublings.
+* **G**: a signed Lim-Lee comb (4 tables of 128 affine points), built on
+  first use and kept for the life of the process; a product is 7
+  doublings and 31 mixed additions.
 * **any other base**: two calls of the X25519 Montgomery ladder (RFC 7748,
   in C in ``cryptography``, imported on first use) give u(k*B) and
   u((k+1)*B), or u((k-1)*B) for k = N-1; the Okeya-Sakurai formula
@@ -47,12 +47,12 @@ every live ``GroupElement`` behaves as a member of a group of prime
 order ``N``.
 
 Importing the module takes no exponentiation, inversion or square root:
-d, 2d, 1/d, sqrt(-1) and G are written out.  Every SHA-256 and SHA-512
-of the package is :func:`digest`, on the OpenSSL inside ``cryptography``,
-so no process loads ``hashlib``'s as a second one.  X25519, and with it
-``cryptography``'s OpenSSL backend module, loads on the first decode or
-the first product of a base other than G, so a process that signs from a
-sealed table loads neither.
+d, 2d, 1/d, sqrt(-1), G and 1/8 mod N are written out.  Every SHA-256 and
+SHA-512 of the package is :func:`digest`, on the OpenSSL inside
+``cryptography``, so no process loads ``hashlib``'s as a second one.
+X25519, and with it ``cryptography``'s OpenSSL backend module, loads on
+the first decode or the first product of a base other than G, so a
+process that signs from a sealed table loads neither.
 """
 
 from __future__ import annotations
@@ -214,53 +214,75 @@ def _madd_raw(p1, cached):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-# The comb of G: row i holds j * 16^i * G for j = 1..8, so a scalar below
-# N written in 64 signed radix-16 digits (|d_i| <= 8) is the sum of one row
-# entry (or its negation) per nonzero digit.
-_COMB_ROWS = 64
-_COMB_COLS = 8
+# The comb of G (Lim-Lee, CRYPTO 1994, with the signed recoding of Hedabou, Pinel
+# and Beneteau, 2005).  An odd k < 2^255 is the sum of s_b * 2^b over b < 256 with
+# every s_b = +-1: s_b = 2c_b - 1 for c = (k + 2^256 - 1) / 2 = (k >> 1) + 2^255.
+# Column i = 8t + r (t < 4, r < 8) takes the 8 teeth at bits i + 32j, so its sum is
+# 2^r times 2^(8t) * sum(s_(i+32j) * 2^(32j)).  Table t keeps the 128 of these with
+# top tooth +1, 2^(8t) * (2^224 + sum(+-2^(32j) for j < 7)) * G, entry p with +
+# where bit j of p is set; a column with top tooth -1 is the negation of the entry
+# for its other teeth negated.
 _G_COMB = None
 
 
 def _g_comb():
-    # Built on first use and kept for the life of the process: 64 * 8
-    # additions (the last of each row the doubling cur + cur) and one batch
-    # normalisation, about 7 ms on a 2-core Python 3.11 host, for 512
-    # entries of three field elements, about 130 KiB.  Each entry is kept
-    # in the form of _cached; a row is laid out [None, +1..+8, -8..-1] so
-    # that row[d] serves d in [-8, 8] through Python's negative indexing.
+    # Built on first use and kept for the life of the process: 2^b * G for b <= 248
+    # by doubling; then each table's entry 0 (its 7 low teeth -1) with 7 additions
+    # and the other 127 by a Gray-code walk, one addition of +-2^(8t + 32j + 1) * G
+    # each to flip tooth j; one batch normalisation for all 512.  About 12 ms on a
+    # 2-core Python 3.11 host, for 512 entries in the form of _cached, about 125 KiB.
     global _G_COMB
     if _G_COMB is None:
+        powers = [G.coords]
+        for _ in range(248):
+            powers.append(_add_raw(powers[-1], powers[-1]))
         points = []
-        row_base = G.coords
-        for _ in range(_COMB_ROWS):
-            cur = row_base
-            points.append(cur)
-            for _ in range(_COMB_COLS - 1):
-                cur = _add_raw(cur, row_base)
-                points.append(cur)
-            row_base = _add_raw(cur, cur)
-        affine = _normalize(points)
-        rows = []
-        for i in range(0, len(affine), _COMB_COLS):
-            pos = _cached(affine[i : i + _COMB_COLS])
-            neg = [(ym, yp, (P - t2d) % P) for yp, ym, t2d in reversed(pos)]
-            rows.append([None, *pos, *neg])
-        _G_COMB = rows
+        for shift in range(0, 32, 8):
+            cur = powers[shift + 224]
+            for x, y, z, w in powers[shift : shift + 224 : 32]:
+                cur = _add_raw(cur, (-x, y, z, -w))
+            walk = [cur] * 128
+            for n in range(1, 128):
+                j, gray = (n & -n).bit_length() - 1, n ^ n >> 1
+                x, y, z, w = powers[shift + 32 * j + 1]
+                cur = _add_raw(cur, (x, y, z, w) if gray >> j & 1 else (-x, y, z, -w))
+                walk[gray] = cur
+            points += walk
+        entries = _cached(_normalize(points))
+        _G_COMB = [entries[i : i + 128] for i in range(0, 512, 128)]
     return _G_COMB
 
 
-def _signed_digits(k):
-    # k = sum(d_i * 16^i) with d_i in [-8, 7]; the top digit takes the
-    # final carry, which fits because k < N < 2^253.
-    digits = []
-    carry = 0
-    for _ in range(_COMB_ROWS):
-        d = (k & 15) + carry
-        k >>= 4
-        carry = (d + 8) >> 4
-        digits.append(d - (carry << 4))
-    return digits
+# _SPREAD[c] puts bit r of the byte c at bit 32(7 - r).  Byte q of the 32-bit chunk
+# j of c holds tooth j of columns 8q to 8q + 7; spread and shifted by j + 8q, it puts
+# that of column 8q + r at bit j of byte 4(7 - r) + q.  So the column bytes come in
+# the order of _comb_mul's rounds, each round's 4 in the order of the tables.
+_SPREAD = [0]
+for _shift in range(224, -1, -32):
+    _SPREAD += [spread | 1 << _shift for spread in _SPREAD]
+_SHIFTS = [j + 8 * q for j in range(8) for q in range(4)]
+
+
+def _comb_mul(k):
+    # k * G for 0 <= k < N, from k or, if k is even, the odd k + N < 2^254: 8 rounds,
+    # for r = 7 down to 0, each adding the entries of columns r, 8 + r, 16 + r and
+    # 24 + r, with a doubling between rounds: 7 doublings and 31 mixed additions.
+    # In the form of _cached, -(x, y) is (y - x, y + x, -2dxy).
+    c = ((k if k & 1 else k + N) >> 1 | 1 << 255).to_bytes(32, "little")
+    cols = sum(_SPREAD[b] << s for b, s in zip(c, _SHIFTS)).to_bytes(32, "little")
+    entries = []
+    for table, b in zip(_g_comb() * 8, cols):
+        if b >> 7:
+            entries.append(table[b & 127])
+        else:
+            yp, ym, t2d = table[b ^ 127]
+            entries.append((ym, yp, -t2d))
+    acc = _sum_cached(entries[:4])
+    for i in range(4, 32, 4):
+        acc = _add_raw(acc, acc)
+        for entry in entries[i : i + 4]:
+            acc = _madd_raw(acc, entry)
+    return acc
 
 
 def _sum_cached(entries):
@@ -275,18 +297,14 @@ def _sum_cached(entries):
     return acc
 
 
-def _comb_mul(rows, k):
-    # One row entry per nonzero digit.
-    return _sum_cached([row[d] for row, d in zip(rows, _signed_digits(k)) if d])
-
-
 # Other bases: X25519 (RFC 7748) on the Montgomery form v^2 = u^3 + A*u^2 + u,
 # (u, v) = ((1+y)/(1-y), sqrt(-486664)*u/x).  It returns u alone and takes
 # only scalars of the clamp form 2^254 + 8m, m < 2^251.
 _A = 486662
 # The root of -486664 that maps G to the v of RFC 7748 section 4.1.
 _SQRT_M486664 = 51042569399160536130206135233146329284152202253034631822681833788666877215207
-_INV_8 = pow(8, -1, N)
+# 1/8 mod N, written out; the tests derive it.
+_INV_8 = 2713877091499598330239944961141122840321418634767465352250731601857045344121
 
 
 def _clamp_form(k):
@@ -460,7 +478,7 @@ class GroupElement:
             return IDENTITY
         if self._ladder is None:
             if self.coords == G.coords:
-                return GroupElement(_comb_mul(_g_comb(), k))
+                return GroupElement(_comb_mul(k))
             u, v = _montgomery(self.coords)
             self._ladder = (u, v, _x25519_base(u))
         return GroupElement(_mul(self._ladder, k))

@@ -76,7 +76,8 @@ def test_sign_and_decrypt_decode_no_point_of_the_key_file(home, tmp_path, monkey
 # A bit of U or x*D, and what keyver and exchange (with bravo) give for it: the
 # flips that leave no subgroup point raise MalformedElement in both; the sign bit
 # of U gives another point, which keyver rejects, and the sign bit of x*D gives
-# -x*D, which keyver never reads and the handshake's keys then disagree on.
+# -x*D, which keyver rejects as other than x times the system key and the
+# handshake's keys disagree on.
 FLIPS = [
     ("U", 0, 0x01, "MalformedElement", "MalformedElement"),
     ("U", 17, 0x04, "MalformedElement", "MalformedElement"),
@@ -85,7 +86,7 @@ FLIPS = [
     ("xD", 0, 0x01, "MalformedElement", "MalformedElement"),
     ("xD", 12, 0x02, "MalformedElement", "MalformedElement"),
     ("xD", 31, 0x40, "MalformedElement", "MalformedElement"),
-    ("xD", 31, 0x80, "", "KeyVerFailed"),
+    ("xD", 31, 0x80, "KeyVerFailed", "KeyVerFailed"),
 ]
 
 

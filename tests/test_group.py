@@ -83,6 +83,10 @@ def test_curve_constants_are_derived_from_their_definitions():
     assert group._SQRT_M1**2 % P == P - 1
 
 
+def test_inverse_of_eight_is_derived_modulo_the_order():
+    assert group._INV_8 == pow(8, -1, N) and 8 * group._INV_8 % N == 1
+
+
 def test_base_point_lifts_from_y_four_fifths_with_even_x_and_has_order_n():
     y = 4 * pow(5, -1, P) % P
     x = group._GX
@@ -142,13 +146,16 @@ def test_addition_matches_affine_oracle(p1, p2):
             assert affine(a + b) == affine_add(affine(a), affine(b))
 
 
-# Digit-boundary scalars for the comb: every nibble 8 (a carry out of
-# every comb digit), every nibble 15 (the top window entry), 2 and 8.  For
-# X25519, whose clamp forms miss exactly the k = 8j with |j| <= c: those
-# multiples of 8 on both sides of the bound and their neighbours.
+# Recoding edges for the comb of G: 1 (every tooth -1 but the top one), the even
+# k (2, N - 1, ...) that it takes as k + N, 2^224 and 2^224 - 1 (the seven low
+# 32-bit chunks all zero bits or all one bits), 2^224 + 1 at the top tooth, every
+# chunk 1, every bit 1 and every nibble 8.  For X25519, whose clamp forms miss
+# exactly the k = 8j with |j| <= c: those multiples of 8 on both sides of the
+# bound and their neighbours.
 _C = N - 2**252
-_EDGE_SCALARS = [0, 1, 2, 7, 8, 16, 2**252 - 1, int("8" * 63, 16), N - 9, N - 8, N - 1,
-                 8 * _C, 8 * (_C + 1), N - 8 * _C, N - 8 * (_C + 1)]
+_EDGE_SCALARS = [0, 1, 2, 7, 8, 16, 2**224, 2**224 - 1, 2**224 + 1,
+                 sum(1 << 32 * j for j in range(8)), 2**252 - 1, int("8" * 63, 16), N - 9,
+                 N - 8, N - 1, 8 * _C, 8 * (_C + 1), N - 8 * _C, N - 8 * (_C + 1)]
 _OTHER_BASE = Scalar(0x5EED_BA5E) * G
 
 
@@ -316,15 +323,30 @@ def test_nothing_is_built_at_import_time():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_comb_product_runs_one_mixed_addition_per_nonzero_digit_after_the_first(monkeypatch):
-    rows = group._g_comb()
-    madds = _count_calls(monkeypatch, "_madd_raw")
+def test_every_product_of_g_runs_7_doublings_and_31_mixed_additions(monkeypatch):
+    group._g_comb()
+    adds, madds = (_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw"))
     for k in (*_EDGE_SCALARS, 0xC0FFEE << 200):
-        del madds[:]
+        del adds[:], madds[:]
         assert affine(Scalar(k) * G) == affine_mul(k, affine(G))
-        digits = sum(1 for d in group._signed_digits(k) if d)
-        assert len(madds) == max(digits - 1, 0)
-    assert group._comb_mul(rows, 0) == group._IDENT_COORDS
+        assert (len(adds), len(madds)) == ((7, 31) if k else (0, 0))
+    # Zero never reaches the comb, which gives it as N * G.
+    assert affine(GroupElement(group._comb_mul(0))) == AFFINE_IDENTITY
+
+
+def test_every_comb_entry_matches_affine_oracle():
+    # Entry p of table t is 2^(8t) * (2^224 + sum(+-2^(32j) for j < 7)) * G, with + where
+    # bit j of p is set: the sum, on the oracle, of the teeth 2^(8t + 32j) * G or their
+    # negations.
+    tables = group._g_comb()
+    assert [len(table) for table in tables] == [128] * 4
+    for t, table in enumerate(tables):
+        teeth = [affine_mul(2 ** (8 * t + 32 * j), affine(G)) for j in range(8)]
+        for p, entry in enumerate(table):
+            x, y = teeth[7]
+            for j, (xj, yj) in enumerate(teeth[:7]):
+                x, y = affine_add((x, y), (xj if p >> j & 1 else P - xj, yj))
+            assert entry == ((y + x) % P, (y - x) % P, x * y * group._2D % P)
 
 
 @settings(max_examples=8, deadline=None)
