@@ -38,8 +38,8 @@ for keypair in (drone, station):
           f"{len(serialize_record(rec))} bytes on the wire")
 
 print("\n== 3. Anyone can recompute a public key from the record ==")
-ctr = OpCounter()
-recomputed = reconstruct_pub(drone.record, kgc.public, ctr)
+with OpCounter() as ctr:
+    recomputed = reconstruct_pub(drone.record, kgc.public)
 honest = recomputed == Scalar(drone.secret.v) * G
 print(f"reconstructed X equals x*G: {honest} "
       f"(cost: {ctr.scalar_mults} mults, {ctr.point_adds} adds)")
@@ -49,8 +49,8 @@ forged = type(drone.record)(b"drone-7", drone.record.commitment + G)
 print(f"key_ver(tampered record) -> {key_ver(forged, drone.secret, kgc.public)}")
 
 print("\n== 4. Static pairwise secret, straight from the records ==")
-ctr = OpCounter()
-k_ds = aq_shared_static(drone, station.record, ctr=ctr)
+with OpCounter() as ctr:
+    k_ds = aq_shared_static(drone, station.record)
 k_sd = aq_shared_static(station, drone.record)
 print(f"drone's view   : {k_ds.encode().hex()[:32]}...")
 print(f"station's view : {k_sd.encode().hex()[:32]}...")

@@ -3,8 +3,9 @@
 A scalar multiplication is the expensive step in Schnorr-style signing.
 This demo builds a precomputation table once (offline, on the bench or
 charger), then signs messages by summing a secret random subset of the
-table — point additions only.  An operation counter proves the claim,
-and a quick timing run shows the speedup over a plain reference signer.
+table — point additions only.  An operation counter, bound around each
+step with ``with OpCounter() as ctr:``, proves the claim, and a quick
+timing run shows the speedup over a plain reference signer.
 """
 
 import random
@@ -21,8 +22,8 @@ params = BpvParams(v=28, k=256)
 
 print("== 1. Offline: issue a key and build the nonce table ==")
 kgc = kgc_setup(rng)
-ctr = OpCounter()
-signer = sign_kg(kgc, b"drone-7", params, rng, ctr)
+with OpCounter() as ctr:
+    signer = sign_kg(kgc, b"drone-7", params, rng)
 print(f"table of k={params.k} pairs built with {ctr.scalar_mults} scalar mults "
       f"(one-time cost)")
 print(f"signer context footprint: {signer.memory_bytes} bytes "
@@ -32,15 +33,15 @@ print(f"nonce subset space: C({params.k},{params.v}) ~ 2^"
 
 print("\n== 2. Online: sign with zero scalar multiplications ==")
 message = b"waypoint reached, battery at 71%"
-ctr = OpCounter()
-sig = sign(signer, message, rng, ctr)
+with OpCounter() as ctr:
+    sig = sign(signer, message, rng)
 print(f"sign cost: {ctr.scalar_mults} scalar mults, {ctr.point_adds} point adds "
       f"(v-1 = {params.v - 1})")
 
 print("\n== 3. Verification, two independent ways ==")
 vctx = VerifierContext.build(signer.keypair.record, kgc.public)
-ctr = OpCounter()
-ok_fast = verify(vctx, message, sig, ctr)
+with OpCounter() as ctr:
+    ok_fast = verify(vctx, message, sig)
 public_key = scalar_mult(signer.keypair.secret, G)
 ok_ref = reference_verify(public_key, message, sig)
 print(f"production verifier: {ok_fast} ({ctr.scalar_mults} mults, {ctr.point_adds} add)")

@@ -144,7 +144,7 @@ def project_energy(
 # ---------------------------------------------------------------------------
 
 
-def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]:
+def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
     """Build fixtures for ``op_name`` and return its one-iteration closure.
 
     The protocol modules are imported here, so the reports and the energy
@@ -159,44 +159,44 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
     params = BpvParams(28, 256)
     if op_name == "bpv_online":
         table = bpv_offline(params, rng)
-        return lambda ctr: bpv_online(table, rng, ctr)
+        return lambda: bpv_online(table, rng)
     if op_name == "table_load":
         blob = serialize_table(bpv_offline(params, rng))
-        return lambda ctr: deserialize_table(blob, ctr)
+        return lambda: deserialize_table(blob)
     if op_name == "table_open":
         key = rng.randrange(1 << 256).to_bytes(32, "little")
         blob = serialize_table(bpv_offline(params, rng), seal_key=key, rng=rng)
-        return lambda ctr: deserialize_table(blob, ctr, seal_key=key)
+        return lambda: deserialize_table(blob, seal_key=key)
 
     kgc = kgc_setup(rng)
 
     if op_name == "dbpv_online":
         receiver = aq_kg(kgc, b"bench-recv", rng)
         sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
-        return lambda ctr: dbpv_online(sender.table, rng, ctr)
+        return lambda: dbpv_online(sender.table, rng)
     if op_name in ("sign", "verify", "reference_sign"):
         ctx = sign_kg(kgc, b"bench-signer", params, rng)
         if op_name == "sign":
-            return lambda ctr: sign(ctx, b"benchmark message", rng, ctr)
+            return lambda: sign(ctx, b"benchmark message", rng)
         if op_name == "reference_sign":
             secret = ctx.keypair.secret
-            return lambda ctr: reference_sign(secret, b"benchmark message", rng, ctr)
+            return lambda: reference_sign(secret, b"benchmark message", rng)
         vctx = VerifierContext.build(ctx.keypair.record, kgc.public)
         sig = sign(ctx, b"benchmark message", rng)
-        return lambda ctr: verify(vctx, b"benchmark message", sig, ctr)
+        return lambda: verify(vctx, b"benchmark message", sig)
     if op_name in ("encrypt", "decrypt"):
         receiver = aq_kg(kgc, b"bench-recv", rng)
         sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
         if op_name == "encrypt":
-            return lambda ctr: encrypt(sender, b"benchmark message", rng, ctr)
+            return lambda: encrypt(sender, b"benchmark message", rng)
         # Decoded on every iteration, as a receiver does, so the time
         # includes the subgroup check of u(R): two X25519 calls in all.
         wire = encrypt(sender, b"benchmark message", rng).encode()
-        return lambda ctr: decrypt(receiver, decode_ciphertext(wire), ctr)
+        return lambda: decrypt(receiver, decode_ciphertext(wire))
     if op_name == "aq_shared":
         a = aq_kg(kgc, b"bench-a", rng)
         b = aq_kg(kgc, b"bench-b", rng)
-        return lambda ctr: aq_shared_static(a, b.record, ctr=ctr)
+        return lambda: aq_shared_static(a, b.record)
     if op_name == "aq_hang":
         a = aq_kg(kgc, b"bench-a", rng)
         b = aq_kg(kgc, b"bench-b", rng)
@@ -204,9 +204,8 @@ def _prepare_workload(op_name: str, rng) -> Callable[[OpCounter | None], object]
         # One peer throughout: from the warm-up on, a knows its record (a known-peer handshake).
         peer_message = aq_hang_initiate(b, rng).message
 
-        def one_handshake(ctr):
-            state = aq_hang_initiate(a, rng, table=table, ctr=ctr)
-            return aq_hang_finalize(a, state, peer_message, ctr=ctr)
+        def one_handshake():
+            return aq_hang_finalize(a, aq_hang_initiate(a, rng, table=table), peer_message)
 
         return one_handshake
 
@@ -238,14 +237,14 @@ def run_bench(op_name: str, iterations: int, rng=None) -> BenchResult:
         rng = random.SystemRandom()
     work = _prepare_workload(op_name, rng)
     for _ in range(WARMUP_ITERATIONS):
-        work(None)
+        work()
     samples = []
     for _ in range(iterations):
         start = time.perf_counter()
-        work(None)
+        work()
         samples.append(time.perf_counter() - start)
-    ctr = OpCounter()
-    work(ctr)
+    with OpCounter() as ctr:
+        work()
     return BenchResult(
         op_name=op_name,
         iterations=iterations,

@@ -91,7 +91,6 @@ from .group import (
     GROUP_ID,
     P,
     GroupElement,
-    OpCounter,
     Scalar,
     _2D,
     _D,
@@ -192,9 +191,9 @@ class PrecompTable:
         return self.params.k * 32 * (1 + len(self.bases))
 
 
-def _columns(bases, scalars, ctr):
+def _columns(bases, scalars):
     """The stored column r_i*B of each base B: k scalar mults and one inversion per base."""
-    return [addends([scalar_mult(k, base, ctr) for k in scalars]) for base in bases]
+    return [addends([scalar_mult(k, base) for k in scalars]) for base in bases]
 
 
 def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
@@ -205,47 +204,41 @@ def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _build(params, bases, owner_binding, rng, ctr) -> PrecompTable:
+def _build(params, bases, owner_binding, rng) -> PrecompTable:
     scalars = [random_scalar(rng) for _ in range(params.k)]
-    return PrecompTable(params, bases, scalars, _columns(bases, scalars, ctr), owner_binding)
+    return PrecompTable(params, bases, scalars, _columns(bases, scalars), owner_binding)
 
 
-def _draw(table: PrecompTable, stored: list, rng, ctr) -> tuple:
+def _draw(table: PrecompTable, stored: list, rng) -> tuple:
     """(r, then the sum of each column of ``stored``) over one fresh v-subset."""
     indices = sample_subset(table.params, rng)
     r = Scalar(sum(table.scalars[i].v for i in indices))
-    return (r, *(subset_sum(column, indices, ctr) for column in stored))
+    return (r, *(subset_sum(column, indices) for column in stored))
 
 
-def bpv_offline(params: BpvParams, rng, ctr: OpCounter | None = None) -> PrecompTable:
+def bpv_offline(params: BpvParams, rng) -> PrecompTable:
     """Build a fresh table over (G,): k scalar mults."""
-    return _build(params, (G,), b"", rng, ctr)
+    return _build(params, (G,), b"", rng)
 
 
-def bpv_online(table: PrecompTable, rng, ctr: OpCounter | None = None) -> tuple[Scalar, GroupElement]:
+def bpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement]:
     """Fresh (r, R = r*G) from a secret v-subset sum: v-1 adds, no mults."""
-    return _draw(table, table.stored[:1], rng, ctr)
+    return _draw(table, table.stored[:1], rng)
 
 
 def dbpv_offline(
-    params: BpvParams,
-    designated_point: GroupElement,
-    owner_binding: bytes,
-    rng,
-    ctr: OpCounter | None = None,
+    params: BpvParams, designated_point: GroupElement, owner_binding: bytes, rng
 ) -> PrecompTable:
     """Build a receiver-bound table over (G, designated_point): 2k scalar mults."""
-    return _build(params, (G, designated_point), bytes(owner_binding), rng, ctr)
+    return _build(params, (G, designated_point), bytes(owner_binding), rng)
 
 
-def dbpv_online(
-    table: PrecompTable, rng, ctr: OpCounter | None = None
-) -> tuple[Scalar, GroupElement, GroupElement]:
+def dbpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement, GroupElement]:
     """Fresh (r, r*G, r*X) from a (G, X) table by subset sums: 2(v-1) adds, no mults."""
-    return _draw(table, table.stored, rng, ctr)
+    return _draw(table, table.stored, rng)
 
 
-def verify_table(table: PrecompTable, ctr: OpCounter | None = None) -> None:
+def verify_table(table: PrecompTable) -> None:
     """Recompute every stored point from its scalar; raise TableIntegrity on drift.
 
     Checks the very points that the online phase sums, at a cost of k
@@ -253,7 +246,7 @@ def verify_table(table: PrecompTable, ctr: OpCounter | None = None) -> None:
     shared inversion per base.  An open load computes every point afresh;
     a sealed load reads the stored points, and relies on the seal instead.
     """
-    fresh = _columns(table.bases, table.scalars, ctr)
+    fresh = _columns(table.bases, table.scalars)
     for name, stored, recomputed in zip(("generator", "designated"), table.stored, fresh):
         for idx, (point, expected) in enumerate(zip(stored, recomputed)):
             if point != expected:
@@ -381,9 +374,7 @@ def _open(data: bytes, seal_key: bytes) -> PrecompTable:
     return PrecompTable(params, bases, scalars, stored, owner_binding)
 
 
-def deserialize_table(
-    data: bytes, ctr: OpCounter | None = None, *, seal_key: bytes | None = None
-) -> PrecompTable:
+def deserialize_table(data: bytes, *, seal_key: bytes | None = None) -> PrecompTable:
     """Parse table bytes; the caller's key, not the version byte, picks the format.
 
     Given ``seal_key``, only the sealed format is read: the header rule
@@ -420,4 +411,4 @@ def deserialize_table(
         owner_binding = data[off + 32 : off + 64]
         off += 64
     scalars = [decode_scalar(data[s : s + 32]) for s in range(off, off + 32 * k, 32)]
-    return PrecompTable(params, bases, scalars, _columns(bases, scalars, ctr), owner_binding)
+    return PrecompTable(params, bases, scalars, _columns(bases, scalars), owner_binding)

@@ -50,6 +50,7 @@ from .group import (
     GROUP_ID,
     GroupElement,
     OpCounter,
+    _UNBOUND,
     _check_header,
     decode_u,
     montgomery_u,
@@ -111,17 +112,12 @@ class SenderContext:
 
 
 def enc_kg_sender(
-    receiver: IdentityRecord,
-    system_public: GroupElement,
-    params: BpvParams,
-    rng,
-    ctr: OpCounter | None = None,
+    receiver: IdentityRecord, system_public: GroupElement, params: BpvParams, rng
 ) -> SenderContext:
     """Build the sender's designated table over the recipient's public key."""
-    recipient_key = reconstruct_pub(receiver, system_public, ctr)
+    recipient_key = reconstruct_pub(receiver, system_public)
     return SenderContext(
-        table=dbpv_offline(params, recipient_key, receiver.binding(), rng, ctr),
-        receiver=receiver,
+        table=dbpv_offline(params, recipient_key, receiver.binding(), rng), receiver=receiver
     )
 
 
@@ -144,9 +140,14 @@ def _seal(ephemeral: GroupElement, shared: GroupElement, message: bytes) -> Ciph
 
 
 def encrypt(ctx: SenderContext, message: bytes, rng, ctr: OpCounter | None = None) -> Ciphertext:
-    """Seal ``message`` for the context's recipient: additions only."""
-    _r, ephemeral, shared = dbpv_online(ctx.table, rng, ctr)
-    return _seal(ephemeral, shared, message)
+    """Seal ``message`` for the context's recipient: additions only.
+
+    Like ``decrypt``, it still takes a trailing ``ctr``, bound for the call
+    as in :func:`~iodcrypt.sign.sign`.
+    """
+    with ctr or _UNBOUND:
+        _r, ephemeral, shared = dbpv_online(ctx.table, rng)
+        return _seal(ephemeral, shared, message)
 
 
 def decrypt(keypair: SelfCertKeypair | DroneKey, ct: Ciphertext, ctr: OpCounter | None = None) -> bytes:
@@ -157,16 +158,16 @@ def decrypt(keypair: SelfCertKeypair | DroneKey, ct: Ciphertext, ctr: OpCounter 
     The AEAD checks the tag and returns no plaintext unless it verifies;
     on mismatch :class:`MacMismatch` is raised.
     """
-    aead = ChaCha20Poly1305(kdf(mul_u(keypair.secret, ct.ephemeral, ctr)))
-    try:
-        return aead.decrypt(_ZERO_NONCE, ct.body + ct.tag, None)
-    except InvalidTag:
-        raise MacMismatch("authentication tag mismatch; wrong recipient or tampered data") from None
+    with ctr or _UNBOUND:
+        aead = ChaCha20Poly1305(kdf(mul_u(keypair.secret, ct.ephemeral)))
+        try:
+            return aead.decrypt(_ZERO_NONCE, ct.body + ct.tag, None)
+        except InvalidTag:
+            raise MacMismatch(
+                "authentication tag mismatch; wrong recipient or tampered data") from None
 
 
-def reference_encrypt(
-    recipient_key: GroupElement, message: bytes, rng, ctr: OpCounter | None = None
-) -> Ciphertext:
+def reference_encrypt(recipient_key: GroupElement, message: bytes, rng) -> Ciphertext:
     """Seal with direct scalar multiplications instead of a table.
 
     Produces ciphertexts byte-compatible with :func:`encrypt`; serves as
@@ -175,7 +176,7 @@ def reference_encrypt(
     if recipient_key.is_identity():
         raise InvalidDesignatedPoint("recipient key must not be the identity")
     r = random_scalar(rng)
-    return _seal(scalar_mult(r, G, ctr), scalar_mult(r, recipient_key, ctr), message)
+    return _seal(scalar_mult(r, G), scalar_mult(r, recipient_key), message)
 
 
 # ---------------------------------------------------------------------------

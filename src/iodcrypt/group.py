@@ -11,12 +11,14 @@ Two layers of API:
 * ``GroupElement`` / ``Scalar`` support plain operators (``P + Q``,
   ``k * P``) for oracles, tests, and internal use.  These are never
   counted.
-* :func:`scalar_mult` and :func:`point_add` are the instrumented entry
-  points used by the protocol layers; they tick an :class:`OpCounter` so
-  that per-operation group-op budgets can be asserted exactly.
+* :func:`scalar_mult`, :func:`mul_u` and :func:`point_add` are the
+  counted entry points used by the protocol layers, and
   :func:`subset_sum` is the counted sum of stored points (the online
   phase of the precomputation tables); :func:`addends` turns a table's
   products, taken one :func:`scalar_mult` each, into that stored form.
+  Each ticks whichever :class:`OpCounter` its caller bound with
+  ``with OpCounter() as ctr:``, so no counter is passed down the call
+  chain and per-operation group-op budgets can be asserted exactly.
 
 Products run on two paths:
 
@@ -57,7 +59,9 @@ process that signs from a sealed table loads neither.
 
 from __future__ import annotations
 
+from _contextvars import ContextVar  # what ``contextvars`` re-exports, at half its import cost
 from collections.abc import Callable
+from contextlib import nullcontext
 from functools import lru_cache
 from operator import attrgetter
 
@@ -593,38 +597,64 @@ G = GroupElement((_GX, _GY, 1, _GX * _GY % P))
 # ---------------------------------------------------------------------------
 
 
+# The counter of the innermost enclosing ``with OpCounter()``, per thread and per task.
+_BOUND: ContextVar[OpCounter | None] = ContextVar("iodcrypt_op_counter", default=None)
+
+
 @record(frozen=False)
 class OpCounter:
-    """Counts curve operations within one measurement scope.
+    """Counts curve operations within its scope.
 
-    Not meant to be shared across concurrent measurements; reset only at
-    scope boundaries.
+    ``with OpCounter() as ctr:`` binds ``ctr`` for the block, and every
+    counted entry point called within it, at any depth, ticks ``ctr``.
+    The binding is a :class:`contextvars.ContextVar`, so it holds per
+    thread and per asyncio task: concurrent measurements, each in its own
+    scope, count apart.  Scopes nest; the innermost takes the counts, and
+    the enclosing one does not see them.  Outside every scope nothing is
+    counted.
     """
 
     scalar_mults: int = 0
     point_adds: int = 0
+
+    def __post_init__(self):
+        self._tokens = []
+
+    def __enter__(self) -> "OpCounter":
+        self._tokens.append(_BOUND.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _BOUND.reset(self._tokens.pop())
 
     def reset(self) -> None:
         self.scalar_mults = 0
         self.point_adds = 0
 
 
-def scalar_mult(k: Scalar, point: GroupElement, ctr: OpCounter | None = None) -> GroupElement:
+# What a kept ``ctr=None`` parameter enters for None: binds nothing, so an enclosing scope counts.
+_UNBOUND = nullcontext()
+
+
+def scalar_mult(k: Scalar, point: GroupElement) -> GroupElement:
     """Return k * point, counting one scalar multiplication."""
+    ctr = _BOUND.get()
     if ctr is not None:
         ctr.scalar_mults += 1
     return k * point
 
 
-def mul_u(k: Scalar, u: int, ctr: OpCounter | None = None) -> int:
+def mul_u(k: Scalar, u: int) -> int:
     """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product."""
+    ctr = _BOUND.get()
     if ctr is not None:
         ctr.scalar_mults += 1
     return _ladder_u(k.v, _x25519_base(u), _last_key)
 
 
-def point_add(a: GroupElement, b: GroupElement, ctr: OpCounter | None = None) -> GroupElement:
+def point_add(a: GroupElement, b: GroupElement) -> GroupElement:
     """Return a + b, counting one point addition."""
+    ctr = _BOUND.get()
     if ctr is not None:
         ctr.point_adds += 1
     return a + b
@@ -639,14 +669,13 @@ def addends(points: list[GroupElement]) -> list:
     return _cached(_normalize([point.coords for point in points]))
 
 
-def subset_sum(
-    stored: list, indices, ctr: OpCounter | None = None
-) -> GroupElement:
+def subset_sum(stored: list, indices) -> GroupElement:
     """Return the sum of ``stored[i]`` over ``indices``, counting one addition fewer than indices.
 
     ``stored`` comes from :func:`addends`, so each addition is a mixed
     one, two field products cheaper than :func:`point_add`.
     """
+    ctr = _BOUND.get()
     if ctr is not None:
         ctr.point_adds += len(indices) - 1
     return GroupElement(_sum_cached([stored[i] for i in indices]))

@@ -48,6 +48,7 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    _UNBOUND,
     _check_header,
     decode_element,
     decode_scalar,
@@ -170,29 +171,23 @@ def _check_identity(drone_id: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 
-def kgc_setup(rng, ctr: OpCounter | None = None) -> KgcKeypair:
+def kgc_setup(rng) -> KgcKeypair:
     """Create a fresh KGC master pair (one scalar multiplication)."""
     d = random_scalar(rng)
-    return KgcKeypair(secret=d, public=scalar_mult(d, G, ctr))
+    return KgcKeypair(secret=d, public=scalar_mult(d, G))
 
 
-def aq_kg(kgc: KgcKeypair, drone_id: bytes, rng, ctr: OpCounter | None = None) -> SelfCertKeypair:
+def aq_kg(kgc: KgcKeypair, drone_id: bytes, rng) -> SelfCertKeypair:
     """Issue a self-certified keypair for ``drone_id`` (two scalar mults)."""
     _check_identity(drone_id)
     b = random_scalar(rng)
-    commitment = scalar_mult(b, G, ctr)
+    commitment = scalar_mult(b, G)
     record = IdentityRecord(drone_id=bytes(drone_id), commitment=commitment)
     x = record.key_hash() * b + kgc.secret
-    return SelfCertKeypair(
-        record=record,
-        secret=x,
-        cached_term=scalar_mult(x, kgc.public, ctr),
-    )
+    return SelfCertKeypair(record=record, secret=x, cached_term=scalar_mult(x, kgc.public))
 
 
-def reconstruct_pub(
-    record: IdentityRecord, system_public: GroupElement, ctr: OpCounter | None = None
-) -> GroupElement:
+def reconstruct_pub(record: IdentityRecord, system_public: GroupElement) -> GroupElement:
     """X = H(id, U)*U + D, the implicitly certified public key.
 
     The product runs on a copy of U, so a record kept for long, as a
@@ -200,21 +195,16 @@ def reconstruct_pub(
     key of U.
     """
     commitment = GroupElement(record.commitment.coords)
-    return point_add(scalar_mult(record.key_hash(), commitment, ctr), system_public, ctr)
+    return point_add(scalar_mult(record.key_hash(), commitment), system_public)
 
 
-def key_ver(
-    record: IdentityRecord,
-    secret: Scalar,
-    system_public: GroupElement,
-    ctr: OpCounter | None = None,
-) -> bool:
+def key_ver(record: IdentityRecord, secret: Scalar, system_public: GroupElement) -> bool:
     """True iff ``secret`` matches the key reconstructed from ``record``.
 
     False whenever the identity, commitment, system key, or private
     scalar was altered; never raises on well-formed inputs.
     """
-    return scalar_mult(secret, G, ctr) == reconstruct_pub(record, system_public, ctr)
+    return scalar_mult(secret, G) == reconstruct_pub(record, system_public)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +213,7 @@ def key_ver(
 
 
 def aq_shared_static(
-    own: SelfCertKeypair,
-    peer: IdentityRecord,
-    system_public: GroupElement | None = None,
-    ctr: OpCounter | None = None,
+    own: SelfCertKeypair, peer: IdentityRecord, system_public: GroupElement | None = None
 ) -> GroupElement:
     """Static Diffie-Hellman secret x_own * X_peer = x_own * x_peer * G.
 
@@ -240,10 +227,10 @@ def aq_shared_static(
         raise InvalidIdentity("peer commitment must not be the identity point")
     if own.cached_term is not None:
         combined = own.secret * peer.key_hash()
-        return point_add(scalar_mult(combined, peer.commitment, ctr), own.cached_term, ctr)
+        return point_add(scalar_mult(combined, peer.commitment), own.cached_term)
     if system_public is None:
         raise ValueError("system_public is required when the cached term is not used")
-    return scalar_mult(own.secret, reconstruct_pub(peer, system_public, ctr), ctr)
+    return scalar_mult(own.secret, reconstruct_pub(peer, system_public))
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +248,17 @@ def aq_hang_initiate(
 
     With ``table`` the ephemeral point comes from the subset-sum
     precomputation (additions only); otherwise it costs one scalar
-    multiplication.
+    multiplication.  Both handshake halves still take a trailing ``ctr``,
+    bound for the call as in :func:`~iodcrypt.sign.sign`.
     """
-    if table is not None:
-        t, big_t = bpv_online(table, rng, ctr)
-    else:
-        t = random_scalar(rng)
-        big_t = scalar_mult(t, G, ctr)
-    message = serialize_record(own.record) + montgomery_u([big_t])[0].to_bytes(32, "little")
-    return HangState(ephemeral_secret=t, message=message)
+    with ctr or _UNBOUND:
+        if table is not None:
+            t, big_t = bpv_online(table, rng)
+        else:
+            t = random_scalar(rng)
+            big_t = scalar_mult(t, G)
+        message = serialize_record(own.record) + montgomery_u([big_t])[0].to_bytes(32, "little")
+        return HangState(ephemeral_secret=t, message=message)
 
 
 def aq_hang_finalize(
@@ -290,32 +279,33 @@ def aq_hang_finalize(
     other record is parsed and checked afresh; the length check and the
     check of u(T) run on every message.
     """
-    peers = own._known_peers
-    off = 1 + peer_message[0] + 32 if peer_message else 0
-    known = bytes(peer_message[:off])
-    if own.cached_term is None:
-        known = (known, system_public)
-    static = peers.get(known)
-    if static is None:
-        peer_record, off = parse_record(peer_message)
-    if len(peer_message) != off + 32:
-        raise InvalidEphemeral(
-            f"handshake message must carry exactly one ephemeral point "
-            f"(got {len(peer_message) - off} trailing bytes)"
-        )
-    peer_u = decode_u(peer_message[off:])
-    if static is None:
-        static = peers[known] = aq_shared_static(own, peer_record, system_public, ctr).encode()
-        if len(peers) > _KNOWN_PEERS:
-            peers.popitem(last=False)
-    else:
-        peers[known] = peers.pop(known, static)  # now the most recent
-    ephemeral_u = mul_u(state.ephemeral_secret, peer_u, ctr)
-    first, second = sorted((state.message, peer_message))
-    transcript = digest(first + second)
-    ikm = static + ephemeral_u.to_bytes(32, "little") + transcript
-    key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HANG_INFO).derive(ikm)
-    return SessionKey(key=key, transcript_hash=transcript)
+    with ctr or _UNBOUND:
+        peers = own._known_peers
+        off = 1 + peer_message[0] + 32 if peer_message else 0
+        known = bytes(peer_message[:off])
+        if own.cached_term is None:
+            known = (known, system_public)
+        static = peers.get(known)
+        if static is None:
+            peer_record, off = parse_record(peer_message)
+        if len(peer_message) != off + 32:
+            raise InvalidEphemeral(
+                f"handshake message must carry exactly one ephemeral point "
+                f"(got {len(peer_message) - off} trailing bytes)"
+            )
+        peer_u = decode_u(peer_message[off:])
+        if static is None:
+            static = peers[known] = aq_shared_static(own, peer_record, system_public).encode()
+            if len(peers) > _KNOWN_PEERS:
+                peers.popitem(last=False)
+        else:
+            peers[known] = peers.pop(known, static)  # now the most recent
+        ephemeral_u = mul_u(state.ephemeral_secret, peer_u)
+        first, second = sorted((state.message, peer_message))
+        transcript = digest(first + second)
+        ikm = static + ephemeral_u.to_bytes(32, "little") + transcript
+        key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HANG_INFO).derive(ikm)
+        return SessionKey(key=key, transcript_hash=transcript)
 
 
 # ---------------------------------------------------------------------------

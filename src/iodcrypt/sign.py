@@ -35,6 +35,7 @@ from .group import (
     GroupElement,
     OpCounter,
     Scalar,
+    _UNBOUND,
     decode_scalar,
     hash_to_scalar,
     point_add,
@@ -98,34 +99,27 @@ class VerifierContext:
     cached_key: GroupElement
 
     @classmethod
-    def build(
-        cls,
-        record: IdentityRecord,
-        system_public: GroupElement,
-        ctr: OpCounter | None = None,
-    ) -> "VerifierContext":
-        return cls(record, system_public, reconstruct_pub(record, system_public, ctr))
+    def build(cls, record: IdentityRecord, system_public: GroupElement) -> "VerifierContext":
+        return cls(record, system_public, reconstruct_pub(record, system_public))
 
 
-def sign_kg(
-    kgc: KgcKeypair,
-    drone_id: bytes,
-    params: BpvParams,
-    rng,
-    ctr: OpCounter | None = None,
-) -> SignerContext:
+def sign_kg(kgc: KgcKeypair, drone_id: bytes, params: BpvParams, rng) -> SignerContext:
     """Issue a keypair and build its nonce table in one step."""
-    return SignerContext(
-        keypair=aq_kg(kgc, drone_id, rng, ctr),
-        table=bpv_offline(params, rng, ctr),
-    )
+    return SignerContext(keypair=aq_kg(kgc, drone_id, rng), table=bpv_offline(params, rng))
+
+
+# sign and verify, like encrypt, decrypt and the two handshake halves, still take a
+# trailing ``ctr``: given, it is bound for the call as ``with ctr:`` would bind it;
+# None binds nothing, so an enclosing scope counts the call.  perfbench passes it;
+# these six parameters go once perfbench counts by scope (ROADMAP item 0).
 
 
 def sign(ctx: SignerContext, message: bytes, rng, ctr: OpCounter | None = None) -> Signature:
     """Sign ``message`` using a precomputed nonce: v-1 additions, zero mults."""
-    r, nonce_point = bpv_online(ctx.table, rng, ctr)
-    e = hash_to_scalar(DOMAIN_SIG, [message, nonce_point.encode()])
-    return Signature(s=r - e * ctx.keypair.secret, e=e)
+    with ctr or _UNBOUND:
+        r, nonce_point = bpv_online(ctx.table, rng)
+        e = hash_to_scalar(DOMAIN_SIG, [message, nonce_point.encode()])
+        return Signature(s=r - e * ctx.keypair.secret, e=e)
 
 
 def verify(
@@ -136,33 +130,22 @@ def verify(
     Recomputes R' = e*cached_key + s*G (two multiplications, one
     addition) and accepts iff the challenge hash matches.
     """
-    candidate = point_add(
-        scalar_mult(sig.e, vctx.cached_key, ctr),
-        scalar_mult(sig.s, G, ctr),
-        ctr,
-    )
-    return hash_to_scalar(DOMAIN_SIG, [message, candidate.encode()]) == sig.e
+    with ctr or _UNBOUND:
+        candidate = point_add(scalar_mult(sig.e, vctx.cached_key), scalar_mult(sig.s, G))
+        return hash_to_scalar(DOMAIN_SIG, [message, candidate.encode()]) == sig.e
 
 
-def reference_sign(
-    secret: Scalar, message: bytes, rng, ctr: OpCounter | None = None
-) -> Signature:
+def reference_sign(secret: Scalar, message: bytes, rng) -> Signature:
     """Textbook signer: one fresh scalar multiplication per signature."""
     r = random_scalar(rng)
-    nonce_point = scalar_mult(r, G, ctr)
+    nonce_point = scalar_mult(r, G)
     e = hash_to_scalar(DOMAIN_SIG, [message, nonce_point.encode()])
     return Signature(s=r - e * secret, e=e)
 
 
-def reference_verify(
-    public: GroupElement, message: bytes, sig: Signature, ctr: OpCounter | None = None
-) -> bool:
+def reference_verify(public: GroupElement, message: bytes, sig: Signature) -> bool:
     """Verify against an explicit public key X = x*G."""
-    candidate = point_add(
-        scalar_mult(sig.e, public, ctr),
-        scalar_mult(sig.s, G, ctr),
-        ctr,
-    )
+    candidate = point_add(scalar_mult(sig.e, public), scalar_mult(sig.s, G))
     return hash_to_scalar(DOMAIN_SIG, [message, candidate.encode()]) == sig.e
 
 

@@ -251,20 +251,20 @@ def test_criterion_06_zero_online_multiplication_counts(
     for _ in range(50):
         message = rng.randbytes(48)
 
-        ctr = OpCounter()
-        sig = sign(signer_ctx, message, rng, ctr)
+        with OpCounter() as ctr:
+            sig = sign(signer_ctx, message, rng)
         assert (ctr.scalar_mults, ctr.point_adds) == (0, v - 1)
 
-        ctr = OpCounter()
-        assert verify(verifier_ctx, message, sig, ctr)
+        with OpCounter() as ctr:
+            assert verify(verifier_ctx, message, sig)
         assert ctr.scalar_mults == 2
 
-        ctr = OpCounter()
-        ct = encrypt(sender_ctx, message, rng, ctr)
+        with OpCounter() as ctr:
+            ct = encrypt(sender_ctx, message, rng)
         assert (ctr.scalar_mults, ctr.point_adds) == (0, 2 * (v - 1))
 
-        ctr = OpCounter()
-        assert decrypt(recipient, ct, ctr) == message
+        with OpCounter() as ctr:
+            assert decrypt(recipient, ct) == message
         assert ctr.scalar_mults == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -326,14 +326,14 @@ def test_criterion_08_desk_scale_speedup():
              _prepare_workload("reference_sign", random.Random(9109)))
     for work in works:
         for _ in range(WARMUP_ITERATIONS):
-            work(None)
+            work()
     # The two workloads run in alternating iterations, so a swing in host
     # speed lands on both medians alike instead of on one of them.
     samples = ([], [])
     for _ in range(100):
         for work, times in zip(works, samples):
             begin = time.perf_counter()
-            work(None)
+            work()
             times.append(time.perf_counter() - begin)
     fast, slow = (statistics.median(times) for times in samples)
     ratio = slow / fast

@@ -141,7 +141,7 @@ def test_decrypt_workload_decodes_the_ciphertext_every_iteration(monkeypatch):
     real = encrypt_module.decode_u
     monkeypatch.setattr(encrypt_module, "decode_u",
                         lambda data: decoded.append(data) or real(data))
-    outputs = [work(None) for _ in range(3)]
+    outputs = [work() for _ in range(3)]
     assert outputs == [b"benchmark message"] * 3
     assert len(decoded) == 3 and len(set(decoded)) == 1
 
@@ -151,14 +151,14 @@ def test_precomputed_signing_beats_the_reference_signer():
              _prepare_workload("reference_sign", random.Random(4)))
     for work in works:
         for _ in range(WARMUP_ITERATIONS):
-            work(None)
+            work()
     # 30 iterations of each, alternating, so that a swing in host speed
     # lands on both medians alike instead of on one of them.
     samples = ([], [])
     for _ in range(30):
         for work, times in zip(works, samples):
             start = time.perf_counter()
-            work(None)
+            work()
             times.append(time.perf_counter() - start)
     fast, slow = (statistics.median(times) for times in samples)
     assert fast < slow

@@ -101,19 +101,20 @@ def test_offline_entries_satisfy_their_defining_relation():
 
 
 def test_offline_costs_k_scalar_mults():
-    ctr = OpCounter()
-    bpv_offline(TOY, random.Random(0), ctr)
+    with OpCounter() as ctr:
+        bpv_offline(TOY, random.Random(0))
     assert (ctr.scalar_mults, ctr.point_adds) == (TOY.k, 0)
 
 
 def test_designated_offline_entries_and_cost():
-    (table, d, point), ctr = toy_designated(), OpCounter()
+    table, d, point = toy_designated()
     for i, r_i in enumerate(table.scalars):
         point_g, point_d = stored_point(table, 1, i), stored_point(table, 2, i)
         assert point_g == r_i * G
         assert point_d == r_i * point
         assert point_d == d * point_g
-    dbpv_offline(TOY, point, b"\x00" * 32, random.Random(3), ctr)
+    with OpCounter() as ctr:
+        dbpv_offline(TOY, point, b"\x00" * 32, random.Random(3))
     assert (ctr.scalar_mults, ctr.point_adds) == (2 * TOY.k, 0)
 
 
@@ -185,16 +186,16 @@ def test_online_output_is_consistent_pair(seed):
 def test_online_uses_only_subset_additions():
     params = BpvParams(v=5, k=12, allow_unsafe=True)
     table = bpv_offline(params, random.Random(5))
-    ctr = OpCounter()
-    bpv_online(table, random.Random(6), ctr)
+    with OpCounter() as ctr:
+        bpv_online(table, random.Random(6))
     assert (ctr.scalar_mults, ctr.point_adds) == (0, params.v - 1)
 
 
 def test_online_single_element_subset_needs_no_additions():
     params = BpvParams(v=1, k=3, allow_unsafe=True)
     table = bpv_offline(params, random.Random(7))
-    ctr = OpCounter()
-    r, point = bpv_online(table, random.Random(8), ctr)
+    with OpCounter() as ctr:
+        r, point = bpv_online(table, random.Random(8))
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
     assert (r, point) in [(r_i, stored_point(table, 1, i)) for i, r_i in enumerate(table.scalars)]
 
@@ -231,8 +232,8 @@ def test_designated_online_cost_is_twice_the_additions():
     params = BpvParams(v=6, k=16, allow_unsafe=True)
     point = Scalar(99) * G
     table = dbpv_offline(params, point, b"\x11" * 32, random.Random(13))
-    ctr = OpCounter()
-    dbpv_online(table, random.Random(14), ctr)
+    with OpCounter() as ctr:
+        dbpv_online(table, random.Random(14))
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 2 * (params.v - 1))
 
 
@@ -375,9 +376,9 @@ def test_loading_counts_one_mult_per_computed_point(monkeypatch):
     real = bpv.decode_element
     monkeypatch.setattr(bpv, "decode_element", lambda data: decoded.append(data) or real(data))
     for table, mults, decodes in ((toy_table(), TOY.k, 0), (designated, 2 * TOY.k, 1)):
-        ctr = OpCounter()
         del decoded[:]
-        assert deserialize_table(serialize_table(table), ctr) == table
+        with OpCounter() as ctr:
+            assert deserialize_table(serialize_table(table)) == table
         assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
         assert len(decoded) == decodes
 
@@ -487,8 +488,8 @@ def test_sealed_table_round_trips_bit_exact_with_no_group_operation(kind):
     table = toy_table() if kind == "plain" else toy_designated()[0]
     blob = _sealed(table)
     assert blob[:8] == b"IODCBPV2"
-    ctr = OpCounter()
-    again = deserialize_table(blob, ctr, seal_key=SEAL)
+    with OpCounter() as ctr:
+        again = deserialize_table(blob, seal_key=SEAL)
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
     assert again == table
     assert again.bases == table.bases
@@ -556,9 +557,8 @@ def test_open_table_is_refused_with_no_product_when_a_seal_key_is_given():
     # scalars its writer knows, must not be read in place of a sealed one.
     designated, _, _ = toy_designated()
     for table in (toy_table(), designated):
-        ctr = OpCounter()
-        with pytest.raises(UnsupportedVersion):
-            deserialize_table(serialize_table(table), ctr, seal_key=SEAL)
+        with OpCounter() as ctr, pytest.raises(UnsupportedVersion):
+            deserialize_table(serialize_table(table), seal_key=SEAL)
         assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
 
 
@@ -576,8 +576,8 @@ def test_verify_table_accepts_honest_tables():
 def test_verify_table_counts_one_mult_per_recomputed_point():
     designated, _, _ = toy_designated()
     for table, mults in ((toy_table(), TOY.k), (designated, 2 * TOY.k)):
-        ctr = OpCounter()
-        verify_table(table, ctr)
+        with OpCounter() as ctr:
+            verify_table(table)
         assert (ctr.scalar_mults, ctr.point_adds) == (mults, 0)
 
 

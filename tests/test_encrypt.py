@@ -197,8 +197,8 @@ def test_round_trips_across_lengths(setup):
 
 def test_encrypt_uses_no_scalar_multiplication(setup):
     _, _, _, ctx = setup
-    ctr = OpCounter()
-    encrypt(ctx, b"budget", random.Random(407), ctr)
+    with OpCounter() as ctr:
+        encrypt(ctx, b"budget", random.Random(407))
     assert ctr.scalar_mults == 0
     assert ctr.point_adds == 2 * (TOY.v - 1)
 
@@ -206,8 +206,8 @@ def test_encrypt_uses_no_scalar_multiplication(setup):
 def test_decrypt_uses_exactly_one_scalar_multiplication(setup):
     _, _, bob, ctx = setup
     ct = encrypt(ctx, b"budget", random.Random(408))
-    ctr = OpCounter()
-    decrypt(bob, ct, ctr)
+    with OpCounter() as ctr:
+        decrypt(bob, ct)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
 
 
@@ -252,8 +252,8 @@ def test_table_and_reference_paths_are_mutually_compatible(setup):
     recipient_key = reconstruct_pub(bob.record, kgc.public)
     assert decrypt(bob, encrypt(ctx, b"from table", rng)) == b"from table"
     assert decrypt(bob, reference_encrypt(recipient_key, b"direct", rng)) == b"direct"
-    ctr = OpCounter()
-    reference_encrypt(recipient_key, b"direct", rng, ctr)
+    with OpCounter() as ctr:
+        reference_encrypt(recipient_key, b"direct", rng)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 0)
 
 
@@ -470,8 +470,8 @@ def test_second_decrypt_under_one_key_derives_no_key_and_takes_no_square_root(
     # The first builds the check scalar's key and the secret's.
     assert (len(counting_keys.built), len(counting_keys.exchanges)) == (2, 2)
     del counting_keys.built[:], counting_keys.exchanges[:]
-    ctr = OpCounter()
-    assert decrypt(bob, deserialize_ciphertext_file(files[1]), ctr) == b"frame 1"
+    with OpCounter() as ctr:
+        assert decrypt(bob, deserialize_ciphertext_file(files[1])) == b"frame 1"
     # The check and the product: one exchange each, no key built, no square root.
     assert (len(counting_keys.built), len(counting_keys.exchanges)) == (0, 2)
     assert lifts == []

@@ -266,9 +266,9 @@ def test_check_scalar_clears_the_torsion_part(j):
     assert _exchange(c, u_point) == u_base != u_point
 
 
-def _column(base, ks, ctr=None):
+def _column(base, ks):
     # The stored column of ``base`` over ``ks``, as a table builds, loads and checks it.
-    return bpv._columns((base,), [Scalar(k) for k in ks], ctr)[0]
+    return bpv._columns((base,), [Scalar(k) for k in ks])[0]
 
 
 def _count_calls(monkeypatch, name):
@@ -362,10 +362,10 @@ def test_table_column_matches_affine_oracle(ks, b):
 
 
 def test_table_column_counts_one_mult_per_product():
-    ctr = OpCounter()
-    assert _column(G, [], ctr) == []
-    assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
-    out = _column(G, [3, 5, 3], ctr)
+    with OpCounter() as ctr:
+        assert _column(G, []) == []
+        assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
+        out = _column(G, [3, 5, 3])
     assert (ctr.scalar_mults, ctr.point_adds) == (3, 0)
     assert out == addends([Scalar(3) * G, Scalar(5) * G, Scalar(3) * G])
 
@@ -519,8 +519,8 @@ def test_mul_u_counts_one_product_and_makes_one_x25519_call(monkeypatch):
     exchanges = _count_calls(monkeypatch, "_ladder_u")
     # 16 and 64 have no clamp form; 8 * (c + 1) has one.
     for k, calls in ((3, 1), (16, 2), (64, 3), (8 * (_C + 1), 4)):
-        ctr = OpCounter()
-        assert mul_u(Scalar(k), u, ctr) == affine_u(affine_mul(k, affine(_OTHER_BASE)))
+        with OpCounter() as ctr:
+            assert mul_u(Scalar(k), u) == affine_u(affine_mul(k, affine(_OTHER_BASE)))
         assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
         assert len(exchanges) == calls
 
@@ -555,9 +555,9 @@ def test_subset_sum_counts_one_add_fewer_than_indices(monkeypatch):
     stored = addends([Scalar(k) * G for k in (3, 5, 7)])
     madds = _count_calls(monkeypatch, "_madd_raw")
     for indices, adds in (([1], 0), ([0, 2], 1), ([2, 0, 1], 2)):
-        ctr = OpCounter()
         del madds[:]
-        subset_sum(stored, indices, ctr)
+        with OpCounter() as ctr:
+            subset_sum(stored, indices)
         assert (ctr.scalar_mults, ctr.point_adds) == (0, adds) and len(madds) == adds
     assert subset_sum(stored, [2, 0, 1]) == Scalar(15) * G
     assert affine(subset_sum(stored, [1])) == affine_mul(5, affine(G))
@@ -701,28 +701,28 @@ def test_identity_round_trips():
 
 
 def test_counters_count_exactly_what_ran():
-    ctr = OpCounter()
-    p = scalar_mult(Scalar(7), G, ctr)
-    assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
-    point_add(p, G, ctr)
-    assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
+    with OpCounter() as ctr:
+        p = scalar_mult(Scalar(7), G)
+        assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+        point_add(p, G)
+        assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
     ctr.reset()
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
 
 
 def test_add_only_scope_reports_zero_mults():
-    ctr = OpCounter()
     acc = G
-    for _ in range(9):
-        acc = point_add(acc, G, ctr)
+    with OpCounter() as ctr:
+        for _ in range(9):
+            acc = point_add(acc, G)
     assert ctr.scalar_mults == 0
     assert ctr.point_adds == 9
     assert acc == Scalar(10) * G
 
 
 def test_operator_arithmetic_is_uncounted():
-    ctr = OpCounter()
-    _ = Scalar(5) * G + G - G
+    with OpCounter() as ctr:
+        _ = Scalar(5) * G + G - G
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
 
 

@@ -89,8 +89,8 @@ def test_key_ver_rejects_each_tampered_field(setup):
 
 def test_key_ver_cost(setup):
     kgc, a, _ = setup
-    ctr = OpCounter()
-    assert key_ver(a.record, a.secret, kgc.public, ctr)
+    with OpCounter() as ctr:
+        assert key_ver(a.record, a.secret, kgc.public)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
@@ -108,11 +108,11 @@ def test_issuance_rejects_bad_identities(setup):
 
 def test_issuance_op_costs(setup):
     kgc, _, _ = setup
-    ctr = OpCounter()
-    kgc_setup(random.Random(7), ctr)
-    assert ctr.scalar_mults == 1
-    ctr.reset()
-    aq_kg(kgc, b"drone-c", random.Random(8), ctr)
+    with OpCounter() as ctr:
+        kgc_setup(random.Random(7))
+        assert ctr.scalar_mults == 1
+        ctr.reset()
+        aq_kg(kgc, b"drone-c", random.Random(8))
     assert ctr.scalar_mults == 2
 
 
@@ -138,12 +138,12 @@ def test_cached_and_recomputed_paths_agree_byte_for_byte(setup):
 
 def test_shared_secret_costs(setup):
     kgc, a, b = setup
-    ctr = OpCounter()
-    aq_shared_static(a, b.record, ctr=ctr)
-    assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
-    ctr.reset()
-    aq_shared_static(SelfCertKeypair(a.record, a.secret, None), b.record,
-                     system_public=kgc.public, ctr=ctr)
+    uncached = SelfCertKeypair(a.record, a.secret, None)
+    with OpCounter() as ctr:
+        aq_shared_static(a, b.record)
+        assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
+        ctr.reset()
+        aq_shared_static(uncached, b.record, system_public=kgc.public)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
@@ -203,8 +203,8 @@ def test_handshake_with_precomputed_table_still_agrees_and_adds_only(setup):
     rng = random.Random(11)
     params = BpvParams(v=4, k=8, allow_unsafe=True)
     table = bpv_offline(params, rng)
-    ctr = OpCounter()
-    sa = aq_hang_initiate(a, rng, table=table, ctr=ctr)
+    with OpCounter() as ctr:
+        sa = aq_hang_initiate(a, rng, table=table)
     assert (ctr.scalar_mults, ctr.point_adds) == (0, params.v - 1)
     sb = aq_hang_initiate(b, rng)
     assert aq_hang_finalize(a, sa, sb.message).key == aq_hang_finalize(b, sb, sa.message).key
@@ -219,18 +219,18 @@ def test_handshake_costs_without_a_table(setup):
     _, a, b = setup
     a = _fresh(a)
     rng = random.Random(13)
-    ctr = OpCounter()
-    sa = aq_hang_initiate(a, rng, ctr=ctr)
+    with OpCounter() as ctr:
+        sa = aq_hang_initiate(a, rng)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
     sb = aq_hang_initiate(b, rng)
     assert a.cached_term is not None
-    ctr = OpCounter()
-    first = aq_hang_finalize(a, sa, sb.message, ctr=ctr)
+    with OpCounter() as ctr:
+        first = aq_hang_finalize(a, sa, sb.message)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)  # first contact
     # A known peer, in a new session on either side: u(t_a * T_b) alone.
     for sa, sb in ((sa, sb), (aq_hang_initiate(a, rng), aq_hang_initiate(b, rng))):
-        ctr = OpCounter()
-        key = aq_hang_finalize(a, sa, sb.message, ctr=ctr).key
+        with OpCounter() as ctr:
+            key = aq_hang_finalize(a, sa, sb.message).key
         assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
         assert key == aq_hang_finalize(b, sb, sa.message).key
     assert key != first.key
@@ -354,8 +354,8 @@ def test_a_record_off_a_known_one_is_checked_afresh(setup):
         assert _failure(lambda: aq_hang_finalize(station, state, message)) is expected, name
     assert station._known_peers == known
     state = aq_hang_initiate(station, rng)
-    ctr = OpCounter()
-    aq_hang_finalize(station, state, honest, ctr=ctr)
+    with OpCounter() as ctr:
+        aq_hang_finalize(station, state, honest)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
 
 
@@ -369,8 +369,9 @@ def test_known_peers_stay_bounded_and_keep_the_most_recent(setup):
              for i in range(KNOWN_PEERS + 4)]
 
     def finalize(wire):
-        ctr = OpCounter()
-        aq_hang_finalize(station, aq_hang_initiate(station, rng), wire + u_t, ctr=ctr)
+        state = aq_hang_initiate(station, rng)
+        with OpCounter() as ctr:
+            aq_hang_finalize(station, state, wire + u_t)
         return ctr.scalar_mults, ctr.point_adds
 
     for wire in wires[:KNOWN_PEERS]:

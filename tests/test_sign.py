@@ -104,8 +104,8 @@ def test_sign_verify_round_trip_property(message, seed):
 
 def test_signing_needs_no_scalar_multiplication(setup):
     _, ctx, _ = setup
-    ctr = OpCounter()
-    sign(ctx, b"budget", random.Random(76), ctr)
+    with OpCounter() as ctr:
+        sign(ctx, b"budget", random.Random(76))
     assert ctr.scalar_mults == 0
     assert ctr.point_adds == TOY.v - 1
 
@@ -114,23 +114,23 @@ def test_verification_budget(setup):
     _, ctx, vctx = setup
     rng = random.Random(77)
     sig = sign(ctx, b"budget", rng)
-    ctr = OpCounter()
-    verify(vctx, b"budget", sig, ctr)
+    with OpCounter() as ctr:
+        verify(vctx, b"budget", sig)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
 def test_reference_verification_budget(setup):
     _, ctx, vctx = setup
     sig = sign(ctx, b"reference", random.Random(79))
-    ctr = OpCounter()
-    assert reference_verify(vctx.cached_key, b"reference", sig, ctr)
+    with OpCounter() as ctr:
+        assert reference_verify(vctx.cached_key, b"reference", sig)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
 def test_reference_sign_costs_one_multiplication(setup):
     _, ctx, _ = setup
-    ctr = OpCounter()
-    reference_sign(ctx.keypair.secret, b"budget", random.Random(78), ctr)
+    with OpCounter() as ctr:
+        reference_sign(ctx.keypair.secret, b"budget", random.Random(78))
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
 
 
@@ -184,8 +184,9 @@ def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
     rng = random.Random(82)
     for i in range(5):
         message = rng.randbytes(16)
-        ctr = OpCounter()
-        assert verify(vctx, message, sign(ctx, message, rng), ctr)
+        sig = sign(ctx, message, rng)
+        with OpCounter() as ctr:
+            assert verify(vctx, message, sig)
         tally()
         assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
     # e * cached_key on X25519; s * G on the comb.
