@@ -5,17 +5,16 @@ This demo builds a precomputation table once (offline, on the bench or
 charger), then signs messages by summing a secret random subset of the
 table — point additions only.  An operation counter, bound around each
 step with ``with OpCounter() as ctr:``, proves the claim, and a quick
-timing run shows the speedup over a plain reference signer.
+round-robin timing run shows the speedup over a plain reference signer.
 """
 
 import random
-import statistics
-import time
 
+from iodcrypt.bench import run_bench
 from iodcrypt.bpv import BpvParams, subset_space_bits
 from iodcrypt.group import G, OpCounter, scalar_mult
 from iodcrypt.selfcert import kgc_setup
-from iodcrypt.sign import VerifierContext, reference_sign, reference_verify, sign, sign_kg, verify
+from iodcrypt.sign import VerifierContext, reference_verify, sign, sign_kg, verify
 
 rng = random.Random(2)
 params = BpvParams(v=28, k=256)
@@ -49,16 +48,8 @@ print(f"reference verifier : {ok_ref}")
 print(f"tampered message   : {verify(vctx, message + b'!', sig)}")
 
 print("\n== 4. Timing: precomputed vs reference signer ==")
-def median_ms(fn, n=100):
-    times = []
-    for _ in range(n):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
-
-fast = median_ms(lambda: sign(signer, message, rng))
-slow = median_ms(lambda: reference_sign(signer.keypair.secret, message, rng))
+fast, slow = (result.median_seconds * 1e3
+              for result in run_bench(("sign", "reference_sign"), 100, rng))
 print(f"precomputed sign : {fast:.3f} ms median")
 print(f"reference sign   : {slow:.3f} ms median")
 print(f"speedup          : {slow / fast:.1f}x "

@@ -47,7 +47,7 @@ print(f"{worst:.3%} across {len(REFERENCE_ROWS)} rows (tolerance 2%)")
 print("\n== 4. Measure this host and project it like a device ==")
 rng = random.Random(4)
 host = DeviceProfile(name="host", voltage=3.3, current=0.040)
-results = [run_bench(op, 30, rng) for op in ("sign", "verify", "encrypt", "decrypt")]
+results = run_bench(("sign", "verify", "encrypt", "decrypt"), 30, rng)
 print(format_text_table(host_report(results, host)))
 print("\nThe precomputed ops (sign, encrypt) spend additions, not "
       "multiplications — that is where the energy goes on a drone.")

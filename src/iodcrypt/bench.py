@@ -2,9 +2,9 @@
 
 Two jobs live here:
 
-* ``run_bench`` measures an operation on the host: fixed warm-up, median
-  wall time over N iterations, and the exact per-call group-operation
-  counts from an :class:`~iodcrypt.group.OpCounter`.
+* ``run_bench`` measures operations on the host, round-robin: fixed
+  warm-up, median wall time over N rounds, and the exact per-call
+  group-operation counts from an :class:`~iodcrypt.group.OpCounter`.
 * ``project_energy`` converts an execution time (or a cycle count at a
   known clock rate) into energy via E = V * I * t for a device profile.
 
@@ -26,7 +26,7 @@ import json
 import random
 import statistics
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import InvalidMeasurement, UnknownOp
 from .group import OpCounter, record
@@ -227,31 +227,34 @@ BENCH_OPS = (
 )
 
 
-def run_bench(op_name: str, iterations: int, rng=None) -> BenchResult:
-    """Measure ``op_name``: warm-up, timed iterations, one counted run."""
-    if op_name not in BENCH_OPS:
-        raise UnknownOp(f"no benchmark workload named {op_name!r}")
+def run_bench(op_names: Sequence[str], iterations: int, rng=None) -> list[BenchResult]:
+    """Measure ``op_names`` round-robin: warm-up, timed rounds, one counted run each.
+
+    Each round calls every op once, in reverse order every other round, so
+    that drift in host speed lands on every median alike; a sequential
+    median can misrank two ops.  One result per op, in the given order.
+    """
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"iterations must be at least {MIN_ITERATIONS}")
     if rng is None:
         rng = random.SystemRandom()
-    work = _prepare_workload(op_name, rng)
-    for _ in range(WARMUP_ITERATIONS):
-        work()
-    samples = []
-    for _ in range(iterations):
-        start = time.perf_counter()
-        work()
-        samples.append(time.perf_counter() - start)
-    with OpCounter() as ctr:
-        work()
-    return BenchResult(
-        op_name=op_name,
-        iterations=iterations,
-        median_seconds=statistics.median(samples),
-        scalar_mults=ctr.scalar_mults,
-        point_adds=ctr.point_adds,
-    )
+    works = [_prepare_workload(op_name, rng) for op_name in op_names]
+    for work in works:
+        for _ in range(WARMUP_ITERATIONS):
+            work()
+    timed = [(work, []) for work in works]
+    for i in range(iterations):
+        for work, samples in (timed if i % 2 == 0 else timed[::-1]):
+            start = time.perf_counter()
+            work()
+            samples.append(time.perf_counter() - start)
+    results = []
+    for op_name, (work, samples) in zip(op_names, timed):
+        with OpCounter() as ctr:
+            work()
+        results.append(BenchResult(op_name, iterations, statistics.median(samples),
+                                   ctr.scalar_mults, ctr.point_adds))
+    return results
 
 
 # ---------------------------------------------------------------------------

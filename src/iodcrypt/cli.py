@@ -352,15 +352,15 @@ def cmd_encrypt(args) -> int:
     system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
     message = Path(args.infile).read_bytes()
     rng = _rng(args)
+    recipient_key = reconstruct_pub(record, system_public)
     table_path = _resolve(args, args.table, ".dtbl") if args.table else _designated(args, record)
     if args.table or table_path.exists():
         ctx = SenderContext(table=_load_table(args, table_path), receiver=record)
-        if ctx.table.bases[1] != reconstruct_pub(record, system_public):
+        if ctx.table.bases[1] != recipient_key:
             raise TableIntegrity(f"{table_path} was not built under this system key")
         ct = encrypt(ctx, message, rng)
         mode = "table"
     else:
-        recipient_key = reconstruct_pub(record, system_public)
         ct = reference_encrypt(recipient_key, message, rng)
         mode = "direct"
     out = Path(args.out) if args.out else Path(args.infile + ".enc")
@@ -434,11 +434,10 @@ def cmd_bench(args) -> int:
     else:  # host measurement
         if not args.op:
             raise UnsupportedParams("--profile host requires --op")
-        result = run_bench(args.op, args.iterations, _rng(args))
         profile = None
         if args.voltage is not None:
             profile = DeviceProfile(name="host", voltage=args.voltage, current=args.current)
-        rows = host_report([result], profile)
+        rows = host_report(run_bench((args.op,), args.iterations, _rng(args)), profile)
     print(format_ldjson(rows) if args.json else format_text_table(rows))
     return 0
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
 
 import pytest
@@ -34,9 +33,8 @@ import pytest
 from iodcrypt.bench import (
     PROFILES,
     REFERENCE_ROWS,
-    WARMUP_ITERATIONS,
-    _prepare_workload,
     project_energy,
+    run_bench,
 )
 from iodcrypt.bpv import (
     BpvParams,
@@ -322,20 +320,8 @@ def test_criterion_07_hybrid_encryption_correctness(
 
 def test_criterion_08_desk_scale_speedup():
     start = time.perf_counter()
-    works = (_prepare_workload("sign", random.Random(9108)),
-             _prepare_workload("reference_sign", random.Random(9109)))
-    for work in works:
-        for _ in range(WARMUP_ITERATIONS):
-            work()
-    # The two workloads run in alternating iterations, so a swing in host
-    # speed lands on both medians alike instead of on one of them.
-    samples = ([], [])
-    for _ in range(100):
-        for work, times in zip(works, samples):
-            begin = time.perf_counter()
-            work()
-            times.append(time.perf_counter() - begin)
-    fast, slow = (statistics.median(times) for times in samples)
+    fast, slow = (result.median_seconds
+                  for result in run_bench(("sign", "reference_sign"), 100, random.Random(9108)))
     ratio = slow / fast
     elapsed = time.perf_counter() - start
     assert fast < slow

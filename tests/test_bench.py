@@ -2,8 +2,6 @@
 
 import json
 import random
-import statistics
-import time
 
 import pytest
 
@@ -23,7 +21,7 @@ from iodcrypt.bench import (
     project_energy,
     run_bench,
 )
-from iodcrypt import encrypt as encrypt_module
+from iodcrypt import bench, encrypt as encrypt_module
 from iodcrypt.errors import InvalidMeasurement, UnknownOp
 
 AVR = PROFILES["avr"]
@@ -103,9 +101,31 @@ def test_profile_validation():
 
 def test_unknown_selector_and_iteration_floor():
     with pytest.raises(UnknownOp):
-        run_bench("made_up_op", 10, random.Random(1))
+        run_bench(("made_up_op",), 10, random.Random(1))
     with pytest.raises(ValueError):
-        run_bench("sign", 9, random.Random(1))
+        run_bench(("sign",), 9, random.Random(1))
+
+
+def test_bench_times_the_ops_round_robin(monkeypatch):
+    calls = []
+
+    def logging_workload(op_name, rng):
+        if op_name not in ("a", "b", "c"):
+            raise UnknownOp(op_name)
+        return lambda: calls.append(op_name)
+
+    monkeypatch.setattr(bench, "_prepare_workload", logging_workload)
+    results = run_bench(("a", "b", "c"), 11)
+    rounds = (["a", "b", "c"] + ["c", "b", "a"]) * 5 + ["a", "b", "c"]
+    warm_up = [name for name in "abc" for _ in range(WARMUP_ITERATIONS)]
+    assert calls == warm_up + rounds + ["a", "b", "c"]
+    assert [result.op_name for result in results] == ["a", "b", "c"]
+    assert all(result.iterations == 11 for result in results)
+
+    calls.clear()
+    with pytest.raises(UnknownOp):
+        run_bench(("a", "made_up_op"), 10)
+    assert calls == []
 
 
 def test_bench_counts_match_the_analytical_budgets():
@@ -126,8 +146,8 @@ def test_bench_counts_match_the_analytical_budgets():
         "table_open": (0, 0),  # sealed format: no group operation
     }
     assert set(expectations) == set(BENCH_OPS)
-    for op_name, (mults, adds) in expectations.items():
-        result = run_bench(op_name, 10, rng)
+    for op_name, result in zip(BENCH_OPS, run_bench(BENCH_OPS, 10, rng), strict=True):
+        mults, adds = expectations[op_name]
         assert isinstance(result, BenchResult)
         assert result.op_name == op_name
         assert result.iterations == 10
@@ -147,20 +167,8 @@ def test_decrypt_workload_decodes_the_ciphertext_every_iteration(monkeypatch):
 
 
 def test_precomputed_signing_beats_the_reference_signer():
-    works = (_prepare_workload("sign", random.Random(3)),
-             _prepare_workload("reference_sign", random.Random(4)))
-    for work in works:
-        for _ in range(WARMUP_ITERATIONS):
-            work()
-    # 30 iterations of each, alternating, so that a swing in host speed
-    # lands on both medians alike instead of on one of them.
-    samples = ([], [])
-    for _ in range(30):
-        for work, times in zip(works, samples):
-            start = time.perf_counter()
-            work()
-            times.append(time.perf_counter() - start)
-    fast, slow = (statistics.median(times) for times in samples)
+    fast, slow = (result.median_seconds
+                  for result in run_bench(("sign", "reference_sign"), 30, random.Random(3)))
     assert fast < slow
     assert slow / fast >= 1.2
 
