@@ -88,13 +88,13 @@ from .errors import (
 )
 from .group import (
     G,
-    GROUP_ID,
     P,
     GroupElement,
     Scalar,
     _2D,
     _D,
     _check_header,
+    _frame,
     _normalize,
     addends,
     decode_element,
@@ -112,8 +112,7 @@ KIND_STANDARD = 0x00
 KIND_DESIGNATED = 0x01
 SEAL_KEY_LEN = 32
 
-# magic, group id, kind, k, v
-_HEADER_LEN = len(MAGIC) + 1 + 1 + 4 + 4
+_FIELDS_LEN = 9  # kind, k, v: the body's first bytes in either format
 _NONCE_LEN = 12
 _TAG_LEN = 16
 
@@ -269,9 +268,10 @@ def subset_space_bits(params: BpvParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _header(magic: bytes, table: PrecompTable) -> bytes:
-    return (magic + bytes([GROUP_ID, len(table.bases) - 1])
-            + table.params.k.to_bytes(4, "little") + table.params.v.to_bytes(4, "little"))
+def _header(magic: bytes, table: PrecompTable, *parts: bytes) -> bytes:
+    """The framed kind, k and v, then ``parts``."""
+    return _frame(magic, bytes([len(table.bases) - 1]), table.params.k.to_bytes(4, "little"),
+                  table.params.v.to_bytes(4, "little"), *parts)
 
 
 def _affine(column) -> list[tuple[int, int]]:
@@ -321,55 +321,52 @@ def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=N
     no inversion.
     """
     if seal_key is None:
-        bases = b"".join(base.encode() for base in table.bases[1:])
-        out = (_header(MAGIC, table) + bases + table.owner_binding
-               + b"".join(r.encode() for r in table.scalars))
+        out = _header(MAGIC, table, *(base.encode() for base in table.bases[1:]),
+                      table.owner_binding, b"".join(r.encode() for r in table.scalars))
         return out + digest(out)
     nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
-    clear = _header(MAGIC_SEALED, table) + table.owner_binding + nonce
+    clear = _header(MAGIC_SEALED, table, table.owner_binding, nonce)
     return clear + _aead(seal_key).encrypt(nonce, _sealed_body(table), clear)
 
 
-def _fields(data: bytes) -> tuple[int, int, int]:
-    """(kind, k, v) from a table header; an unknown kind raises UnsupportedVersion."""
-    at = len(MAGIC) + 1
-    kind = data[at]
+def _fields(body: bytes) -> tuple[int, int, int]:
+    """(kind, k, v) from a table's body; an unknown kind raises UnsupportedVersion."""
+    kind = body[0]
     if kind not in (KIND_STANDARD, KIND_DESIGNATED):
         raise UnsupportedVersion(f"unknown table kind {kind:#x}")
-    k, v = (int.from_bytes(data[i : i + 4], "little") for i in (at + 1, at + 5))
-    return kind, k, v
+    return kind, int.from_bytes(body[1:5], "little"), int.from_bytes(body[5:9], "little")
 
 
-def _table_len(data: bytes) -> int:
-    kind, k, _ = _fields(data)
-    return _HEADER_LEN + 64 * kind + 32 * k + 32
+def _table_len(body: bytes) -> int:
+    kind, k, _ = _fields(body)
+    return _FIELDS_LEN + 64 * kind + 32 * k + 32
 
 
-def _sealed_len(data: bytes) -> int:
-    kind, k, _ = _fields(data)
-    return _HEADER_LEN + 32 * kind + _NONCE_LEN + 64 * kind + k * (32 + 64 * (1 + kind)) + _TAG_LEN
+def _sealed_len(body: bytes) -> int:
+    kind, k, _ = _fields(body)
+    return _FIELDS_LEN + 32 * kind + _NONCE_LEN + 64 * kind + k * (32 + 64 * (1 + kind)) + _TAG_LEN
 
 
 def _open(data: bytes, seal_key: bytes) -> PrecompTable:
-    _check_header(data, MAGIC_SEALED, _HEADER_LEN, _sealed_len)
-    kind, k, v = _fields(data)
-    off = _HEADER_LEN + 32 * kind
-    owner_binding = data[_HEADER_LEN:off]
-    nonce = data[off : off + _NONCE_LEN]
+    body = _check_header(data, MAGIC_SEALED, _FIELDS_LEN, _sealed_len)
+    kind, k, v = _fields(body)
+    off = _FIELDS_LEN + 32 * kind
+    owner_binding = body[_FIELDS_LEN:off]
+    nonce = body[off : off + _NONCE_LEN]
     off += _NONCE_LEN
-    try:
-        body = _aead(seal_key).decrypt(nonce, data[off:], data[:off])
+    try:  # the clear header, framed again as the writer framed it, is the associated data
+        plain = _aead(seal_key).decrypt(nonce, body[off:], _frame(MAGIC_SEALED, body[:off]))
     except InvalidTag:
         raise IntegrityMismatch("sealed table does not open under this seal key") from None
     params = BpvParams(v=v, k=k, allow_unsafe=True)
     bases = (G,)
     if kind:
-        x, y, t = _affine_point(body, 0)
+        x, y, t = _affine_point(plain, 0)
         bases += (GroupElement((x, y, 1, t)),)
     width = 32 + 64 * len(bases)
-    starts = range(64 * kind, len(body), width)
-    scalars = [decode_scalar(body[s : s + 32]) for s in starts]
-    columns = ((_affine_point(body, s + c) for s in starts) for c in range(32, width, 64))
+    starts = range(64 * kind, len(plain), width)
+    scalars = [decode_scalar(plain[s : s + 32]) for s in starts]
+    columns = ((_affine_point(plain, s + c) for s in starts) for c in range(32, width, 64))
     stored = [[((y + x) % P, (y - x) % P, t * _2D % P) for x, y, t in column] for column in columns]
     return PrecompTable(params, bases, scalars, stored, owner_binding)
 
@@ -394,21 +391,20 @@ def deserialize_table(data: bytes, *, seal_key: bytes | None = None) -> PrecompT
     """
     if seal_key is not None:
         return _open(data, seal_key)
-    min_len = _HEADER_LEN + 32
-    if len(data) < min_len:
+    if len(data) < len(_frame(MAGIC)) + _FIELDS_LEN + 32:
         raise TruncatedFile(f"table file shorter than header ({len(data)} bytes)")
     if digest(data[:-32]) != data[-32:]:
         sealed = data.startswith(MAGIC_SEALED)
         raise IntegrityMismatch("a sealed table needs its seal key" if sealed
                                 else "table integrity hash mismatch")
-    _check_header(data, MAGIC, min_len, _table_len)
-    kind, k, v = _fields(data)
-    off = _HEADER_LEN
+    body = _check_header(data, MAGIC, _FIELDS_LEN + 32, _table_len)
+    kind, k, v = _fields(body)
+    off = _FIELDS_LEN
     params = BpvParams(v=v, k=k, allow_unsafe=True)
     bases, owner_binding = (G,), b""
     if kind == KIND_DESIGNATED:
-        bases += (decode_element(data[off : off + 32]),)
-        owner_binding = data[off + 32 : off + 64]
+        bases += (decode_element(body[off : off + 32]),)
+        owner_binding = body[off + 32 : off + 64]
         off += 64
-    scalars = [decode_scalar(data[s : s + 32]) for s in range(off, off + 32 * k, 32)]
+    scalars = [decode_scalar(body[s : s + 32]) for s in range(off, off + 32 * k, 32)]
     return PrecompTable(params, bases, scalars, _columns(bases, scalars), owner_binding)

@@ -53,12 +53,12 @@ A process also does only the work its command reads.  ``sign`` (the id
 and x) and ``decrypt`` (x) read the key file with ``read_drone_key``,
 which checks its header, length, id and x but decodes neither U nor x*D,
 so they accept a file whose U or x*D is malformed; ``keyver`` and
-``exchange`` decode and check both, and ``keyver`` also checks x*D
-against x times the system key.  A ``sign`` process so loads no
-X25519 and no OpenSSL backend module.  ``main`` builds the parser of the
-first command word in argv alone; where its top level would print usage
-or help, or no command word is given, it starts over with the whole
-parser, so every help text and usage error reads as the whole one's.
+``exchange`` decode and check both, x*D against x times the system key
+too.  A ``sign`` process so loads no X25519 and no OpenSSL backend
+module.  ``main`` builds the parser of the first command word in argv
+alone; where its top level would print usage or help, or no command
+word is given, it starts over with the whole parser, so every help text
+and usage error reads as the whole one's.
 """
 
 from __future__ import annotations
@@ -270,12 +270,17 @@ def cmd_kgc_issue(args) -> int:
     return 0
 
 
-def cmd_keyver(args) -> int:
-    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
-    system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
+def _check_key(keypair, system_public) -> None:
+    """Raise KeyVerFailed unless the key was issued under the system key D and holds x times D."""
     if not (key_ver(keypair.record, keypair.secret, system_public)
             and keypair.cached_term == scalar_mult(keypair.secret, system_public)):
         raise KeyVerFailed(f"key for {keypair.record.drone_id!r} fails verification")
+
+
+def cmd_keyver(args) -> int:
+    keypair = deserialize_drone_keypair(_resolve(args, args.key, ".key").read_bytes())
+    system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
+    _check_key(keypair, system_public)
     _emit(
         args,
         {"ok": True, "id": keypair.record.drone_id.decode(errors="replace")},
@@ -394,10 +399,7 @@ def cmd_exchange(args) -> int:
     side_b = deserialize_drone_keypair(_resolve(args, args.key_b, ".key").read_bytes())
     system_public = deserialize_system_public(_resolve(args, args.system, ".pub").read_bytes())
     for keypair in (side_a, side_b):
-        if not key_ver(keypair.record, keypair.secret, system_public):
-            raise KeyVerFailed(
-                f"key for {keypair.record.drone_id!r} was not issued under this system key"
-            )
+        _check_key(keypair, system_public)
     rng = _rng(args)
     state_a = aq_hang_initiate(side_a, rng)
     state_b = aq_hang_initiate(side_b, rng)

@@ -47,11 +47,11 @@ from .errors import (
 )
 from .group import (
     G,
-    GROUP_ID,
     GroupElement,
     OpCounter,
     _UNBOUND,
     _check_header,
+    _frame,
     decode_u,
     montgomery_u,
     mul_u,
@@ -186,18 +186,11 @@ def reference_encrypt(recipient_key: GroupElement, message: bytes, rng) -> Ciphe
 
 def serialize_ciphertext_file(ct: Ciphertext) -> bytes:
     """The bare wire form with a header, and the body length after u(R)."""
-    wire, body_len = ct.encode(), len(ct.body).to_bytes(4, "little")
-    return MAGIC_CIPHERTEXT + bytes([GROUP_ID]) + wire[:32] + body_len + wire[32:]
-
-
-_CT_FILE_MIN = len(MAGIC_CIPHERTEXT) + 1 + 32 + 4 + TAG_LEN
-
-
-def _ciphertext_file_len(data: bytes) -> int:
-    body_len_at = len(MAGIC_CIPHERTEXT) + 1 + 32
-    return _CT_FILE_MIN + int.from_bytes(data[body_len_at : body_len_at + 4], "little")
+    return _frame(MAGIC_CIPHERTEXT, ct.ephemeral.to_bytes(32, "little"),
+                  len(ct.body).to_bytes(4, "little"), ct.body, ct.tag)
 
 
 def deserialize_ciphertext_file(data: bytes) -> Ciphertext:
-    off = _check_header(data, MAGIC_CIPHERTEXT, _CT_FILE_MIN, _ciphertext_file_len)
-    return decode_ciphertext(data[off : off + 32] + data[off + 36 :])
+    fields = _check_header(data, MAGIC_CIPHERTEXT, 36 + TAG_LEN,
+                           lambda fields: 36 + int.from_bytes(fields[32:36], "little") + TAG_LEN)
+    return Ciphertext(decode_u(fields[:32]), fields[36:-TAG_LEN], fields[-TAG_LEN:])

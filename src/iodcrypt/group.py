@@ -84,21 +84,32 @@ SCALAR_LEN = 32
 GROUP_ID = 0x01
 
 
-def _check_header(
-    data: bytes, magic: bytes, min_len: int, total_len: int | Callable[[bytes], int]
-) -> int:
-    """Check a magic-prefixed file against the one header rule; return the header length.
+def _frame(magic: bytes, *parts: bytes) -> bytes:
+    """``magic``, the group id, then ``parts``: the one writer of every file header.
 
-    Every file format applies the same checks in this order: fewer than
-    ``min_len`` bytes raise TruncatedFile; bytes 0-6 other than the
-    family of ``magic`` raise BadMagic; a version byte (byte 7) other
-    than ``magic``'s or an unknown group id (byte 8) raises
-    UnsupportedVersion; and a length other than ``total_len`` raises
-    TruncatedFile.  ``total_len`` is the exact length, or a function that
-    computes it from the data once the checks before it have passed
-    (reading only below ``min_len``).
+    Each magic-prefixed format is written here and read back by
+    :func:`_check_header`, so no other module knows the header's layout.
     """
-    if len(data) < min_len:
+    return b"".join((magic, bytes([GROUP_ID]), *parts))
+
+
+def _check_header(
+    data: bytes, magic: bytes, min_body: int, body_len: int | Callable[[bytes], int]
+) -> bytes:
+    """The one reader of every file header: check it and return the body after it.
+
+    The body is what :func:`_frame` wrote after ``magic`` and the group
+    id.  Every file format applies the same checks in this order: a body
+    shorter than ``min_body`` bytes raises TruncatedFile; bytes 0-6 other
+    than the family of ``magic`` raise BadMagic; a version byte (byte 7)
+    other than ``magic``'s or an unknown group id (byte 8) raises
+    UnsupportedVersion; and a body length other than ``body_len`` raises
+    TruncatedFile.  ``body_len`` is the exact length, or a function that
+    computes it from the body once the checks before it have passed
+    (reading only its first ``min_body`` bytes).
+    """
+    head = len(magic) + 1
+    if len(data) < head + min_body:
         raise TruncatedFile(f"file shorter than its header ({len(data)} bytes)")
     family = len(magic) - 1
     if data[:family] != magic[:family]:
@@ -107,10 +118,11 @@ def _check_header(
         raise UnsupportedVersion(f"unknown version byte {data[family]:#x} for {magic!r}")
     if data[family + 1] != GROUP_ID:
         raise UnsupportedVersion(f"unknown group id {data[family + 1]:#x}")
-    expected = total_len(data) if callable(total_len) else total_len
-    if len(data) != expected:
-        raise TruncatedFile(f"expected {expected} bytes, got {len(data)}")
-    return family + 2
+    body = data[head:]
+    expected = body_len(body) if callable(body_len) else body_len
+    if len(body) != expected:
+        raise TruncatedFile(f"expected {head + expected} bytes, got {len(data)}")
+    return body
 
 
 def record(cls=None, *, frozen=True, hidden=(), uncompared=()):

@@ -44,12 +44,12 @@ from .errors import InvalidEphemeral, InvalidIdentity, TruncatedFile
 from .group import (
     DOMAIN_KEY,
     G,
-    GROUP_ID,
     GroupElement,
     OpCounter,
     Scalar,
     _UNBOUND,
     _check_header,
+    _frame,
     decode_element,
     decode_scalar,
     decode_u,
@@ -314,59 +314,44 @@ def aq_hang_finalize(
 
 
 def serialize_system_public(public: GroupElement) -> bytes:
-    return MAGIC_SYSTEM + bytes([GROUP_ID]) + public.encode()
+    return _frame(MAGIC_SYSTEM, public.encode())
 
 
 def deserialize_system_public(data: bytes) -> GroupElement:
-    total = len(MAGIC_SYSTEM) + 1 + 32
-    off = _check_header(data, MAGIC_SYSTEM, total, total)
-    return decode_element(data[off:])
+    return decode_element(_check_header(data, MAGIC_SYSTEM, 32, 32))
 
 
 def serialize_kgc_keypair(kgc: KgcKeypair) -> bytes:
-    return MAGIC_KGC + bytes([GROUP_ID]) + kgc.secret.encode() + kgc.public.encode()
+    return _frame(MAGIC_KGC, kgc.secret.encode(), kgc.public.encode())
 
 
 def deserialize_kgc_keypair(data: bytes) -> KgcKeypair:
-    total = len(MAGIC_KGC) + 1 + 64
-    off = _check_header(data, MAGIC_KGC, total, total)
-    return KgcKeypair(
-        secret=decode_scalar(data[off : off + 32]),
-        public=decode_element(data[off + 32 :]),
-    )
+    body = _check_header(data, MAGIC_KGC, 64, 64)
+    return KgcKeypair(secret=decode_scalar(body[:32]), public=decode_element(body[32:]))
 
 
 def serialize_drone_keypair(keypair: SelfCertKeypair) -> bytes:
     if keypair.cached_term is None:
         raise ValueError("drone key files always carry the cached x*D term")
     drone_id = keypair.record.drone_id
-    return (
-        MAGIC_DRONE
-        + bytes([GROUP_ID])
-        + bytes([len(drone_id)])
-        + drone_id
-        + keypair.secret.encode()
-        + keypair.record.commitment.encode()
-        + keypair.cached_term.encode()
-    )
+    return _frame(MAGIC_DRONE, bytes([len(drone_id)]), drone_id, keypair.secret.encode(),
+                  keypair.record.commitment.encode(), keypair.cached_term.encode())
 
 
-def _id_file(data: bytes, magic: bytes, tail: int) -> tuple[bytes, int]:
+def _id_file(data: bytes, magic: bytes, tail: int) -> tuple[bytes, bytes]:
     """Check a file magic | group id | id_len (1B) | id | ``tail`` bytes.
 
-    Returns (id, offset of the tail).  The one header rule applies, with
+    Returns (id, the ``tail`` bytes).  The one header rule applies, with
     id_len 0 raising InvalidIdentity before the length is checked.
     """
-    head = len(magic) + 2
 
-    def total_len(data: bytes) -> int:
-        if data[head - 1] == 0:
+    def body_len(body: bytes) -> int:
+        if body[0] == 0:
             raise InvalidIdentity("identity length must be at least 1")
-        return head + data[head - 1] + tail
+        return 1 + body[0] + tail
 
-    _check_header(data, magic, head, total_len)
-    end = head + data[head - 1]
-    return data[head:end], end
+    body = _check_header(data, magic, 1, body_len)
+    return body[1 : 1 + body[0]], body[1 + body[0] :]
 
 
 def read_drone_key(data: bytes) -> DroneKey:
@@ -376,8 +361,8 @@ def read_drone_key(data: bytes) -> DroneKey:
     before its decode of U: the one header rule, the length, the id and
     x.  So it accepts a file whose U or x*D is malformed.
     """
-    drone_id, off = _id_file(data, MAGIC_DRONE, 96)
-    return DroneKey(drone_id, decode_scalar(data[off : off + 32]))
+    drone_id, tail = _id_file(data, MAGIC_DRONE, 96)
+    return DroneKey(drone_id, decode_scalar(tail[:32]))
 
 
 def deserialize_drone_keypair(data: bytes) -> SelfCertKeypair:

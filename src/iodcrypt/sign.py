@@ -31,11 +31,11 @@ from .errors import MalformedScalar
 from .group import (
     DOMAIN_SIG,
     G,
-    GROUP_ID,
     GroupElement,
     OpCounter,
     Scalar,
     _UNBOUND,
+    _frame,
     decode_scalar,
     hash_to_scalar,
     point_add,
@@ -156,16 +156,10 @@ def reference_verify(public: GroupElement, message: bytes, sig: Signature) -> bo
 
 def serialize_signature_file(signer_id: bytes, sig: Signature) -> bytes:
     _check_identity(signer_id)
-    return (
-        MAGIC_SIGNATURE
-        + bytes([GROUP_ID])
-        + bytes([len(signer_id)])
-        + signer_id
-        + sig.encode()
-    )
+    return _frame(MAGIC_SIGNATURE, bytes([len(signer_id)]), signer_id, sig.encode())
 
 
 def deserialize_signature_file(data: bytes) -> tuple[bytes, Signature]:
     """Returns (signer id, signature)."""
-    signer_id, off = _id_file(data, MAGIC_SIGNATURE, SIGNATURE_LEN)
-    return signer_id, decode_signature(data[off:])
+    signer_id, sig = _id_file(data, MAGIC_SIGNATURE, SIGNATURE_LEN)
+    return signer_id, decode_signature(sig)

@@ -14,7 +14,7 @@ import io
 
 import pytest
 
-from iodcrypt import bpv, group, selfcert
+from iodcrypt import bpv, cli, group, selfcert
 from iodcrypt.cli import main
 from iodcrypt.errors import MalformedElement
 from iodcrypt.selfcert import deserialize_drone_keypair, read_drone_key
@@ -75,9 +75,9 @@ def test_sign_and_decrypt_decode_no_point_of_the_key_file(home, tmp_path, monkey
 
 # A bit of U or x*D, and what keyver and exchange (with bravo) give for it: the
 # flips that leave no subgroup point raise MalformedElement in both; the sign bit
-# of U gives another point, which keyver rejects, and the sign bit of x*D gives
-# -x*D, which keyver rejects as other than x times the system key and the
-# handshake's keys disagree on.
+# of U gives another point, which fails key_ver, and the sign bit of x*D gives
+# -x*D, which fails the compare with x times the system key; both commands make
+# both checks.
 FLIPS = [
     ("U", 0, 0x01, "MalformedElement", "MalformedElement"),
     ("U", 17, 0x04, "MalformedElement", "MalformedElement"),
@@ -96,6 +96,21 @@ def test_keyver_and_exchange_check_every_point(home, field, byte, mask, keyver, 
     _flipped(home, field, byte, mask)
     assert _run(home, "keyver", "--key", "flip") == (1 if keyver else 0, keyver)
     assert _run(home, "exchange", "--key-a", "flip", "--key-b", "bravo") == (1, exchange)
+
+
+def test_a_negated_xd_is_named_before_any_handshake(home, monkeypatch):
+    # -x*D decodes; only the compare with x times the system key rejects it, and
+    # exchange makes that compare for each side before either side finalizes.
+    _flipped(home, "xD", 31, 0x80)
+    finalized, real = [], cli.aq_hang_finalize
+    monkeypatch.setattr(cli, "aq_hang_finalize",
+                        lambda own, *args: finalized.append(own) or real(own, *args))
+    for argv in (("keyver", "--key", "flip"), ("exchange", "--key-a", "flip", "--key-b", "bravo")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--home", str(home)]) == 1
+        assert err.getvalue() == "KeyVerFailed: key for b'alpha' fails verification\n", argv
+    assert finalized == []
 
 
 @pytest.mark.parametrize("field,byte,mask", [f[:3] for f in FLIPS if f[3] == "MalformedElement"],

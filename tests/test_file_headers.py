@@ -15,11 +15,14 @@ MalformedElement, and a first-version ciphertext file (``IODCENC1``) to
 UnsupportedVersion.
 """
 
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+import iodcrypt
 from iodcrypt.bpv import BpvParams, bpv_offline, deserialize_table, serialize_table
 from iodcrypt.encrypt import deserialize_ciphertext_file, reference_encrypt, serialize_ciphertext_file
 from iodcrypt.errors import BadMagic, MalformedElement, TruncatedFile, UnsupportedVersion
@@ -155,3 +158,16 @@ def test_every_u_carrier_maps_each_u_fault_to_malformed_element(carrier, fault):
     bad = blob[:at] + U_FAULTS[fault](u).to_bytes(32, "little") + blob[at + 32 :]
     with pytest.raises(MalformedElement):
         load(bad)
+
+
+def test_only_group_names_the_group_id():
+    # group._frame writes the header of every format and group._check_header reads
+    # it, so no other module needs the group id, or writes a header by hand.
+    naming = []
+    for path in sorted(Path(iodcrypt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+            if "GROUP_ID" in names:
+                naming.append(path.name)
+    assert naming and set(naming) == {"group.py"}
