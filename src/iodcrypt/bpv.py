@@ -45,14 +45,15 @@ rest is sealed with ChaCha20-Poly1305 (RFC 8439) under the seal key::
             | k entries of scalar (32B) | r_i*G (64B) [| r_i*X (64B)]
             | tag (16B)
 
-Points are stored affine as x (32B) | y (32B), so a load needs neither a
+Points are stored affine as x (32B) | y (32B), which ``group`` writes
+from the stored form and reads back into it, so a load needs neither a
 square root nor a product: the header is checked by the one header rule,
 then one AEAD open (a wrong key or any changed byte after the header
 raises :class:`IntegrityMismatch`), then each scalar must be below N and
 each point must have both coordinates below P and satisfy the curve
-equation (:class:`MalformedElement`); the stored form is then built
-from the checked x, y and x*y, and only the base X becomes a
-:class:`~iodcrypt.group.GroupElement`.  A k=256 table is about 24 KiB
+equation (:class:`MalformedElement`), and only the base X becomes a
+:class:`~iodcrypt.group.GroupElement`.  This module does no curve
+arithmetic of its own.  A k=256 table is about 24 KiB
 (40 KiB designated), against 8 242 B (8 306 B) in the open format.
 
 Threat model of the seal.  Whoever can read an open table learns every
@@ -72,6 +73,7 @@ as an explicit deep check.
 from __future__ import annotations
 
 import math
+import random
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -80,7 +82,6 @@ from .errors import (
     IntegrityMismatch,
     InvalidDesignatedPoint,
     InvalidOwnerBinding,
-    MalformedElement,
     TableIntegrity,
     TruncatedFile,
     UnsupportedParams,
@@ -88,14 +89,12 @@ from .errors import (
 )
 from .group import (
     G,
-    P,
     GroupElement,
     Scalar,
-    _2D,
-    _D,
     _check_header,
     _frame,
-    _normalize,
+    _read_xy,
+    _write_xy,
     addends,
     decode_element,
     decode_scalar,
@@ -118,8 +117,6 @@ _TAG_LEN = 16
 
 # Vetted (v, k) pairs: 2^123.8 nonce subsets for (28, 256), 2^127.3 for (18, 1024).
 SUPPORTED_PARAMS = ((28, 256), (18, 1024))
-
-_HALF = (P + 1) // 2  # 1/2 mod P
 
 
 @record(uncompared=("allow_unsafe",))
@@ -221,8 +218,14 @@ def bpv_offline(params: BpvParams, rng) -> PrecompTable:
 
 
 def bpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement]:
-    """Fresh (r, R = r*G) from a secret v-subset sum: v-1 adds, no mults."""
-    return _draw(table, table.stored[:1], rng)
+    """Fresh (r, R = r*G) from a secret v-subset sum: v-1 adds, no mults.
+
+    A designated table, over more bases than G, raises UnsupportedParams:
+    its draws are for :func:`dbpv_online`.
+    """
+    if len(table.bases) != 1:
+        raise UnsupportedParams("signing needs a standard table, not a designated one")
+    return _draw(table, table.stored, rng)
 
 
 def dbpv_offline(
@@ -274,36 +277,11 @@ def _header(magic: bytes, table: PrecompTable, *parts: bytes) -> bytes:
                   table.params.v.to_bytes(4, "little"), *parts)
 
 
-def _affine(column) -> list[tuple[int, int]]:
-    """Affine (x, y) of each stored point (y+x, y-x, 2d*x*y): no inversion."""
-    return [((yp - ym) * _HALF % P, (yp + ym) * _HALF % P) for yp, ym, _ in column]
-
-
-def _xy(x: int, y: int) -> bytes:
-    return x.to_bytes(32, "little") + y.to_bytes(32, "little")
-
-
 def _sealed_body(table: PrecompTable) -> bytes:
-    """The extra bases, then every entry, each point written as its affine x | y."""
-    bases = b"".join(_xy(x, y) for x, y in _normalize([base.coords for base in table.bases[1:]]))
-    columns = [[_xy(x, y) for x, y in _affine(column)] for column in table.stored]
+    """The extra bases, then every entry, each point as ``group`` writes it: affine x | y."""
+    bases = b"".join(_write_xy(addends(table.bases[1:])))
+    columns = [_write_xy(column) for column in table.stored]
     return bases + b"".join(r.encode() + b"".join(xys) for r, *xys in zip(table.scalars, *columns))
-
-
-def _affine_point(data: bytes, at: int) -> tuple[int, int, int]:
-    """(x, y, x*y) of the point stored as x | y at ``at``: below P and on the curve, nothing more.
-
-    With t = x*y, the curve equation is y^2 - x^2 = 1 + d*t^2, so the
-    check and the point's T share one reduction.
-    """
-    x = int.from_bytes(data[at : at + 32], "little")
-    y = int.from_bytes(data[at + 32 : at + 64], "little")
-    if x >= P or y >= P:
-        raise MalformedElement("non-canonical affine coordinate")
-    t = x * y % P
-    if (y * y - x * x - 1 - _D * t * t) % P:
-        raise MalformedElement("not a curve point")
-    return x, y, t
 
 
 def _aead(seal_key: bytes) -> ChaCha20Poly1305:
@@ -317,13 +295,15 @@ def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=N
 
     Without ``seal_key`` the open, integrity-hashed ``IODCBPV3``, with no
     r_i*B; with it the sealed ``IODCBPV2``, under a nonce drawn from
-    ``rng``.  Each point's affine (x, y) comes from its stored form with
-    no inversion.
+    ``rng``, or from ``random.SystemRandom()`` when ``rng`` is None.
+    Each point's affine x | y comes from its stored form with no inversion.
     """
     if seal_key is None:
         out = _header(MAGIC, table, *(base.encode() for base in table.bases[1:]),
                       table.owner_binding, b"".join(r.encode() for r in table.scalars))
         return out + digest(out)
+    if rng is None:
+        rng = random.SystemRandom()
     nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
     clear = _header(MAGIC_SEALED, table, table.owner_binding, nonce)
     return clear + _aead(seal_key).encrypt(nonce, _sealed_body(table), clear)
@@ -361,13 +341,11 @@ def _open(data: bytes, seal_key: bytes) -> PrecompTable:
     params = BpvParams(v=v, k=k, allow_unsafe=True)
     bases = (G,)
     if kind:
-        x, y, t = _affine_point(plain, 0)
-        bases += (GroupElement((x, y, 1, t)),)
+        bases += (subset_sum([_read_xy(plain, 0)], [0]),)
     width = 32 + 64 * len(bases)
     starts = range(64 * kind, len(plain), width)
     scalars = [decode_scalar(plain[s : s + 32]) for s in starts]
-    columns = ((_affine_point(plain, s + c) for s in starts) for c in range(32, width, 64))
-    stored = [[((y + x) % P, (y - x) % P, t * _2D % P) for x, y, t in column] for column in columns]
+    stored = [[_read_xy(plain, s + c) for s in starts] for c in range(32, width, 64)]
     return PrecompTable(params, bases, scalars, stored, owner_binding)
 
 

@@ -108,7 +108,7 @@ from .sign import (
     verify,
 )
 
-DEFAULT_PARAMS = (28, 256)
+DEFAULT_PARAMS = SUPPORTED_PARAMS[0]
 SEAL_FILE = "table.seal"
 _FILE_ARG = "(a path if it has a separator, else a name in the home)"
 # ``bench.PROFILES`` keys and ``bench.BENCH_OPS``, copied so only ``iodcrypt bench`` imports it.
@@ -316,8 +316,6 @@ def cmd_table_gen(args) -> int:
 def cmd_sign(args) -> int:
     key = read_drone_key(_resolve(args, args.key, ".key").read_bytes())
     table = _load_table(args, _resolve(args, args.table, ".tbl"))
-    if len(table.bases) != 1:
-        raise UnsupportedParams("signing needs a standard table, not a designated one")
     message = Path(args.infile).read_bytes()
     sig = sign(SignerContext(key, table), message, _rng(args))
     out = Path(args.out) if args.out else Path(args.infile + ".sig")
@@ -434,8 +432,6 @@ def cmd_bench(args) -> int:
                     f"no reference figures for op {args.op!r} on {args.profile!r}"
                 )
     else:  # host measurement
-        if not args.op:
-            raise UnsupportedParams("--profile host requires --op")
         profile = None
         if args.voltage is not None:
             profile = DeviceProfile(name="host", voltage=args.voltage, current=args.current)
@@ -598,6 +594,8 @@ def _main(parser, argv) -> int:
 
         if (args.voltage is None) != (args.current is None):
             parser.error("--voltage and --current must be given together")
+        if args.profile == "host" and not args.op:
+            parser.error("--profile host requires --op")
         if args.profile == "host" and args.iterations < MIN_ITERATIONS:
             parser.error(f"--iterations must be at least {MIN_ITERATIONS}")
     if func is None:

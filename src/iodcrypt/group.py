@@ -46,7 +46,10 @@ Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
 bytes, off-curve points, and points outside the prime-order subgroup, so
 every live ``GroupElement`` behaves as a member of a group of prime
-order ``N``.
+order ``N``.  Sealed table files keep points in a third encoding, the
+64-byte affine x | y: :func:`_write_xy` writes it from the stored form of
+:func:`addends` with no inversion, and :func:`_read_xy` checks it and
+reads it back into that form with no square root.
 
 Importing the module takes no exponentiation, inversion or square root:
 d, 2d, 1/d, sqrt(-1), G and 1/8 mod N are written out.  Every SHA-256 and
@@ -594,6 +597,36 @@ def decode_u(data: bytes) -> int:
     except ValueError:  # c * R is the identity: R is a torsion point
         pass
     raise MalformedElement("point outside the prime-order subgroup")
+
+
+_HALF = (P + 1) // 2  # 1/2 mod P
+
+
+def _affine(stored) -> list[tuple[int, int]]:
+    """Affine (x, y) of each point in the form of :func:`addends`, with no inversion."""
+    return [((yp - ym) * _HALF % P, (yp + ym) * _HALF % P) for yp, ym, _ in stored]
+
+
+def _write_xy(stored) -> list[bytes]:
+    """The 64-byte x | y of each point in the form of :func:`addends`."""
+    return [x.to_bytes(32, "little") + y.to_bytes(32, "little") for x, y in _affine(stored)]
+
+
+def _read_xy(data: bytes, at: int) -> tuple[int, int, int]:
+    """The point written as x | y at ``at``, in the form of :func:`addends`.
+
+    Checks both coordinates below P and the curve equation, nothing more
+    (MalformedElement).  With t = x*y the equation is
+    y^2 - x^2 = 1 + d*t^2, so the check and 2d*x*y share one reduction.
+    """
+    x = int.from_bytes(data[at : at + 32], "little")
+    y = int.from_bytes(data[at + 32 : at + 64], "little")
+    if x >= P or y >= P:
+        raise MalformedElement("non-canonical affine coordinate")
+    t = x * y % P
+    if (y * y - x * x - 1 - _D * t * t) % P:
+        raise MalformedElement("not a curve point")
+    return (y + x) % P, (y - x) % P, t * _2D % P
 
 
 IDENTITY = GroupElement(_IDENT_COORDS)

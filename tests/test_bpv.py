@@ -495,7 +495,15 @@ def test_sealed_table_round_trips_bit_exact_with_no_group_operation(kind):
     assert again.bases == table.bases
     assert again.owner_binding == table.owner_binding
     assert _sealed(again) == blob
-    assert bpv_online(again, random.Random(41)) == bpv_online(table, random.Random(41))
+    draw = bpv_online if kind == "plain" else dbpv_online
+    assert draw(again, random.Random(41)) == draw(table, random.Random(41))
+
+
+def test_sealing_without_an_rng_draws_the_nonce_from_system_randomness():
+    table = toy_table()
+    first, second = (serialize_table(table, seal_key=SEAL) for _ in range(2))
+    assert deserialize_table(first, seal_key=SEAL) == table
+    assert first[: _clear_len(first)] != second[: _clear_len(second)]  # a fresh nonce each
 
 
 def test_tables_at_production_size_are_8_kib_open_and_24_and_40_kib_sealed():

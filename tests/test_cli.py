@@ -245,6 +245,33 @@ def test_seal_written_by_a_concurrent_run_is_kept(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table.seal"]
 
 
+def test_a_failed_rename_exits_3_and_leaves_no_temp_file(realm, tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(cli_module.os, "replace", refuse)
+    rc = cli(realm, "sign", "--key", "alpha", "--out", str(tmp_path / "msg.sig"),
+             str(realm["message"]), "--test-seed", "220", "--insecure-test")
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("IOError:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_home_is_the_option_then_iodcrypt_home_then_dot_iodcrypt(tmp_path, monkeypatch, capsys):
+    def initialized(*argv):
+        assert main(["kgc", "init", "--json", *argv, "--test-seed", "1", "--insecure-test"]) == 0
+        home = json.loads(capsys.readouterr().out)["home"]
+        assert os.path.exists(os.path.join(home, "kgc.sec"))
+        return home
+
+    monkeypatch.setenv("HOME", str(tmp_path / "user"))
+    monkeypatch.setenv("IODCRYPT_HOME", str(tmp_path / "env"))
+    assert initialized("--home", str(tmp_path / "given")) == str(tmp_path / "given")
+    assert initialized() == str(tmp_path / "env")
+    monkeypatch.delenv("IODCRYPT_HOME")
+    assert initialized() == str(tmp_path / "user" / ".iodcrypt")
+
+
 # ---------------------------------------------------------------------------
 # Cryptographic failures -> exit 1
 # ---------------------------------------------------------------------------
@@ -452,6 +479,16 @@ def test_table_gen_rejects_unvetted_params(realm, capsys):
              "--test-seed", "209", "--insecure-test")
     assert rc == 1
     assert capsys.readouterr().err.startswith("UnsupportedParams:")
+
+
+@pytest.mark.parametrize("params", ["28", "28,x", "28,256,1", ""])
+def test_table_gen_rejects_malformed_params_and_writes_nothing(tmp_path, capsys, params):
+    home = tmp_path / "home"
+    rc = main(["table", "gen", "--home", str(home), "--params", params,
+               "--test-seed", "1", "--insecure-test"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("UnsupportedParams: parameters must look like")
+    assert not home.exists()
 
 
 _TOY = BpvParams(1, 1, allow_unsafe=True)
@@ -673,6 +710,8 @@ def test_bench_host_measures_op(realm, capsys):
 
 
 def test_bench_host_requires_op(realm, capsys):
-    rc = cli(realm, "bench", "--profile", "host")
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("UnsupportedParams:")
+    # A missing option is a usage error (exit 2), as --voltage without --current is.
+    with pytest.raises(SystemExit) as exc:
+        cli(realm, "bench", "--profile", "host")
+    assert exc.value.code == 2
+    assert "--profile host requires --op" in capsys.readouterr().err

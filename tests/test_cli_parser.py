@@ -46,7 +46,8 @@ ERRORS = [
     ["kgc", "nope"], ["table", "gen", "--designated"], ["table", "gen", "--recipient", "alpha"],
     ["kgc", "init", "--test-seed", "1"], ["--test-seed", "1", "kgc", "init"],
     ["--test-seed", "x", "sign"], ["sign", "--test-seed", "x"],
-    ["bench", "--profile", "nope"], ["bench", "--profile", "host", "--voltage", "3"],
+    ["bench", "--profile", "nope"], ["bench", "--profile", "host"],
+    ["bench", "--profile", "host", "--voltage", "3"],
     ["bench", "--profile", "host", "--op", "sign", "--iterations", "2"],
     ["--home", "sign", "verify", "--key", "alpha"], ["--home", "kgc", "sign", "--key", "alpha"],
 ]

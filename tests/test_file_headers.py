@@ -171,3 +171,16 @@ def test_only_group_names_the_group_id():
             if "GROUP_ID" in names:
                 naming.append(path.name)
     assert naming and set(naming) == {"group.py"}
+
+
+def test_only_group_does_curve_arithmetic():
+    # group writes and reads every point encoding, the affine x | y of sealed tables
+    # too, so no other module needs the field prime, a curve constant or the stored form.
+    internals = {"P", "_D", "_2D", "_HALF", "_normalize", "_cached"}
+    naming = {}
+    for path in sorted(Path(iodcrypt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            naming.setdefault(path.name, set()).update(names & internals)
+    assert {name: found for name, found in naming.items() if found} == {"group.py": internals}

@@ -296,7 +296,7 @@ def test_second_product_runs_no_doubling(monkeypatch, k):
     per_product = 2 if k else 0
     assert affine(Scalar(k) * point) == expected
     assert affine(scalar_mult(Scalar(k), point)) == expected
-    assert bpv._affine(_column(point, [k])) == [expected]
+    assert group._affine(_column(point, [k])) == [expected]
     assert len(exchanges) == 1 + 3 * per_product
     assert len(conversions) == (1 if k else 0)
     assert calls == [[], [], []]
@@ -376,7 +376,7 @@ def test_table_column_over_another_base_maps_it_to_montgomery_form_once(monkeypa
     public_keys = _count_calls(monkeypatch, "_x25519_base")
     ks = [8, 16, *range(3, 40, 5), N - 8]  # with multiples of 8, which take doublings
     out = _column(base, ks)
-    assert bpv._affine(out) == [affine_mul(k, affine(_OTHER_BASE)) for k in ks]
+    assert group._affine(out) == [affine_mul(k, affine(_OTHER_BASE)) for k in ks]
     # One inversion and one X25519 public key for the whole column, kept on the base
     # for the next.
     assert (len(conversions), len(public_keys)) == (1, 1)

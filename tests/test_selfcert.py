@@ -8,13 +8,14 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings, strategies as st
 
-from iodcrypt.bpv import BpvParams, bpv_offline
+from iodcrypt.bpv import BpvParams, bpv_offline, dbpv_offline
 from iodcrypt.errors import (
     BadMagic,
     InvalidEphemeral,
     InvalidIdentity,
     MalformedElement,
     TruncatedFile,
+    UnsupportedParams,
     UnsupportedVersion,
 )
 from iodcrypt.group import G, IDENTITY, N, OpCounter, Scalar
@@ -208,6 +209,14 @@ def test_handshake_with_precomputed_table_still_agrees_and_adds_only(setup):
     assert (ctr.scalar_mults, ctr.point_adds) == (0, params.v - 1)
     sb = aq_hang_initiate(b, rng)
     assert aq_hang_finalize(a, sa, sb.message).key == aq_hang_finalize(b, sb, sa.message).key
+
+
+def test_handshake_refuses_a_designated_table(setup):
+    _, a, _ = setup
+    rng = random.Random(12)
+    table = dbpv_offline(BpvParams(v=4, k=8, allow_unsafe=True), Scalar(5) * G, bytes(32), rng)
+    with pytest.raises(UnsupportedParams):
+        aq_hang_initiate(a, rng, table=table)
 
 
 def _fresh(keypair):
@@ -437,6 +446,12 @@ def test_key_file_error_mapping(setup):
         deserialize_system_public(serialize_system_public(kgc.public)[:-4])
     with pytest.raises(TruncatedFile):
         deserialize_record(serialize_record(a.record) + b"\x00")
+
+
+def test_key_file_needs_the_cached_term(setup):
+    _, a, _ = setup
+    with pytest.raises(ValueError, match="cached x\\*D"):
+        serialize_drone_keypair(SelfCertKeypair(a.record, a.secret, None))
 
 
 def test_record_prefix_parsing(setup):

@@ -6,12 +6,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iodcrypt.bpv import BpvParams
+from iodcrypt.bpv import BpvParams, dbpv_offline
 from iodcrypt.errors import (
     BadMagic,
     InvalidIdentity,
     MalformedScalar,
     TruncatedFile,
+    UnsupportedParams,
     UnsupportedVersion,
 )
 from iodcrypt import group
@@ -54,6 +55,15 @@ def test_sign_kg_issues_verifiable_key_and_honest_table(setup):
     assert key_ver(ctx.keypair.record, ctx.keypair.secret, kgc.public)
     for i, r_i in enumerate(ctx.table.scalars):
         assert subset_sum(ctx.table.stored[0], [i]) == r_i * G
+
+
+def test_sign_refuses_a_designated_table(setup):
+    # A (G, X) table is for encryption; its G column alone would sign, and verify.
+    _, ctx, _ = setup
+    rng = random.Random(73)
+    table = dbpv_offline(TOY, Scalar(5) * G, bytes(32), rng)
+    with pytest.raises(UnsupportedParams, match="not a designated one"):
+        sign(SignerContext(ctx.keypair, table), b"frame", rng)
 
 
 def test_signer_memory_footprint_at_production_parameters():
