@@ -170,10 +170,13 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
 
     kgc = kgc_setup(rng)
 
-    if op_name == "dbpv_online":
+    if op_name in ("dbpv_online", "table_load_designated"):
         receiver = aq_kg(kgc, b"bench-recv", rng)
         sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
-        return lambda: dbpv_online(sender.table, rng)
+        if op_name == "dbpv_online":
+            return lambda: dbpv_online(sender.table, rng)
+        blob = serialize_table(sender.table)
+        return lambda: deserialize_table(blob)
     if op_name in ("sign", "verify", "reference_sign"):
         ctx = sign_kg(kgc, b"bench-signer", params, rng)
         if op_name == "sign":
@@ -223,6 +226,7 @@ BENCH_OPS = (
     "aq_shared",
     "aq_hang",
     "table_load",
+    "table_load_designated",
     "table_open",
 )
 

@@ -28,12 +28,13 @@ bit-level corruption surfaces as :class:`IntegrityMismatch`; then the
 header by the one header rule (``IODCBPV1`` files, which also stored
 every r_i*B, raise :class:`UnsupportedVersion`), X
 (:class:`MalformedElement`, or :class:`InvalidDesignatedPoint` for the
-identity) and each scalar.  It computes every point from its scalar
-with :func:`~iodcrypt.group.scalar_mult`, one shared inversion per base:
-k scalar multiplications per base, on the process-wide comb of G for
-r_i*G and on X25519 for r_i*X, so a loaded open table is correct by
-construction.  :func:`verify_table` recomputes the points of a table
-held in memory, against the stored points that the online phase sums.
+identity, before any product) and each scalar.  It computes every point
+from its scalar with :func:`~iodcrypt.group.table_columns`, counting k
+scalar multiplications per base: two X25519 keys per scalar serve every
+base, G from each key's own public key and X with one exchange per key,
+never the comb of G, so a loaded open table is correct by construction.
+:func:`verify_table` recomputes the points of a table held in memory,
+against the stored points that the online phase sums.
 
 The sealed format, ``IODCBPV2``, is what it writes given a 32-byte seal
 key.  The clear header is authenticated as associated data, and the
@@ -101,8 +102,8 @@ from .group import (
     digest,
     random_scalar,
     record,
-    scalar_mult,
     subset_sum,
+    table_columns,
 )
 
 MAGIC = b"IODCBPV3"
@@ -170,8 +171,7 @@ class PrecompTable:
     owner_binding: bytes = b""
 
     def __post_init__(self):
-        if any(base.is_identity() for base in self.bases[1:]):
-            raise InvalidDesignatedPoint("designated point must not be the identity")
+        _check_designated(self.bases)
         expected = 32 * (len(self.bases) - 1)
         if len(self.owner_binding) != expected:
             raise InvalidOwnerBinding(
@@ -187,9 +187,15 @@ class PrecompTable:
         return self.params.k * 32 * (1 + len(self.bases))
 
 
+def _check_designated(bases) -> None:
+    if any(base.is_identity() for base in bases[1:]):
+        raise InvalidDesignatedPoint("designated point must not be the identity")
+
+
 def _columns(bases, scalars):
-    """The stored column r_i*B of each base B: k scalar mults and one inversion per base."""
-    return [addends([scalar_mult(k, base) for k in scalars]) for base in bases]
+    """The stored column r_i*B of each base B, k scalar mults each, once X is not the identity."""
+    _check_designated(bases)
+    return table_columns(bases, scalars)
 
 
 def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
@@ -224,7 +230,7 @@ def bpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement]:
     its draws are for :func:`dbpv_online`.
     """
     if len(table.bases) != 1:
-        raise UnsupportedParams("signing needs a standard table, not a designated one")
+        raise UnsupportedParams("needs a standard (G,) table, not a designated one")
     return _draw(table, table.stored, rng)
 
 
@@ -244,8 +250,9 @@ def verify_table(table: PrecompTable) -> None:
     """Recompute every stored point from its scalar; raise TableIntegrity on drift.
 
     Checks the very points that the online phase sums, at a cost of k
-    scalar multiplications (:func:`~iodcrypt.group.scalar_mult`) and one
-    shared inversion per base.  An open load computes every point afresh;
+    scalar multiplications per base, computed as an open load computes
+    them (:func:`~iodcrypt.group.table_columns`: two X25519 keys per
+    scalar for all the bases).  An open load computes every point afresh;
     a sealed load reads the stored points, and relies on the seal instead.
     """
     fresh = _columns(table.bases, table.scalars)

@@ -114,7 +114,8 @@ _FILE_ARG = "(a path if it has a separator, else a name in the home)"
 # ``bench.PROFILES`` keys and ``bench.BENCH_OPS``, copied so only ``iodcrypt bench`` imports it.
 BENCH_PROFILES = ("avr", "arm")
 BENCH_OPS = ("bpv_online", "dbpv_online", "sign", "verify", "reference_sign", "encrypt",
-             "decrypt", "aq_shared", "aq_hang", "table_load", "table_open")
+             "decrypt", "aq_shared", "aq_hang", "table_load", "table_load_designated",
+             "table_open")
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,31 @@ Two layers of API:
 * :func:`scalar_mult`, :func:`mul_u` and :func:`point_add` are the
   counted entry points used by the protocol layers, and
   :func:`subset_sum` is the counted sum of stored points (the online
-  phase of the precomputation tables); :func:`addends` turns a table's
-  products, taken one :func:`scalar_mult` each, into that stored form.
+  phase of the precomputation tables); :func:`table_columns` computes a
+  table's products, counted one each, straight into that stored form, and
+  :func:`addends` turns any other points into it.
   Each ticks whichever :class:`OpCounter` its caller bound with
   ``with OpCounter() as ctr:``, so no counter is passed down the call
   chain and per-operation group-op budgets can be asserted exactly.
 
 Products run on two paths:
 
-* **G**: a signed Lim-Lee comb (4 tables of 128 affine points), built on
-  first use and kept for the life of the process; a product is 7
-  doublings and 31 mixed additions.
-* **any other base**: two calls of the X25519 Montgomery ladder (RFC 7748,
-  in C in ``cryptography``, imported on first use) give u(k*B) and
-  u((k+1)*B), or u((k-1)*B) for k = N-1; the Okeya-Sakurai formula
-  recovers v.  The base keeps its Montgomery (u, v) and X25519 public key
-  from its first product on, so a table column, or every verify against
-  one verifier's key, maps it once.  These products assume a base in the
+* **single products of G**: a signed Lim-Lee comb (4 tables of 128 affine
+  points), built on first use and kept for the life of the process; a
+  product is 7 doublings and 31 mixed additions.  It serves only these
+  (``reference_sign``, the r*G of ``reference_encrypt``, verify's s*G,
+  issuance): on X25519 they would make ``reference_sign`` faster than
+  table signing, the baseline that ROADMAP item 8 parks.
+* **any other base, and every table column, G's included**: X25519 (RFC
+  7748, in C in ``cryptography``, imported on first use) with two private
+  keys, for k and k+1 (k-1 for k = N-1), whose exchanges with B give u(k*B)
+  and u((k+1)*B); the Okeya-Sakurai formula recovers v from them and B's
+  (u, v).  For B = G each key's own public key, which loading it computes
+  anyway, is that u with no exchange, and G's (u, v) is written out, so a
+  table over (G,) or (G, X) loads two keys per scalar for all its bases.
+  Any other base keeps its Montgomery (u, v) and X25519 public key from its
+  first product on, so a table column, or every verify against one
+  verifier's key, maps it once.  These products assume a base in the
   prime-order subgroup, as every decoded element is; the subgroup check of
   :func:`decode_element` (one X25519 call) does not rely on them.
 
@@ -38,8 +46,9 @@ One routine makes every X25519 call, for products, :func:`mul_u` and the
 check alike; a scalar 8j that X25519 cannot take (|j| <= N - 2^252) is
 u(j*B) and three x-only doublings.
 
-``GroupElement.__rmul__`` alone chooses between the two; every counted
-product goes through it.  Points only ever multiplied travel as
+``GroupElement.__rmul__`` chooses between the two for single products,
+and every counted one goes through it; :func:`table_columns` always takes
+the second.  Points only ever multiplied travel as
 Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
 Elements decode from/encode to the canonical 32-byte little-endian form
@@ -52,11 +61,11 @@ order ``N``.  Sealed table files keep points in a third encoding, the
 reads it back into that form with no square root.
 
 Importing the module takes no exponentiation, inversion or square root:
-d, 2d, 1/d, sqrt(-1), G and 1/8 mod N are written out.  Every SHA-256 and
-SHA-512 of the package is :func:`digest`, on the OpenSSL inside
+d, 2d, 1/d, sqrt(-1), G, G's (u, v) and 1/8 mod N are written out.  Every
+SHA-256 and SHA-512 of the package is :func:`digest`, on the OpenSSL inside
 ``cryptography``, so no process loads ``hashlib``'s as a second one.
 X25519, and with it ``cryptography``'s OpenSSL backend module, loads on
-the first decode or the first product of a base other than G, so a
+the first decode, table column or product of a base other than G, so a
 process that signs from a sealed table loads neither.
 """
 
@@ -357,23 +366,30 @@ _check_key = lru_cache(maxsize=1)(_private_key)
 _last_key = lru_cache(maxsize=2)(_private_key)
 
 
-def _ladder_u(k, base, key=_private_key):
-    # u(k * B) for 0 <= k < N from B's X25519 public key (0 for k = 0): one exchange under
-    # key(s) for the clamp form s of k.  A k with no clamp form is 8j: it takes u(j * B) by
-    # the same rule, then three x-only doublings on (X : Z).  ValueError when the exchange's
-    # output is all-zero (s * B is the identity: s = 0 mod 8 clears order 2).
+def _ladder_u(k, bases, key=None):
+    # [u(k * B) for each B] for 0 <= k < N (0s for k = 0), all from key(s) for the clamp form
+    # s of k (default _private_key): an exchange with B's X25519 public key, or for B = G,
+    # given as None, the key's own public key, which the load already computed.  A k with no
+    # clamp form is 8j: it takes u(j * B) by the same rule, then three x-only doublings on
+    # (X : Z).  ValueError when an exchange's output is all-zero (s * B is the identity:
+    # s = 0 mod 8 clears order 2).
     if k == 0:
-        return 0
+        return [0] * len(bases)
     doublings = 0
     s = _clamp_form(k)
     while s is None:
         k, doublings = k * _INV_8 % N, doublings + 3
         s = _clamp_form(k)
-    x, z = int.from_bytes(key(s).exchange(base), "little"), 1
-    for _ in range(doublings):
-        xx, zz, xz = x * x % P, z * z % P, x * z % P
-        x, z = (xx - zz) ** 2 % P, 4 * xz * (xx + _A * xz + zz) % P
-    return x if z == 1 else x * pow(z, -1, P) % P
+    private = (key or _private_key)(s)
+    out = []
+    for base in bases:
+        raw = private.public_key().public_bytes_raw() if base is None else private.exchange(base)
+        x, z = int.from_bytes(raw, "little"), 1
+        for _ in range(doublings):
+            xx, zz, xz = x * x % P, z * z % P, x * z % P
+            x, z = (xx - zz) ** 2 % P, 4 * xz * (xx + _A * xz + zz) % P
+        out.append(x if z == 1 else x * pow(z, -1, P) % P)
+    return out
 
 
 def _montgomery(coords):
@@ -383,19 +399,37 @@ def _montgomery(coords):
     return (z + y) * x % P * inv % P, _SQRT_M486664 * (z + y) % P * z % P * inv % P
 
 
-def _mul(base, k):
-    # k * B for 0 < k < N and B != identity in the prime-order subgroup, given B's
-    # (u, v, X25519 public key), from u of Q = k*B and of its neighbour Q + step*B:
-    # (k+1)*B, or (k-1)*B for k = N - 1, whose (k+1)*B is the identity (u = 0), with
-    # which the formula would give +B, not -B.
+# G's (u, v) (RFC 7748 section 4.1), written out; the tests derive it.  None stands for its
+# X25519 public key: _ladder_u reads u(s * G) off the key of s.
+_G_FORM = (9, 14781619447589544791020593568409986887264606134616475288964881837755586237401, None)
+
+
+def _form(point):
+    # (u, v, X25519 public key) of a base other than the identity: G's written out, any
+    # other's kept on the element from its first product on, so G never gets one.
+    if point._ladder is None and point.coords != G.coords:
+        u, v = _montgomery(point.coords)
+        point._ladder = (u, v, _x25519_base(u))
+    return point._ladder or _G_FORM
+
+
+def _mul(bases, k):
+    # [k * B for each B] for 0 <= k < N and bases other than the identity in the prime-order
+    # subgroup, from u of Q = k*B and of its neighbour Q + step*B: (k+1)*B, or (k-1)*B for
+    # k = N - 1, whose (k+1)*B is the identity (u = 0), with which the formula would give +B,
+    # not -B.  Two X25519 keys serve every base.
+    if k == 0:
+        return [_IDENT_COORDS] * len(bases)
     step = 1 if k < N - 1 else -1
-    u, v, public = base
-    uq, un = _ladder_u(k, public), _ladder_u(k + step, public)
-    # Okeya-Sakurai (CHES 2001): v(Q) = num / (2 * step * v); then back to
-    # Edwards, x = sqrt(-486664)*uq/v(Q) and y = (uq - 1)/(uq + 1).
-    num = ((u * uq + 1) * (u + uq + 2 * _A) - 2 * _A - (u - uq) ** 2 % P * un) % P
-    w = _SQRT_M486664 * uq % P * 2 * step * v % P
-    return (w * (uq + 1) % P, (uq - 1) * num % P, num * (uq + 1) % P, w * (uq - 1) % P)
+    us, vs, publics = zip(*map(_form, bases))
+    out = []
+    for u, v, uq, un in zip(us, vs, _ladder_u(k, publics), _ladder_u(k + step, publics)):
+        # Okeya-Sakurai (CHES 2001): v(Q) = num / (2 * step * v); then back to
+        # Edwards, x = sqrt(-486664)*uq/v(Q) and y = (uq - 1)/(uq + 1).
+        num = ((u * uq + 1) * (u + uq + 2 * _A) - 2 * _A - (u - uq) ** 2 % P * un) % P
+        w = _SQRT_M486664 * uq % P * 2 * step * v % P
+        out.append((w * (uq + 1) % P, (uq - 1) * num % P, num * (uq + 1) % P, w * (uq - 1) % P))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +529,9 @@ class GroupElement:
         k %= N
         if k == 0 or self.is_identity():
             return IDENTITY
-        if self._ladder is None:
-            if self.coords == G.coords:
-                return GroupElement(_comb_mul(k))
-            u, v = _montgomery(self.coords)
-            self._ladder = (u, v, _x25519_base(u))
-        return GroupElement(_mul(self._ladder, k))
+        if self._ladder is None and self.coords == G.coords:
+            return GroupElement(_comb_mul(k))
+        return GroupElement(_mul((self,), k)[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -592,7 +623,7 @@ def decode_u(data: bytes) -> int:
     if len(data) != ELEMENT_LEN or not 0 < u < P:
         raise MalformedElement("not a canonical 32-byte u other than 0")
     try:
-        if _ladder_u(1, _x25519_base(u), _check_key) == u:
+        if _ladder_u(1, (_x25519_base(u),), _check_key) == [u]:
             return u
     except ValueError:  # c * R is the identity: R is a torsion point
         pass
@@ -681,27 +712,29 @@ class OpCounter:
 _UNBOUND = nullcontext()
 
 
-def scalar_mult(k: Scalar, point: GroupElement) -> GroupElement:
-    """Return k * point, counting one scalar multiplication."""
+def _tick(scalar_mults, point_adds=0):
+    # Adds to the counter of the innermost enclosing ``with OpCounter()``, if any.
     ctr = _BOUND.get()
     if ctr is not None:
-        ctr.scalar_mults += 1
+        ctr.scalar_mults += scalar_mults
+        ctr.point_adds += point_adds
+
+
+def scalar_mult(k: Scalar, point: GroupElement) -> GroupElement:
+    """Return k * point, counting one scalar multiplication."""
+    _tick(1)
     return k * point
 
 
 def mul_u(k: Scalar, u: int) -> int:
     """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product."""
-    ctr = _BOUND.get()
-    if ctr is not None:
-        ctr.scalar_mults += 1
-    return _ladder_u(k.v, _x25519_base(u), _last_key)
+    _tick(1)
+    return _ladder_u(k.v, (_x25519_base(u),), _last_key)[0]
 
 
 def point_add(a: GroupElement, b: GroupElement) -> GroupElement:
     """Return a + b, counting one point addition."""
-    ctr = _BOUND.get()
-    if ctr is not None:
-        ctr.point_adds += 1
+    _tick(0, 1)
     return a + b
 
 
@@ -714,15 +747,27 @@ def addends(points: list[GroupElement]) -> list:
     return _cached(_normalize([point.coords for point in points]))
 
 
+def table_columns(bases: tuple[GroupElement, ...], scalars: list[Scalar]) -> list[list]:
+    """Return [[r * B for r in scalars] for B in bases] in the stored form of :func:`addends`.
+
+    Counts one scalar multiplication per product.  Each nonzero r loads
+    two X25519 keys, for r and its neighbour, and serves every base from
+    them: G from each key's own public key, with no exchange and no comb,
+    any other base with one exchange per key.  One shared field inversion
+    per base.  The bases must not be the identity.
+    """
+    _tick(len(bases) * len(scalars))
+    products = [p for r in scalars for p in _mul(bases, r.v)]
+    return [_cached(_normalize(products[c :: len(bases)])) for c in range(len(bases))]
+
+
 def subset_sum(stored: list, indices) -> GroupElement:
     """Return the sum of ``stored[i]`` over ``indices``, counting one addition fewer than indices.
 
     ``stored`` comes from :func:`addends`, so each addition is a mixed
     one, two field products cheaper than :func:`point_add`.
     """
-    ctr = _BOUND.get()
-    if ctr is not None:
-        ctr.point_adds += len(indices) - 1
+    _tick(0, len(indices) - 1)
     return GroupElement(_sum_cached([stored[i] for i in indices]))
 
 

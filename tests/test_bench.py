@@ -143,6 +143,7 @@ def test_bench_counts_match_the_analytical_budgets():
         # counted run reuses the static point (first contact is (2, 28)).
         "aq_hang": (1, 27),
         "table_load": (256, 0),  # open format: k products computed from the scalars
+        "table_load_designated": (512, 0),  # open format: k products per base
         "table_open": (0, 0),  # sealed format: no group operation
     }
     assert set(expectations) == set(BENCH_OPS)

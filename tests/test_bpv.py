@@ -126,6 +126,32 @@ def test_designated_offline_rejects_identity_point():
         PrecompTable(TOY, (G, IDENTITY), table.scalars, table.stored, table.owner_binding)
 
 
+def test_an_identity_point_is_refused_before_any_product():
+    # The build and the open load used to compute every column first.
+    planted = _plant(toy_designated()[0], IDENTITY.encode())
+    for refuse in (lambda: dbpv_offline(TOY, IDENTITY, bytes(32), random.Random(0)),
+                   lambda: deserialize_table(planted)):
+        with OpCounter() as ctr, pytest.raises(InvalidDesignatedPoint):
+            refuse()
+        assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
+
+
+def test_table_paths_add_nothing_in_python_and_never_reach_the_comb(monkeypatch):
+    # Build, open load and verify_table take every column from X25519 keys alone.
+    plain, (designated, _, point) = toy_table(), toy_designated()
+    files = serialize_table(plain), serialize_table(designated)
+    calls = []
+    for name in ("_add_raw", "_madd_raw", "_g_comb"):
+        real = getattr(group, name)
+        monkeypatch.setattr(group, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    bpv_offline(TOY, random.Random(5))
+    dbpv_offline(TOY, point, bytes(32), random.Random(6))
+    for data in files:
+        verify_table(deserialize_table(data))
+    assert calls == []
+
+
 # The file has room for exactly a 32-byte binding after X and none in a
 # (G,) table; these bindings used to give hash-valid files that failed to
 # load with TruncatedFile (469 bytes where 498 were expected, 338 where 306).

@@ -167,8 +167,9 @@ def test_product_at_edge_scalars_matches_affine_oracle(base, k):
 
 def test_g_comb_is_built_once_per_process(monkeypatch):
     # The comb takes no base, so each call of _g_comb that finds none yet is
-    # a build of G's.  A designated table over X, built, loaded from the open
-    # format and verified, reaches it only for its G column.
+    # a build of G's.  Only single products of G reach it: a designated table
+    # over X, built, loaded from the open format and verified, never does, as
+    # its G column reads each X25519 key's own public key.
     found_empty = []
     real = group._g_comb
     monkeypatch.setattr(group, "_G_COMB", None)
@@ -181,9 +182,8 @@ def test_g_comb_is_built_once_per_process(monkeypatch):
     params = BpvParams(v=2, k=4, allow_unsafe=True)
     table = dbpv_offline(params, decode_element(_OTHER_BASE.encode()), bytes(32), random.Random(7))
     verify_table(deserialize_table(serialize_table(table)))
-    # The three products of G above, then k for the G column of each of the
-    # build, the load and the check.
-    assert found_empty == [True] + [False] * (3 - 1 + 3 * params.k)
+    # The three products of G above, and nothing from the table.
+    assert found_empty == [True, False, False]
 
 
 # --------------------------------------------------------------------------
@@ -233,6 +233,7 @@ def test_g_maps_to_the_rfc7748_base_point():
     v = 14781619447589544791020593568409986887264606134616475288964881837755586237401
     assert group._montgomery(G.coords) == (9, v)
     assert group._montgomery(tuple(3 * c % P for c in G.coords)) == (9, v)
+    assert group._G_FORM == (9, v, None)  # the form table columns take for G
 
 
 def _clamp(s):
@@ -302,16 +303,45 @@ def test_second_product_runs_no_doubling(monkeypatch, k):
     assert calls == [[], [], []]
 
 
+class _SpyKey:
+    """An X25519 private key that logs its load and each use."""
+
+    def __init__(self, key, log):
+        self._key, self._log = key, log
+        log.append("load")
+
+    def exchange(self, public):
+        self._log.append("exchange")
+        return self._key.exchange(public)
+
+    def public_key(self):
+        self._log.append("public")
+        return self._key.public_key()
+
+
+def _key_uses(monkeypatch):
+    # What the keys that _ladder_u loads itself are asked (the cached keys of the
+    # subgroup check and of mul_u are not seen).
+    log = []
+    real = group._private_key
+    monkeypatch.setattr(group, "_private_key", lambda s: _SpyKey(real(s), log))
+    return log
+
+
 def test_g_never_gets_a_ladder(monkeypatch):
-    exchanges = _count_calls(monkeypatch, "_ladder_u")
+    key_loads = _count_calls(monkeypatch, "_ladder_u")
     conversions = _count_calls(monkeypatch, "_montgomery")
     k = Scalar(0xC0FFEE)
     k * G
     scalar_mult(k, G)
-    _column(G, [k.value])
     decoded = decode_element(G.encode())
     k * decoded
-    assert exchanges == ["_ladder_u"]  # the decode's subgroup check only
+    assert key_loads == ["_ladder_u"]  # the decode's subgroup check only
+    # A column of G takes u(k*G) and u((k+1)*G) from two keys' own public keys:
+    # no exchange, and G's (u, v) is written out.
+    uses = _key_uses(monkeypatch)
+    _column(G, [k.value])
+    assert uses == ["load", "public"] * 2
     assert conversions == [] and G._ladder is None and decoded._ladder is None
 
 
@@ -359,6 +389,38 @@ def test_table_column_matches_affine_oracle(ks, b):
         expected = [affine_mul(k, affine(base)) for k in ks]
         assert _column(base, ks) == [((y + x) % P, (y - x) % P, x * y * group._2D % P)
                                      for x, y in expected]
+
+
+def test_table_columns_load_two_keys_per_nonzero_scalar(monkeypatch):
+    # One pair of keys per scalar serves every base: a (G,) column reads each key's
+    # public key, and X adds one exchange per key.  0 loads none; 8, 16, 64 and the
+    # neighbour of 7 have no clamp form and take x-only doublings of each u.
+    base = decode_element(_OTHER_BASE.encode())
+    ks = [0, 3, 7, 8, 16, 64, N - 1]
+    scalars = [Scalar(k) for k in ks]
+    uses = _key_uses(monkeypatch)
+    plain = bpv._columns((G,), scalars)
+    assert uses == ["load", "public"] * 2 * (len(ks) - 1)
+    del uses[:]
+    designated = bpv._columns((G, base), scalars)
+    assert uses == ["load", "public", "exchange"] * 2 * (len(ks) - 1)
+    assert designated[0] == plain[0]
+    assert [group._affine(column) for column in designated] == [
+        [affine_mul(k, affine(b)) for k in ks] for b in (G, _OTHER_BASE)]
+
+
+def test_an_open_load_leaves_the_comb_of_g_unbuilt(tmp_path):
+    params = BpvParams(v=2, k=4, allow_unsafe=True)
+    tables = (bpv.bpv_offline(params, random.Random(8)),
+              dbpv_offline(params, _OTHER_BASE, bytes(32), random.Random(9)))
+    paths = [tmp_path / f"{i}.tbl" for i in range(2)]
+    for path, table in zip(paths, tables):
+        path.write_bytes(serialize_table(table))
+    code = ("import sys, iodcrypt.group as g, iodcrypt.bpv as b; "
+            "[b.verify_table(b.deserialize_table(open(p, 'rb').read())) for p in sys.argv[1:]]; "
+            "assert g._G_COMB is None")
+    env = {**os.environ, "PYTHONPATH": str(Path(group.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code, *map(str, paths)], check=True, env=env)
 
 
 def test_table_column_counts_one_mult_per_product():

@@ -215,7 +215,9 @@ def test_handshake_refuses_a_designated_table(setup):
     _, a, _ = setup
     rng = random.Random(12)
     table = dbpv_offline(BpvParams(v=4, k=8, allow_unsafe=True), Scalar(5) * G, bytes(32), rng)
-    with pytest.raises(UnsupportedParams):
+    # The refusal names the table it needs, not signing.
+    refusal = r"^needs a standard \(G,\) table, not a designated one$"
+    with pytest.raises(UnsupportedParams, match=refusal):
         aq_hang_initiate(a, rng, table=table)
 
 
