@@ -51,6 +51,14 @@ and every counted one goes through it; :func:`table_columns` always takes
 the second.  Points only ever multiplied travel as
 Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
+Every sum of stored points, a table's subset sum or a round of the comb,
+runs on a mixed addition that reduces lazily: it folds each product with
+2^255 = 19 (mod P), about half the cost of a ``% P``, once inside the
+formula and twice at its four outputs, which keeps every coordinate within
+2^22 of [0, 2^255).  Folds keep each value mod P, and each chain reduces
+``% P`` once at its end, so every point that leaves the raw layer is in
+canonical coordinates, the same as with a ``% P`` at every product.
+
 Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
 bytes, off-curve points, and points outside the prime-order subgroup, so
@@ -180,9 +188,28 @@ DOMAIN_SIG = 0x02  # signature challenge hashing
 # ---------------------------------------------------------------------------
 #
 # Two formula bodies: the unified law _add_raw and its mixed form _madd_raw
-# for affine operands.
+# for affine operands.  _add_raw reduces every product % P.  _madd_raw reduces
+# lazily with a fold, w -> (w & _LOW) + 19 * (w >> 255): it keeps w mod P, since
+# 2^255 = 19 mod P, and costs about half a % P.  For -2^(255+n) <= w < 2^(255+n)
+# it lands in [-19 * 2^n, 2^255 + 19 * 2^n).  So _madd_raw takes and returns
+# coordinates in a band, (-2^22, 2^255 + 2^22), and each chain of calls
+# (_sum_cached, _comb_mul) ends with one % P per coordinate.  With M = 2^255,
+# x1, y1, z1, t1 in the band, the cached yp, ym in [0, P) and |t2d| < P (the
+# comb negates t2d):
+#   a = (y1 - x1) * ym and c = t1 * t2d lie within +-(M + 2^23) * M;
+#     one fold each: (-19M - 2^28, 20M + 2^28);
+#   b = (y1 + x1) * yp lies in (-2^23 * M, (2M + 2^23) * M); one fold: (-2^28, 39M + 2^28);
+#   d = 2 * z1 lies in (-2^23, 2M + 2^23);
+#   so |e|, |h| = |b -+ a| < 59M + 2^29 and |f|, |g| = |d -+ c| < 22M + 2^29,
+#   and each output product is under (59M + 2^29)^2 < 3482 * M^2 in size;
+#   its first fold lies in [-66158M, 66159M), about 2^271, and its second in
+#   (-2^21, M + 2^21), since 19 * 66159 < 2^21: inside the band again.
+# One fold is enough for a, b and c, which only feed the four sums; each output,
+# the next call's input, takes two.  Every fold is exact mod P, so the final % P
+# gives the coordinates of a % P at every product.
 
 _IDENT_COORDS = (0, 1, 1, 0)
+_LOW = 2**255 - 1  # the low 255 bits of a fold
 
 
 def _add_raw(p1, p2):
@@ -229,17 +256,35 @@ def _cached(affine):
 def _madd_raw(p1, cached):
     # Mixed addition: the unified law of _add_raw with an affine second
     # operand (Z2 = 1) given in the form of _cached, one product fewer.
+    # Takes and returns coordinates in the band above, folding where
+    # _add_raw reduces: once per product inside, twice per output.
     x1, y1, z1, t1 = p1
     yp, ym, t2d = cached
-    a = (y1 - x1) * ym % P
-    b = (y1 + x1) * yp % P
-    c = t1 * t2d % P
+    a = (y1 - x1) * ym
+    a = (a & _LOW) + 19 * (a >> 255)
+    b = (y1 + x1) * yp
+    b = (b & _LOW) + 19 * (b >> 255)
+    c = t1 * t2d
+    c = (c & _LOW) + 19 * (c >> 255)
     d = 2 * z1
     e = b - a
     f = d - c
     g = d + c
     h = b + a
-    return (e * f % P, g * h % P, f * g % P, e * h % P)
+    x = e * f
+    x = (x & _LOW) + 19 * (x >> 255)
+    y = g * h
+    y = (y & _LOW) + 19 * (y >> 255)
+    z = f * g
+    z = (z & _LOW) + 19 * (z >> 255)
+    t = e * h
+    t = (t & _LOW) + 19 * (t >> 255)
+    return (
+        (x & _LOW) + 19 * (x >> 255),
+        (y & _LOW) + 19 * (y >> 255),
+        (z & _LOW) + 19 * (z >> 255),
+        (t & _LOW) + 19 * (t >> 255),
+    )
 
 
 # The comb of G (Lim-Lee, CRYPTO 1994, with the signed recoding of Hedabou, Pinel
@@ -310,19 +355,22 @@ def _comb_mul(k):
         acc = _add_raw(acc, acc)
         for entry in entries[i : i + 4]:
             acc = _madd_raw(acc, entry)
-    return acc
+    x, y, z, t = acc
+    return (x % P, y % P, z % P, t % P)
 
 
 def _sum_cached(entries):
     # The sum of points in the form of _cached: the first converted to
-    # (2x, 2y, 2, 2xy) with one product, then one mixed addition per entry.
+    # (2x, 2y, 2, 2xy) with one product, then one mixed addition per entry,
+    # and one % P of each coordinate at the end of the chain.
     if not entries:
         return _IDENT_COORDS
     yp, ym, t2d = entries[0]
     acc = ((yp - ym) % P, (yp + ym) % P, 2, t2d * _INV_D % P)
     for i in range(1, len(entries)):
         acc = _madd_raw(acc, entries[i])
-    return acc
+    x, y, z, t = acc
+    return (x % P, y % P, z % P, t % P)
 
 
 # Other bases: X25519 (RFC 7748) on the Montgomery form v^2 = u^3 + A*u^2 + u,
@@ -765,7 +813,10 @@ def subset_sum(stored: list, indices) -> GroupElement:
     """Return the sum of ``stored[i]`` over ``indices``, counting one addition fewer than indices.
 
     ``stored`` comes from :func:`addends`, so each addition is a mixed
-    one, two field products cheaper than :func:`point_add`.
+    one, two field products cheaper than :func:`point_add`, which folds its
+    products with 2^255 = 19 (mod P) where :func:`point_add` takes ``% P``.
+    The sum reduces ``% P`` once at the end, so its coordinates are exactly
+    those of reducing every product.
     """
     _tick(0, len(indices) - 1)
     return GroupElement(_sum_cached([stored[i] for i in indices]))

@@ -625,6 +625,86 @@ def test_subset_sum_counts_one_add_fewer_than_indices(monkeypatch):
     assert affine(subset_sum(stored, [1])) == affine_mul(5, affine(G))
 
 
+# The mixed addition reduces lazily: it takes and returns coordinates in the band
+# (-2^22, 2^255 + 2^22), congruent mod P to those of the formula reduced % P at
+# every product, and the chains that call it reduce once at their end.
+_LOW_EDGE, _HIGH_EDGE = -(2**22), 2**255 + 2**22
+band = st.one_of(
+    st.integers(min_value=_LOW_EDGE + 1, max_value=_HIGH_EDGE - 1),
+    st.integers(min_value=_LOW_EDGE + 1, max_value=2**22),  # negative and small
+    st.integers(min_value=P - 2**22, max_value=_HIGH_EDGE - 1),  # P and above
+    st.sampled_from([_LOW_EDGE + 1, _HIGH_EDGE - 1]),
+)
+field = st.integers(min_value=0, max_value=P - 1)
+# The comb's negated entries have a negative third coordinate.
+cached_entries = st.tuples(field, field, st.integers(min_value=-P + 1, max_value=P - 1))
+
+
+def _in_band(coords):
+    return all(_LOW_EDGE < v < _HIGH_EDGE for v in coords)
+
+
+def _madd_exact(p1, cached):
+    # The mixed addition with every product reduced % P.
+    x1, y1, z1, t1 = p1
+    yp, ym, t2d = cached
+    a = (y1 - x1) * ym % P
+    b = (y1 + x1) * yp % P
+    c = t1 * t2d % P
+    d = 2 * z1
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
+
+
+def _mod_p(coords):
+    return tuple(v % P for v in coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(band, band, band, band), cached_entries)
+def test_mixed_addition_stays_in_the_band_and_congruent_mod_p(p1, cached):
+    out = group._madd_raw(p1, cached)
+    assert _in_band(out)
+    assert _mod_p(out) == _madd_exact(_mod_p(p1), cached)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(band, band, band, band), st.randoms(use_true_random=False))
+def test_a_chain_of_200_mixed_additions_stays_in_the_band(p1, rng):
+    acc, exact = p1, _mod_p(p1)
+    for _ in range(200):
+        cached = (rng.randrange(P), rng.randrange(P), rng.randrange(-P + 1, P))
+        acc, exact = group._madd_raw(acc, cached), _madd_exact(exact, cached)
+        assert _in_band(acc) and _mod_p(acc) == exact
+
+
+def _canonical(coords):
+    return all(0 <= v < P for v in coords)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(scalars, min_size=1, max_size=30), st.data())
+def test_sums_and_products_of_g_leave_the_raw_layer_reduced(ks, data):
+    stored = addends([k * G for k in ks])
+    indices = data.draw(st.lists(st.integers(0, len(ks) - 1), min_size=1, max_size=30))
+    point = subset_sum(stored, indices)  # GroupElement(_sum_cached(...))
+    assert _canonical(point.coords)
+    assert point == Scalar(sum(ks[i].v for i in indices)) * G
+    assert all(_canonical((k * G).coords) for k in ks)
+
+
+def test_chains_reduce_what_the_mixed_addition_leaves_unreduced(monkeypatch):
+    # An output of _madd_raw lies outside [0, P) less often than once in 2^230 calls,
+    # too rarely to draw; a _madd_raw that returns every coordinate minus P stands in.
+    stored = addends([Scalar(k) * G for k in range(1, 29)])
+    k = 0xC0FFEE << 200
+    expected = group._sum_cached(stored), group._comb_mul(k)
+    real = group._madd_raw
+    monkeypatch.setattr(group, "_madd_raw", lambda p1, cached: tuple(v - P for v in real(p1, cached)))
+    assert (group._sum_cached(stored), group._comb_mul(k)) == expected
+    assert all(_canonical(coords) for coords in expected)
+
+
 # --------------------------------------------------------------------------
 # Group laws
 # --------------------------------------------------------------------------
