@@ -153,7 +153,8 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
     from .bpv import (BpvParams, bpv_offline, bpv_online, dbpv_online, deserialize_table,
                       serialize_table)
     from .encrypt import decode_ciphertext, decrypt, enc_kg_sender, encrypt
-    from .selfcert import aq_hang_finalize, aq_hang_initiate, aq_kg, aq_shared_static, kgc_setup
+    from .selfcert import (SelfCertKeypair, aq_hang_finalize, aq_hang_initiate, aq_kg,
+                           aq_shared_static, kgc_setup)
     from .sign import VerifierContext, reference_sign, sign, sign_kg, verify
 
     params = BpvParams(28, 256)
@@ -170,13 +171,20 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
 
     kgc = kgc_setup(rng)
 
-    if op_name in ("dbpv_online", "table_load_designated"):
+    if op_name in ("dbpv_online", "table_load_designated", "encrypt", "decrypt"):
         receiver = aq_kg(kgc, b"bench-recv", rng)
         sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
         if op_name == "dbpv_online":
             return lambda: dbpv_online(sender.table, rng)
-        blob = serialize_table(sender.table)
-        return lambda: deserialize_table(blob)
+        if op_name == "table_load_designated":
+            blob = serialize_table(sender.table)
+            return lambda: deserialize_table(blob)
+        if op_name == "encrypt":
+            return lambda: encrypt(sender, b"benchmark message", rng)
+        # Decoded on every iteration, as a receiver does, so the time
+        # includes the subgroup check of u(R): two X25519 calls in all.
+        wire = encrypt(sender, b"benchmark message", rng).encode()
+        return lambda: decrypt(receiver, decode_ciphertext(wire))
     if op_name in ("sign", "verify", "reference_sign"):
         ctx = sign_kg(kgc, b"bench-signer", params, rng)
         if op_name == "sign":
@@ -187,29 +195,20 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
         vctx = VerifierContext.build(ctx.keypair.record, kgc.public)
         sig = sign(ctx, b"benchmark message", rng)
         return lambda: verify(vctx, b"benchmark message", sig)
-    if op_name in ("encrypt", "decrypt"):
-        receiver = aq_kg(kgc, b"bench-recv", rng)
-        sender = enc_kg_sender(receiver.record, kgc.public, params, rng)
-        if op_name == "encrypt":
-            return lambda: encrypt(sender, b"benchmark message", rng)
-        # Decoded on every iteration, as a receiver does, so the time
-        # includes the subgroup check of u(R): two X25519 calls in all.
-        wire = encrypt(sender, b"benchmark message", rng).encode()
-        return lambda: decrypt(receiver, decode_ciphertext(wire))
-    if op_name == "aq_shared":
+    if op_name in ("aq_shared", "aq_hang", "aq_hang_first"):
         a = aq_kg(kgc, b"bench-a", rng)
         b = aq_kg(kgc, b"bench-b", rng)
-        return lambda: aq_shared_static(a, b.record)
-    if op_name == "aq_hang":
-        a = aq_kg(kgc, b"bench-a", rng)
-        b = aq_kg(kgc, b"bench-b", rng)
+        if op_name == "aq_shared":
+            return lambda: aq_shared_static(a, b.record)
         table = bpv_offline(params, rng)
         # One peer throughout: from the warm-up on, a knows its record (a known-peer handshake).
         peer_message = aq_hang_initiate(b, rng).message
 
-        def one_handshake():
-            return aq_hang_finalize(a, aq_hang_initiate(a, rng, table=table), peer_message)
+        def one_handshake(own=a):
+            return aq_hang_finalize(own, aq_hang_initiate(own, rng, table=table), peer_message)
 
+        if op_name == "aq_hang_first":  # a copy of a, whose empty peer cache makes a first contact
+            return lambda: one_handshake(SelfCertKeypair(a.record, a.secret, a.cached_term))
         return one_handshake
 
     raise UnknownOp(f"no benchmark workload named {op_name!r}")
@@ -225,6 +224,7 @@ BENCH_OPS = (
     "decrypt",
     "aq_shared",
     "aq_hang",
+    "aq_hang_first",
     "table_load",
     "table_load_designated",
     "table_open",

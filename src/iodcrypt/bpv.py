@@ -211,11 +211,11 @@ def _build(params, bases, owner_binding, rng) -> PrecompTable:
     return PrecompTable(params, bases, scalars, _columns(bases, scalars), owner_binding)
 
 
-def _draw(table: PrecompTable, stored: list, rng) -> tuple:
-    """(r, then the sum of each column of ``stored``) over one fresh v-subset."""
+def _draw(table: PrecompTable, rng) -> tuple:
+    """(r, then the sum of each stored column of ``table``) over one fresh v-subset."""
     indices = sample_subset(table.params, rng)
     r = Scalar(sum(table.scalars[i].v for i in indices))
-    return (r, *(subset_sum(column, indices) for column in stored))
+    return (r, *(subset_sum(column, indices) for column in table.stored))
 
 
 def bpv_offline(params: BpvParams, rng) -> PrecompTable:
@@ -231,7 +231,7 @@ def bpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement]:
     """
     if len(table.bases) != 1:
         raise UnsupportedParams("needs a standard (G,) table, not a designated one")
-    return _draw(table, table.stored, rng)
+    return _draw(table, rng)
 
 
 def dbpv_offline(
@@ -243,7 +243,7 @@ def dbpv_offline(
 
 def dbpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement, GroupElement]:
     """Fresh (r, r*G, r*X) from a (G, X) table by subset sums: 2(v-1) adds, no mults."""
-    return _draw(table, table.stored, rng)
+    return _draw(table, rng)
 
 
 def verify_table(table: PrecompTable) -> None:

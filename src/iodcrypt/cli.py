@@ -45,9 +45,9 @@ old one.  Deleting the file is how to start over.
 
 A process imports only what its command runs: ``encrypt`` only for
 ``table gen --designated``, ``encrypt`` and ``decrypt``; ``bench`` (and
-``statistics``) only for ``bench``; ``json`` only for ``--json``.  The
-package does not use ``dataclasses``, whose import and decorators took
-about a quarter of the time to import this module.
+``statistics``) only for ``bench`` and top-level help or usage errors;
+``json`` only for ``--json``.  The package does not use ``dataclasses``:
+its import and decorators took about a quarter of importing this module.
 
 A process also does only the work its command reads.  ``sign`` (the id
 and x) and ``decrypt`` (x) read the key file with ``read_drone_key``,
@@ -111,11 +111,6 @@ from .sign import (
 DEFAULT_PARAMS = SUPPORTED_PARAMS[0]
 SEAL_FILE = "table.seal"
 _FILE_ARG = "(a path if it has a separator, else a name in the home)"
-# ``bench.PROFILES`` keys and ``bench.BENCH_OPS``, copied so only ``iodcrypt bench`` imports it.
-BENCH_PROFILES = ("avr", "arm")
-BENCH_OPS = ("bpv_online", "dbpv_online", "sign", "verify", "reference_sign", "encrypt",
-             "decrypt", "aq_shared", "aq_hang", "table_load", "table_load_designated",
-             "table_open")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +419,7 @@ def cmd_bench(args) -> int:
     from .bench import (DeviceProfile, device_report, format_ldjson, format_text_table,
                         host_report, run_bench)
 
-    if args.profile in BENCH_PROFILES:
+    if args.profile != "host":
         rows = device_report(args.profile)
         if args.op:
             rows = [row for row in rows if row["op"] == args.op]
@@ -563,9 +558,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         exchange.set_defaults(func=cmd_exchange)
 
     if command in (None, "bench"):
+        from .bench import BENCH_OPS, PROFILES
+
         bench = commands.add_parser("bench", parents=[common],
                                     help="benchmarks and energy projection")
-        bench.add_argument("--profile", required=True, choices=[*BENCH_PROFILES, "host"])
+        bench.add_argument("--profile", required=True, choices=[*PROFILES, "host"])
         bench.add_argument("--op", choices=BENCH_OPS, help="operation to benchmark")
         bench.add_argument("--iterations", type=int, default=50)
         bench.add_argument("--voltage", type=float, help="host energy projection: volts")

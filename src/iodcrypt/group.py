@@ -363,8 +363,6 @@ def _sum_cached(entries):
     # The sum of points in the form of _cached: the first converted to
     # (2x, 2y, 2, 2xy) with one product, then one mixed addition per entry,
     # and one % P of each coordinate at the end of the chain.
-    if not entries:
-        return _IDENT_COORDS
     yp, ym, t2d = entries[0]
     acc = ((yp - ym) % P, (yp + ym) % P, 2, t2d * _INV_D % P)
     for i in range(1, len(entries)):
@@ -486,17 +484,12 @@ def _mul(bases, k):
 
 
 class Scalar:
-    """Residue modulo the group order ``N``, always kept canonical."""
+    """Residue modulo the group order ``N``: ``v`` is the canonical integer in [0, N)."""
 
     __slots__ = ("v",)
 
     def __init__(self, value: int):
         self.v = value % N
-
-    @property
-    def value(self) -> int:
-        """The canonical integer representative in [0, N)."""
-        return self.v
 
     def __add__(self, other: "Scalar") -> "Scalar":
         return Scalar(self.v + other.v)
@@ -520,9 +513,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({hex(self.v)})"
-
-    def is_zero(self) -> bool:
-        return self.v == 0
 
     def encode(self) -> bytes:
         """Canonical 32-byte little-endian encoding."""
@@ -751,10 +741,6 @@ class OpCounter:
     def __exit__(self, *exc) -> None:
         _BOUND.reset(self._tokens.pop())
 
-    def reset(self) -> None:
-        self.scalar_mults = 0
-        self.point_adds = 0
-
 
 # What a kept ``ctr=None`` parameter enters for None: binds nothing, so an enclosing scope counts.
 _UNBOUND = nullcontext()
@@ -816,8 +802,10 @@ def subset_sum(stored: list, indices) -> GroupElement:
     one, two field products cheaper than :func:`point_add`, which folds its
     products with 2^255 = 19 (mod P) where :func:`point_add` takes ``% P``.
     The sum reduces ``% P`` once at the end, so its coordinates are exactly
-    those of reducing every product.
+    those of reducing every product.  It needs one index or more; none raises ValueError.
     """
+    if not indices:
+        raise ValueError("a subset sum needs at least one index")
     _tick(0, len(indices) - 1)
     return GroupElement(_sum_cached([stored[i] for i in indices]))
 

@@ -140,8 +140,11 @@ def test_bench_counts_match_the_analytical_budgets():
         "decrypt": (1, 0),
         "aq_shared": (1, 1),
         # Table-fed initiate + the ephemeral part; the warm-up met the peer, so the
-        # counted run reuses the static point (first contact is (2, 28)).
+        # counted run reuses the static point.
         "aq_hang": (1, 27),
+        # A first contact: the table-fed initiate (0, v-1) and the README's finalize
+        # with cached x*D (2, 1), the static point and the ephemeral part.
+        "aq_hang_first": (2, 28),
         "table_load": (256, 0),  # open format: k products computed from the scalars
         "table_load_designated": (512, 0),  # open format: k products per base
         "table_open": (0, 0),  # sealed format: no group operation

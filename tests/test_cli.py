@@ -20,7 +20,7 @@ import pytest
 
 from iodcrypt.bpv import BpvParams, PrecompTable, bpv_offline, dbpv_offline, serialize_table
 from iodcrypt import bench, cli as cli_module
-from iodcrypt.cli import BENCH_OPS, BENCH_PROFILES, _write, main
+from iodcrypt.cli import _write, build_parser, main
 from iodcrypt.encrypt import WIRE_OVERHEAD, deserialize_ciphertext_file
 from iodcrypt.group import G, N, Scalar, addends
 from iodcrypt.selfcert import (deserialize_drone_keypair, deserialize_record,
@@ -513,10 +513,10 @@ def test_sign_refuses_an_unvetted_table_size(realm, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("UnsupportedParams:")
         assert not sig_path.exists()
     if len(sigs) == 2:
-        (s1, e1), (s2, e2) = [(sig.s.value, sig.e.value) for sig in sigs]
+        (s1, e1), (s2, e2) = [(sig.s.v, sig.e.v) for sig in sigs]
         recovered = (s1 - s2) * pow(e2 - e1, -1, N) % N
         secret = deserialize_drone_keypair((realm["home"] / "alpha.key").read_bytes()).secret
-        assert recovered != secret.value, "two signatures gave away the signing key"
+        assert recovered != secret.v, "two signatures gave away the signing key"
     assert sigs == []
 
 
@@ -662,10 +662,14 @@ def test_second_kgc_init_is_io_error_and_keeps_the_realm(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_choices_are_the_bench_modules():
-    # The parser holds copies, so that only ``iodcrypt bench`` imports the module.
-    assert BENCH_OPS == bench.BENCH_OPS
-    assert BENCH_PROFILES == tuple(bench.PROFILES)
+def test_bench_choices_are_read_from_the_bench_module(monkeypatch):
+    # The parser keeps no list of its own: a change to bench's lists is its choices.
+    monkeypatch.setattr(bench, "BENCH_OPS", ("sign", "new_op"))
+    monkeypatch.setattr(bench, "PROFILES", {"avr": bench.PROFILES["avr"], "z80": None})
+    bench_parser = build_parser("bench")._subparsers._group_actions[0].choices["bench"]
+    choices = {action.dest: action.choices for action in bench_parser._actions}
+    assert list(choices["op"]) == ["sign", "new_op"]
+    assert list(choices["profile"]) == ["avr", "z80", "host"]
 
 
 def test_bench_device_profile_prints_reference_table(realm, capsys):

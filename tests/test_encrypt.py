@@ -161,7 +161,7 @@ def test_sender_memory_footprint_at_production_parameters():
 def test_sender_refuses_a_record_that_reconstructs_to_the_identity(setup):
     # With D = -H(id, U)*U as the system key, X = H(id, U)*U + D is the identity.
     _, _, bob, _ = setup
-    system_public = Scalar(-bob.record.key_hash().value) * bob.record.commitment
+    system_public = Scalar(-bob.record.key_hash().v) * bob.record.commitment
     assert reconstruct_pub(bob.record, system_public).is_identity()
     with pytest.raises(InvalidDesignatedPoint):
         enc_kg_sender(bob.record, system_public, TOY, random.Random(423))
@@ -234,13 +234,13 @@ def test_reference_ciphertext_rebuilt_from_first_principles(setup):
     ct = reference_encrypt(recipient_key, message, random.Random(seed))
 
     r = random_scalar(random.Random(seed))  # same draw as inside the call
-    shared_u = affine_u(affine_mul(r.value, affine(recipient_key)))
+    shared_u = affine_u(affine_mul(r.v, affine(recipient_key)))
     key = HKDF(
         algorithm=SHA256(), length=32, salt=None, info=b"IODCRYPT-ECIES-v3"
     ).derive(shared_u.to_bytes(32, "little"))
     sealed = ChaCha20Poly1305(key).encrypt(bytes(12), message, None)
 
-    assert ct.ephemeral == affine_u(affine_mul(r.value, affine(G)))
+    assert ct.ephemeral == affine_u(affine_mul(r.v, affine(G)))
     assert ct.body == sealed[:-16]
     assert ct.tag == sealed[-16:]
     assert decrypt(bob, ct) == message
@@ -397,9 +397,9 @@ def test_second_version_bare_ciphertext_raises_mac_mismatch(setup):
     kgc, _, bob, _ = setup
     recipient_key = reconstruct_pub(bob.record, kgc.public)
     r = random_scalar(random.Random(425))
-    shared_u = affine_u(affine_mul(r.value, affine(recipient_key)))
+    shared_u = affine_u(affine_mul(r.v, affine(recipient_key)))
     body, tag = _v2_seal(shared_u, b"sealed by the old format")
-    old = Ciphertext(affine_u(affine_mul(r.value, affine(G))), body, tag)
+    old = Ciphertext(affine_u(affine_mul(r.v, affine(G))), body, tag)
     with pytest.raises(MacMismatch):
         decrypt(bob, decode_ciphertext(old.encode()))
 
@@ -409,7 +409,7 @@ def test_ciphertext_carries_u_of_the_ephemeral_point(setup):
     recipient_key = reconstruct_pub(bob.record, kgc.public)
     r = random_scalar(random.Random(421))
     ct = reference_encrypt(recipient_key, b"u", random.Random(421))
-    u = affine_u(affine_mul(r.value, affine(G)))
+    u = affine_u(affine_mul(r.v, affine(G)))
     assert ct.encode()[:32] == u.to_bytes(32, "little")
     assert serialize_ciphertext_file(ct)[9:41] == u.to_bytes(32, "little")
     assert len(ct.encode()) == 32 + 1 + 16

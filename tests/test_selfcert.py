@@ -111,8 +111,8 @@ def test_issuance_op_costs(setup):
     kgc, _, _ = setup
     with OpCounter() as ctr:
         kgc_setup(random.Random(7))
-        assert ctr.scalar_mults == 1
-        ctr.reset()
+    assert ctr.scalar_mults == 1
+    with OpCounter() as ctr:
         aq_kg(kgc, b"drone-c", random.Random(8))
     assert ctr.scalar_mults == 2
 
@@ -142,8 +142,8 @@ def test_shared_secret_costs(setup):
     uncached = SelfCertKeypair(a.record, a.secret, None)
     with OpCounter() as ctr:
         aq_shared_static(a, b.record)
-        assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
-        ctr.reset()
+    assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
+    with OpCounter() as ctr:
         aq_shared_static(uncached, b.record, system_public=kgc.public)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
@@ -289,7 +289,7 @@ def test_handshake_key_rebuilt_from_the_affine_oracle(setup):
     _, a, b = setup
     rng = random.Random(16)
     sa, sb = aq_hang_initiate(a, rng), aq_hang_initiate(b, rng)
-    t_a, t_b = sa.ephemeral_secret.value, sb.ephemeral_secret.value
+    t_a, t_b = sa.ephemeral_secret.v, sb.ephemeral_secret.v
     u_t = affine_u(affine_mul(t_a, affine(G))).to_bytes(32, "little")
     assert sa.message == serialize_record(a.record) + u_t
     ephemeral_u = affine_u(affine_mul(t_a * t_b % N, affine(G)))

@@ -340,7 +340,7 @@ def test_nonces_never_repeat_at_production_parameters():
     nonces = set()
     for _ in range(10_000):
         sig = sign(ctx, b"same message", rng)
-        nonces.add((sig.s + sig.e * x).value)  # recovers r = s + e*x
+        nonces.add((sig.s + sig.e * x).v)  # recovers r = s + e*x
     assert len(nonces) == 10_000
 
 
