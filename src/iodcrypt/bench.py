@@ -155,7 +155,7 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
     from .encrypt import decode_ciphertext, decrypt, enc_kg_sender, encrypt
     from .selfcert import (SelfCertKeypair, aq_hang_finalize, aq_hang_initiate, aq_kg,
                            aq_shared_static, kgc_setup)
-    from .sign import VerifierContext, reference_sign, sign, sign_kg, verify
+    from .sign import VerifierContext, reference_sign, reference_verify, sign, sign_kg, verify
 
     params = BpvParams(28, 256)
     if op_name == "bpv_online":
@@ -185,7 +185,7 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
         # includes the subgroup check of u(R): two X25519 calls in all.
         wire = encrypt(sender, b"benchmark message", rng).encode()
         return lambda: decrypt(receiver, decode_ciphertext(wire))
-    if op_name in ("sign", "verify", "reference_sign"):
+    if op_name in ("sign", "verify", "reference_sign", "reference_verify"):
         ctx = sign_kg(kgc, b"bench-signer", params, rng)
         if op_name == "sign":
             return lambda: sign(ctx, b"benchmark message", rng)
@@ -194,6 +194,8 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
             return lambda: reference_sign(secret, b"benchmark message", rng)
         vctx = VerifierContext.build(ctx.keypair.record, kgc.public)
         sig = sign(ctx, b"benchmark message", rng)
+        if op_name == "reference_verify":  # s * G on the comb, e * X on X25519
+            return lambda: reference_verify(vctx.cached_key, b"benchmark message", sig)
         return lambda: verify(vctx, b"benchmark message", sig)
     if op_name in ("aq_shared", "aq_hang", "aq_hang_first"):
         a = aq_kg(kgc, b"bench-a", rng)
@@ -220,6 +222,7 @@ BENCH_OPS = (
     "sign",
     "verify",
     "reference_sign",
+    "reference_verify",
     "encrypt",
     "decrypt",
     "aq_shared",

@@ -46,12 +46,12 @@ from .errors import (
     UnsupportedParams,
 )
 from .group import (
-    G,
     GroupElement,
     OpCounter,
     _UNBOUND,
     _check_header,
     _frame,
+    comb_mult,
     decode_u,
     montgomery_u,
     mul_u,
@@ -176,7 +176,7 @@ def reference_encrypt(recipient_key: GroupElement, message: bytes, rng) -> Ciphe
     if recipient_key.is_identity():
         raise InvalidDesignatedPoint("recipient key must not be the identity")
     r = random_scalar(rng)
-    return _seal(scalar_mult(r, G), scalar_mult(r, recipient_key), message)
+    return _seal(comb_mult(r), scalar_mult(r, recipient_key), message)
 
 
 # ---------------------------------------------------------------------------

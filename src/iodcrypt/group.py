@@ -12,7 +12,8 @@ Two layers of API:
   ``k * P``) for oracles, tests, and internal use.  These are never
   counted.
 * :func:`scalar_mult`, :func:`mul_u` and :func:`point_add` are the
-  counted entry points used by the protocol layers, and
+  counted entry points used by the protocol layers, :func:`comb_mult`
+  the one used by the textbook baselines, and
   :func:`subset_sum` is the counted sum of stored points (the online
   phase of the precomputation tables); :func:`table_columns` computes a
   table's products, counted one each, straight into that stored form, and
@@ -23,32 +24,35 @@ Two layers of API:
 
 Products run on two paths:
 
-* **single products of G**: a signed Lim-Lee comb (4 tables of 128 affine
-  points), built on first use and kept for the life of the process; a
-  product is 7 doublings and 31 mixed additions.  It serves only these
-  (``reference_sign``, the r*G of ``reference_encrypt``, verify's s*G,
-  issuance): on X25519 they would make ``reference_sign`` faster than
-  table signing, the baseline that ROADMAP item 8 parks.
-* **any other base, and every table column, G's included**: X25519 (RFC
-  7748, in C in ``cryptography``, imported on first use) with two private
-  keys, for k and k+1 (k-1 for k = N-1), whose exchanges with B give u(k*B)
-  and u((k+1)*B); the Okeya-Sakurai formula recovers v from them and B's
-  (u, v).  For B = G each key's own public key, which loading it computes
-  anyway, is that u with no exchange, and G's (u, v) is written out, so a
-  table over (G,) or (G, X) loads two keys per scalar for all its bases.
-  Any other base keeps its Montgomery (u, v) and X25519 public key from its
-  first product on, so a table column, or every verify against one
-  verifier's key, maps it once.  These products assume a base in the
-  prime-order subgroup, as every decoded element is; the subgroup check of
-  :func:`decode_element` (one X25519 call) does not rely on them.
+* **every product**, of G or any other base, single or in a table column:
+  X25519 (RFC 7748, in C in ``cryptography``, imported on first use) with
+  two private keys, for k and k+1 (k-1 for k = N-1), whose exchanges with B
+  give u(k*B) and u((k+1)*B); the Okeya-Sakurai formula recovers v from
+  them and B's (u, v).  For B = G each key's own public key, which loading
+  it computes anyway, is that u with no exchange, and G's (u, v) is written
+  out, so k*G is two key loads and a table over (G,) or (G, X) loads two
+  keys per scalar for all its bases.  Any other base keeps its Montgomery
+  (u, v) and X25519 public key from its first product on, so a table
+  column, or every verify against one verifier's key, maps it once.  These
+  products assume a base in the prime-order subgroup, as every decoded
+  element is; the subgroup check of :func:`decode_element` (one X25519
+  call) does not rely on them.
+* **the textbook baselines' products of G** (:func:`comb_mult`): a signed
+  Lim-Lee comb (4 tables of 128 affine points), built on first use and kept
+  for the life of the process; a product is 7 doublings and 31 mixed
+  additions.  Only ``reference_sign``, ``reference_encrypt`` and
+  ``reference_verify`` call it: it keeps them on the arithmetic of the
+  table path's additions, so table ``sign`` is measured against a product
+  in the same arithmetic (ROADMAP item 8), and it makes
+  ``reference_verify`` an oracle for ``verify`` on a second engine.
 
 One routine makes every X25519 call, for products, :func:`mul_u` and the
 check alike; a scalar 8j that X25519 cannot take (|j| <= N - 2^252) is
 u(j*B) and three x-only doublings.
 
-``GroupElement.__rmul__`` chooses between the two for single products,
-and every counted one goes through it; :func:`table_columns` always takes
-the second.  Points only ever multiplied travel as
+``GroupElement.__rmul__`` takes the first for single products, and every
+counted one but :func:`comb_mult` goes through it; :func:`table_columns`
+takes it too.  Points only ever multiplied travel as
 Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
 Every sum of stored points, a table's subset sum or a round of the comb,
@@ -73,8 +77,8 @@ d, 2d, 1/d, sqrt(-1), G, G's (u, v) and 1/8 mod N are written out.  Every
 SHA-256 and SHA-512 of the package is :func:`digest`, on the OpenSSL inside
 ``cryptography``, so no process loads ``hashlib``'s as a second one.
 X25519, and with it ``cryptography``'s OpenSSL backend module, loads on
-the first decode, table column or product of a base other than G, so a
-process that signs from a sealed table loads neither.
+the first decode, table column or product other than :func:`comb_mult`'s,
+so a process that signs from a sealed table loads neither.
 """
 
 from __future__ import annotations
@@ -302,7 +306,7 @@ def _g_comb():
     # Built on first use and kept for the life of the process: 2^b * G for b <= 248
     # by doubling; then each table's entry 0 (its 7 low teeth -1) with 7 additions
     # and the other 127 by a Gray-code walk, one addition of +-2^(8t + 32j + 1) * G
-    # each to flip tooth j; one batch normalisation for all 512.  About 12 ms on a
+    # each to flip tooth j; one batch normalisation for all 512.  About 6-12 ms on a
     # 2-core Python 3.11 host, for 512 entries in the form of _cached, about 125 KiB.
     global _G_COMB
     if _G_COMB is None:
@@ -537,10 +541,10 @@ def decode_scalar(data: bytes) -> Scalar:
 class GroupElement:
     """Point in the prime-order subgroup, in extended twisted Edwards coordinates.
 
-    Immutable in value.  ``k * G`` runs on the process-wide comb of G;
-    ``k * P`` for any other point on two X25519 calls, which assume that P
-    is in the prime-order subgroup, as every decoded element is.  P keeps
-    its (u, v, X25519 public key) from its first product on.
+    Immutable in value.  ``k * P`` runs on two X25519 calls, which assume
+    that P is in the prime-order subgroup, as every decoded element is:
+    for G, two key loads that read their own public keys.  Any other P
+    keeps its (u, v, X25519 public key) from its first product on.
     """
 
     __slots__ = ("coords", "_ladder")
@@ -567,8 +571,6 @@ class GroupElement:
         k %= N
         if k == 0 or self.is_identity():
             return IDENTITY
-        if self._ladder is None and self.coords == G.coords:
-            return GroupElement(_comb_mul(k))
         return GroupElement(_mul((self,), k)[0])
 
     def __eq__(self, other) -> bool:
@@ -758,6 +760,18 @@ def scalar_mult(k: Scalar, point: GroupElement) -> GroupElement:
     """Return k * point, counting one scalar multiplication."""
     _tick(1)
     return k * point
+
+
+def comb_mult(k: Scalar) -> GroupElement:
+    """Return k * G on the comb of G, counting one scalar multiplication.
+
+    Only the textbook baselines call it (``reference_sign``,
+    ``reference_encrypt``, ``reference_verify``).  Every other product of G
+    runs on X25519, so ``reference_verify`` checks ``verify`` on a second
+    engine.
+    """
+    _tick(1)
+    return GroupElement(_comb_mul(k.v))
 
 
 def mul_u(k: Scalar, u: int) -> int:

@@ -17,7 +17,8 @@ which holds because e*X + s*G = e*x*G + (r - e*x)*G = r*G = R.
 
 A reference signer/verifier doing the textbook one-multiplication
 Schnorr is included as a cross-check oracle and as the baseline that the
-precomputed path is benchmarked against.
+precomputed path is benchmarked against.  Their products of G run on the
+comb of G; every other product of G, verify's s*G included, on X25519.
 
 Wire format: a signature is exactly 64 bytes, s then e, each a 32-byte
 little-endian scalar.  Detached signature files are
@@ -36,6 +37,7 @@ from .group import (
     Scalar,
     _UNBOUND,
     _frame,
+    comb_mult,
     decode_scalar,
     hash_to_scalar,
     point_add,
@@ -127,8 +129,8 @@ def verify(
 ) -> bool:
     """True iff ``sig`` is valid for ``message`` under the context's signer.
 
-    Recomputes R' = e*cached_key + s*G (two multiplications, one
-    addition) and accepts iff the challenge hash matches.
+    Recomputes R' = e*cached_key + s*G (two multiplications on X25519,
+    one addition) and accepts iff the challenge hash matches.
     """
     with ctr or _UNBOUND:
         candidate = point_add(scalar_mult(sig.e, vctx.cached_key), scalar_mult(sig.s, G))
@@ -138,14 +140,14 @@ def verify(
 def reference_sign(secret: Scalar, message: bytes, rng) -> Signature:
     """Textbook signer: one fresh scalar multiplication per signature."""
     r = random_scalar(rng)
-    nonce_point = scalar_mult(r, G)
+    nonce_point = comb_mult(r)
     e = hash_to_scalar(DOMAIN_SIG, [message, nonce_point.encode()])
     return Signature(s=r - e * secret, e=e)
 
 
 def reference_verify(public: GroupElement, message: bytes, sig: Signature) -> bool:
-    """Verify against an explicit public key X = x*G."""
-    candidate = point_add(scalar_mult(sig.e, public), scalar_mult(sig.s, G))
+    """Verify against an explicit public key X = x*G, with s*G on the comb of G."""
+    candidate = point_add(scalar_mult(sig.e, public), comb_mult(sig.s))
     return hash_to_scalar(DOMAIN_SIG, [message, candidate.encode()]) == sig.e
 
 

@@ -136,6 +136,7 @@ def test_bench_counts_match_the_analytical_budgets():
         "sign": (0, 27),
         "verify": (2, 1),
         "reference_sign": (1, 0),
+        "reference_verify": (2, 1),
         "encrypt": (0, 54),
         "decrypt": (1, 0),
         "aq_shared": (1, 1),

@@ -15,6 +15,9 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +122,17 @@ def test_verify_accepts_signature(realm, capsys):
     rc = cli(realm, "verify", "--sig", str(realm["signature"]), str(realm["message"]))
     assert rc == 0
     assert "good signature" in capsys.readouterr().out
+
+
+def test_a_verify_process_never_builds_the_comb_of_g(realm):
+    # verify's s * G runs on X25519 like its e * X; only the textbook baselines
+    # take the comb, so a whole `iodcrypt verify` process builds none.
+    code = ("import sys; from iodcrypt import cli, group; "
+            "assert cli.main(sys.argv[1:]) == 0 and group._G_COMB is None")
+    argv = ["verify", "--sig", str(realm["signature"]), str(realm["message"]),
+            "--home", str(realm["home"])]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env, capture_output=True)
 
 
 def test_encrypt_decrypt_roundtrip_table_mode(realm, capsys):

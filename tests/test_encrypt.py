@@ -437,6 +437,9 @@ class _CountingKey:
         self.exchanges.append(peer)
         return self.key.exchange(peer)
 
+    def public_key(self):
+        return self.key.public_key()
+
 
 @pytest.fixture
 def counting_keys(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from iodcrypt import bpv, group
 from iodcrypt.bpv import BpvParams, dbpv_offline, deserialize_table, serialize_table, verify_table
+from iodcrypt.encrypt import decrypt, enc_kg_sender, encrypt, reference_encrypt
 from iodcrypt.errors import MalformedElement, MalformedScalar
 from iodcrypt.group import (
     DOMAIN_KEY,
@@ -31,6 +32,7 @@ from iodcrypt.group import (
     OpCounter,
     Scalar,
     addends,
+    comb_mult,
     decode_element,
     decode_scalar,
     decode_u,
@@ -42,6 +44,10 @@ from iodcrypt.group import (
     scalar_mult,
     subset_sum,
 )
+from iodcrypt.selfcert import (IdentityRecord, aq_hang_finalize, aq_hang_initiate, aq_kg, key_ver,
+                               kgc_setup, reconstruct_pub)
+from iodcrypt.sign import (Signature, SignerContext, VerifierContext, reference_sign,
+                           reference_verify, sign, verify)
 
 from curve_oracle import (AFFINE_IDENTITY, T8, affine, affine_add, affine_mul, affine_u, points_of_u,
                           times)
@@ -167,22 +173,19 @@ def test_product_at_edge_scalars_matches_affine_oracle(base, k):
 
 def test_g_comb_is_built_once_per_process(monkeypatch):
     # The comb takes no base, so each call of _g_comb that finds none yet is
-    # a build of G's.  Only single products of G reach it: a designated table
-    # over X, built, loaded from the open format and verified, never does, as
-    # its G column reads each X25519 key's own public key.
+    # a build of G's.  Only comb_mult, the textbook baselines' entry, reaches it:
+    # a designated table over X, built, loaded from the open format and
+    # verified, never does.  test_g_never_gets_a_ladder covers every other product of G.
     found_empty = []
     real = group._g_comb
     monkeypatch.setattr(group, "_G_COMB", None)
     monkeypatch.setattr(group, "_g_comb", lambda: found_empty.append(group._G_COMB is None) or real())
-    k = Scalar(0xABCDEF)
-    expected = affine_mul(k.v, affine(G))
-    decoded_g = decode_element(G.encode())
-    for out in (k * G, k * decoded_g, scalar_mult(k, G)):
-        assert affine(out) == expected
     params = BpvParams(v=2, k=4, allow_unsafe=True)
     table = dbpv_offline(params, decode_element(_OTHER_BASE.encode()), bytes(32), random.Random(7))
     verify_table(deserialize_table(serialize_table(table)))
-    # The three products of G above, and nothing from the table.
+    k = Scalar(0xABCDEF)
+    for _ in range(3):
+        assert affine(comb_mult(k)) == affine_mul(k.v, affine(G))
     assert found_empty == [True, False, False]
 
 
@@ -329,20 +332,25 @@ def _key_uses(monkeypatch):
 
 
 def test_g_never_gets_a_ladder(monkeypatch):
+    # Every product of G, by the operator, counted, of a decoded G or in a table
+    # column, takes u(k*G) and u((k+1)*G) from two keys' own public keys: no
+    # exchange, no comb, and G's (u, v) is written out.
     key_loads = _count_calls(monkeypatch, "_ladder_u")
     conversions = _count_calls(monkeypatch, "_montgomery")
+    combs = _count_calls(monkeypatch, "_g_comb")
     k = Scalar(0xC0FFEE)
-    k * G
-    scalar_mult(k, G)
     decoded = decode_element(G.encode())
-    k * decoded
-    assert key_loads == ["_ladder_u"]  # the decode's subgroup check only
-    # A column of G takes u(k*G) and u((k+1)*G) from two keys' own public keys:
-    # no exchange, and G's (u, v) is written out.
+    assert key_loads == ["_ladder_u"]  # the decode's subgroup check
     uses = _key_uses(monkeypatch)
+    expected = affine_mul(k.v, affine(G))
+    for product in (lambda: k * G, lambda: scalar_mult(k, G), lambda: k * decoded):
+        del uses[:]
+        assert affine(product()) == expected
+        assert uses == ["load", "public"] * 2
+    del uses[:]
     _column(G, [k.v])
     assert uses == ["load", "public"] * 2
-    assert conversions == [] and G._ladder is None and decoded._ladder is None
+    assert conversions == [] and combs == [] and G._ladder is None and decoded._ladder is None
 
 
 def test_nothing_is_built_at_import_time():
@@ -353,15 +361,15 @@ def test_nothing_is_built_at_import_time():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_every_product_of_g_runs_7_doublings_and_31_mixed_additions(monkeypatch):
+def test_every_comb_product_runs_7_doublings_and_31_mixed_additions(monkeypatch):
+    # 0 too, which the comb takes as the odd N: N * G is the identity.
     group._g_comb()
     adds, madds = (_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw"))
     for k in (*_EDGE_SCALARS, 0xC0FFEE << 200):
         del adds[:], madds[:]
-        assert affine(Scalar(k) * G) == affine_mul(k, affine(G))
-        assert (len(adds), len(madds)) == ((7, 31) if k else (0, 0))
-    # Zero never reaches the comb, which gives it as N * G.
-    assert affine(GroupElement(group._comb_mul(0))) == AFFINE_IDENTITY
+        assert affine(comb_mult(Scalar(k))) == affine_mul(k, affine(G))
+        assert (len(adds), len(madds)) == (7, 31)
+    assert affine(comb_mult(Scalar(0))) == AFFINE_IDENTITY
 
 
 def test_every_comb_entry_matches_affine_oracle():
@@ -377,6 +385,55 @@ def test_every_comb_entry_matches_affine_oracle():
             for j, (xj, yj) in enumerate(teeth[:7]):
                 x, y = affine_add((x, y), (xj if p >> j & 1 else P - xj, yj))
             assert entry == ((y + x) % P, (y - x) % P, x * y * group._2D % P)
+
+
+def test_only_the_textbook_baselines_reach_the_comb(monkeypatch):
+    # The comb is the baselines' engine alone: every protocol step, issuance and
+    # key_ver take their products of G on X25519.  Each baseline makes one comb call.
+    calls = [_count_calls(monkeypatch, name) for name in ("_g_comb", "_comb_mul")]
+    rng = random.Random(0xC0B)
+    params = BpvParams(v=2, k=4, allow_unsafe=True)
+    kgc = kgc_setup(rng)
+    alice, bob = aq_kg(kgc, b"alice", rng), aq_kg(kgc, b"bob", rng)
+    assert key_ver(alice.record, alice.secret, kgc.public)
+    signer = SignerContext(alice, bpv.bpv_offline(params, rng))
+    vctx = VerifierContext.build(alice.record, kgc.public)
+    sig = sign(signer, b"frame", rng)
+    assert verify(vctx, b"frame", sig)
+    sender = enc_kg_sender(bob.record, kgc.public, params, rng)
+    assert decrypt(bob, encrypt(sender, b"frame", rng)) == b"frame"
+    for table in (None, signer.table):
+        state = aq_hang_initiate(alice, rng, table=table)
+        aq_hang_finalize(alice, state, aq_hang_initiate(bob, rng, table=table).message)
+    assert calls == [[], []]
+    public, recipient_key = alice.secret * G, reconstruct_pub(bob.record, kgc.public)
+    for baseline in (lambda: reference_sign(alice.secret, b"frame", rng),
+                     lambda: reference_verify(public, b"frame", sig),
+                     lambda: reference_encrypt(recipient_key, b"frame", rng)):
+        assert baseline()
+        assert calls == [["_g_comb"], ["_comb_mul"]]
+        for spied in calls:
+            del spied[:]
+
+
+@pytest.mark.parametrize("s", _EDGE_SCALARS)
+def test_both_engines_of_g_agree_at_edge_scalars(s):
+    # s * G on X25519, on the comb and on the oracle; then verify (X25519) and
+    # reference_verify (the comb) on (s, e).  For r*G = R, e = H(m, R) and
+    # x = (r - s)/e, (s, e) signs m under x * G, which the record (id, G) with
+    # D = (x - H(id, G)) * G reconstructs; a seeded random e signs nothing.
+    assert affine(Scalar(s) * G) == affine(comb_mult(Scalar(s))) == affine_mul(s, affine(G))
+    rng = random.Random(s)
+    r = random_scalar(rng)
+    rx, ry = affine_mul(r.v, affine(G))
+    e = hash_to_scalar(DOMAIN_SIG, [b"frame", (ry | (rx & 1) << 255).to_bytes(32, "little")])
+    x = (r - Scalar(s)) * Scalar(pow(e.v, -1, N))
+    record = IdentityRecord(b"edge", G)
+    vctx = VerifierContext.build(record, (x - record.key_hash()) * G)
+    public = x * G
+    assert affine(vctx.cached_key) == affine(public)
+    for sig, verdict in ((Signature(Scalar(s), e), True), (Signature(Scalar(s), random_scalar(rng)), False)):
+        assert verify(vctx, b"frame", sig) == reference_verify(public, b"frame", sig) == verdict
 
 
 @settings(max_examples=8, deadline=None)

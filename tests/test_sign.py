@@ -172,24 +172,31 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _g_reads(ladder_calls):
+    # The _ladder_u calls that read u(k * G) off a key's own public key, with no exchange.
+    return sum(args[1] == (None,) for args in ladder_calls)
+
+
 def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
-    # X25519 exchanges per operation (_ladder_u makes one a call), and Montgomery
-    # conversions: one per base, on its first product.
+    # X25519 calls per operation (_ladder_u loads one key a call): exchanges, reads of
+    # G's product off a key's own public key, and Montgomery conversions, one per base
+    # on its first product.
     kgc, ctx, _ = setup
     exchanges, conversions = _spy(monkeypatch, "_ladder_u"), _spy(monkeypatch, "_montgomery")
     calls = []
 
     def tally():
-        calls.append((len(exchanges), len(conversions)))
+        g_reads = _g_reads(exchanges)
+        calls.append((len(exchanges) - g_reads, g_reads, len(conversions)))
         del exchanges[:], conversions[:]
 
     # A record from the wire: decoding U is one subgroup check.
     record = deserialize_record(serialize_record(ctx.keypair.record))
     tally()
-    assert calls == [(1, 0)]
+    assert calls == [(1, 0, 0)]
     vctx = VerifierContext.build(record, kgc.public)
     tally()
-    assert calls == [(1, 0), (2, 1)]  # the product H(id, U) * U
+    assert calls == [(1, 0, 0), (2, 0, 1)]  # the product H(id, U) * U
     assert vctx.cached_key._ladder is None  # build leaves the key to its first verify
     rng = random.Random(82)
     for i in range(5):
@@ -199,13 +206,15 @@ def test_context_verify_costs_one_x25519_call(setup, monkeypatch):
             assert verify(vctx, message, sig)
         tally()
         assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
-    # e * cached_key on X25519; s * G on the comb.
-    assert calls == [(1, 0), (2, 1), (2, 1)] + [(2, 0)] * 4
+    # e * cached_key on two exchanges; s * G on two key loads that read their own
+    # public keys, with no exchange and no conversion.
+    assert calls == [(1, 0, 0), (2, 0, 1), (2, 2, 1)] + [(2, 2, 0)] * 4
 
 
 def test_round_robin_contexts_convert_no_key_after_its_first_verify(setup, monkeypatch):
     # A station serving 16 signers in turn maps each context's key to Montgomery
-    # form on its first verify only; the other verifies are the two exchanges.
+    # form on its first verify only; the other verifies are the two exchanges
+    # and s * G's two reads of a key's own public key.
     kgc, _, _ = setup
     rng = random.Random(86)
     keypairs = [aq_kg(kgc, b"drone-%02d" % i, rng) for i in range(16)]
@@ -221,7 +230,7 @@ def test_round_robin_contexts_convert_no_key_after_its_first_verify(setup, monke
             assert verify(vctx, message, sig)
             assert not verify(vctx, message + b"!", sig)
     assert conversions == []
-    assert len(exchanges) == 2 * 2 * 3 * 16
+    assert _g_reads(exchanges) == len(exchanges) - _g_reads(exchanges) == 2 * 2 * 3 * 16
 
 
 def test_sixteen_contexts_from_wire_bytes_hold_no_commitment_ladders(setup):
