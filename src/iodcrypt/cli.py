@@ -592,6 +592,8 @@ def _main(parser, argv) -> int:
 
         if (args.voltage is None) != (args.current is None):
             parser.error("--voltage and --current must be given together")
+        if args.profile != "host" and args.voltage is not None:
+            parser.error("--voltage and --current apply to --profile host only")
         if args.profile == "host" and not args.op:
             parser.error("--profile host requires --op")
         if args.profile == "host" and args.iterations < MIN_ITERATIONS:

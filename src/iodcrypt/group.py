@@ -50,9 +50,9 @@ One routine makes every X25519 call, for products, :func:`mul_u` and the
 check alike; a scalar 8j that X25519 cannot take (|j| <= N - 2^252) is
 u(j*B) and three x-only doublings.
 
-``GroupElement.__rmul__`` takes the first for single products, and every
-counted one but :func:`comb_mult` goes through it; :func:`table_columns`
-takes it too.  Points only ever multiplied travel as
+``GroupElement.__rmul__`` runs single products on ``_mul``, on X25519, and
+every counted one but :func:`comb_mult` goes through it; :func:`table_columns`
+calls ``_mul`` too.  Points only ever multiplied travel as
 Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
 Every sum of stored points, a table's subset sum or a round of the comb,

@@ -109,18 +109,16 @@ class SelfCertKeypair:
 
     ``cached_term`` stores x*D, fixed at issuance, which collapses the
     static shared-secret computation to one multiplication plus one
-    addition.  It may be None for keys imported from systems that do not
-    carry the cache; shared-secret derivation then recomputes from the
-    system public key.
+    addition.
 
     Each keypair also keeps, outside its fields and its repr, the encoded
     static point of the last 256 peers it finalized a handshake with, keyed
-    by the peer record's exact bytes (and the system key without x*D).
+    by the peer record's exact bytes.
     """
 
     record: IdentityRecord
     secret: Scalar
-    cached_term: GroupElement | None
+    cached_term: GroupElement
 
     def __post_init__(self):
         object.__setattr__(self, "_known_peers", OrderedDict())
@@ -212,25 +210,16 @@ def key_ver(record: IdentityRecord, secret: Scalar, system_public: GroupElement)
 # ---------------------------------------------------------------------------
 
 
-def aq_shared_static(
-    own: SelfCertKeypair, peer: IdentityRecord, system_public: GroupElement | None = None
-) -> GroupElement:
+def aq_shared_static(own: SelfCertKeypair, peer: IdentityRecord) -> GroupElement:
     """Static Diffie-Hellman secret x_own * X_peer = x_own * x_peer * G.
 
-    When the keypair carries its cached x*D term (the default for issued
-    keys), the secret is K = (x * H(id_p, U_p)) * U_p + x*D: one
-    multiplication plus one addition.  Without the cache the peer key is
-    reconstructed from ``system_public`` first (two multiplications, one
-    addition).  Both paths return the identical point.
+    From the keypair's x*D term, K = (x * H(id_p, U_p)) * U_p + x*D: one
+    multiplication plus one addition, with no reconstruction of X_peer.
     """
     if peer.commitment.is_identity():
         raise InvalidIdentity("peer commitment must not be the identity point")
-    if own.cached_term is not None:
-        combined = own.secret * peer.key_hash()
-        return point_add(scalar_mult(combined, peer.commitment), own.cached_term)
-    if system_public is None:
-        raise ValueError("system_public is required when the cached term is not used")
-    return scalar_mult(own.secret, reconstruct_pub(peer, system_public))
+    combined = own.secret * peer.key_hash()
+    return point_add(scalar_mult(combined, peer.commitment), own.cached_term)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +267,15 @@ def aq_hang_finalize(
     static point: one multiplication, u(t_a * T_b), and no addition.  Any
     other record is parsed and checked afresh; the length check and the
     check of u(T) run on every message.
+
+    ``system_public`` is read by nothing: ``own`` carries x*D.  The slot
+    stays because callers pass ``ctr`` after it by position, and goes with
+    ``ctr`` (ROADMAP item 0).
     """
     with ctr or _UNBOUND:
         peers = own._known_peers
         off = 1 + peer_message[0] + 32 if peer_message else 0
         known = bytes(peer_message[:off])
-        if own.cached_term is None:
-            known = (known, system_public)
         static = peers.get(known)
         if static is None:
             peer_record, off = parse_record(peer_message)
@@ -295,7 +286,7 @@ def aq_hang_finalize(
             )
         peer_u = decode_u(peer_message[off:])
         if static is None:
-            static = peers[known] = aq_shared_static(own, peer_record, system_public).encode()
+            static = peers[known] = aq_shared_static(own, peer_record).encode()
             if len(peers) > _KNOWN_PEERS:
                 peers.popitem(last=False)
         else:
@@ -331,8 +322,6 @@ def deserialize_kgc_keypair(data: bytes) -> KgcKeypair:
 
 
 def serialize_drone_keypair(keypair: SelfCertKeypair) -> bytes:
-    if keypair.cached_term is None:
-        raise ValueError("drone key files always carry the cached x*D term")
     drone_id = keypair.record.drone_id
     return _frame(MAGIC_DRONE, bytes([len(drone_id)]), drone_id, keypair.secret.encode(),
                   keypair.record.commitment.encode(), keypair.cached_term.encode())

@@ -113,7 +113,8 @@ def sign_kg(kgc: KgcKeypair, drone_id: bytes, params: BpvParams, rng) -> SignerC
 # sign and verify, like encrypt, decrypt and the two handshake halves, still take a
 # trailing ``ctr``: given, it is bound for the call as ``with ctr:`` would bind it;
 # None binds nothing, so an enclosing scope counts the call.  perfbench passes it;
-# these six parameters go once perfbench counts by scope (ROADMAP item 0).
+# these six parameters go once perfbench counts by scope (ROADMAP item 0), and with
+# them aq_hang_finalize's unread ``system_public``, which perfbench passes before ``ctr``.
 
 
 def sign(ctx: SignerContext, message: bytes, rng, ctr: OpCounter | None = None) -> Signature:

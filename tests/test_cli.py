@@ -622,6 +622,15 @@ def test_bench_voltage_and_current_go_together(realm, given):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("profile", ["avr", "arm"])
+def test_bench_device_profile_refuses_voltage_and_current(realm, capsys, profile):
+    # A device profile prints the paper's own energy figures, which these cannot change.
+    with pytest.raises(SystemExit) as exc:
+        cli(realm, "bench", "--profile", profile, "--voltage", "3.3", "--current", "0.04")
+    assert exc.value.code == 2
+    assert "--voltage and --current apply to --profile host only" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -484,7 +484,7 @@ def test_second_decrypt_under_one_key_derives_no_key_and_takes_no_square_root(
 def test_decrypt_after_a_handshake_derives_no_key(setup, counting_keys):
     # The handshake's fresh ephemeral t goes through mul_u too; it must not
     # evict the key that the station decrypts with.
-    kgc, alice, bob, ctx = setup
+    _, alice, bob, ctx = setup
     rng = random.Random(426)
     files = [serialize_ciphertext_file(encrypt(ctx, b"frame %d" % i, rng)) for i in range(3)]
     frames = map(deserialize_ciphertext_file, files)
@@ -498,7 +498,7 @@ def test_decrypt_after_a_handshake_derives_no_key(setup, counting_keys):
         if step == "decrypt":
             decrypt(bob, next(frames))
         else:
-            aq_hang_finalize(bob, state, peer_message, kgc.public)
+            aq_hang_finalize(bob, state, peer_message)
         built.append(len(counting_keys.built))
     # The first decrypt builds the check key and the secret's; the handshake
     # builds its two static keys and t's.

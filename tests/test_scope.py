@@ -47,6 +47,9 @@ KEPT_CTR = {
     "iodcrypt.selfcert.aq_hang_initiate": 3,
     "iodcrypt.selfcert.aq_hang_finalize": 4,
 }
+# aq_hang_finalize keeps ``system_public`` too, unread, because perfbench passes ``ctr``
+# after it by position; it goes with ``ctr``.
+KEPT_SYSTEM_PUBLIC = {"aq_hang_finalize": 3}
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +250,18 @@ def test_only_the_six_kept_functions_take_a_ctr():
             taking[name] = names.index("ctr")
             assert params[-1].name == "ctr" and params[-1].default is None, name
     assert taking == KEPT_CTR
+
+
+def test_only_aq_hang_finalize_keeps_the_unread_system_public():
+    # Every keypair carries x*D, so the static secret never needs D.
+    taking = {}
+    for name in ("aq_shared_static", "aq_hang_initiate", "aq_hang_finalize"):
+        params = inspect.signature(getattr(selfcert_module, name)).parameters
+        if "system_public" in params:
+            taking[name] = list(params).index("system_public")
+            assert params["system_public"].default is None, name
+    assert taking == KEPT_SYSTEM_PUBLIC
+    assert list(inspect.signature(aq_shared_static).parameters) == ["own", "peer"]
 
 
 # --------------------------------------------------------------------------

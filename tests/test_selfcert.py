@@ -18,7 +18,7 @@ from iodcrypt.errors import (
     UnsupportedParams,
     UnsupportedVersion,
 )
-from iodcrypt.group import G, IDENTITY, N, OpCounter, Scalar
+from iodcrypt.group import G, IDENTITY, N, OpCounter, Scalar, scalar_mult
 from iodcrypt.selfcert import (
     IdentityRecord,
     KgcKeypair,
@@ -129,22 +129,23 @@ def test_shared_secret_matches_algebraic_oracle_and_is_symmetric(setup):
     assert aq_shared_static(b, a.record) == expected
 
 
+def _reconstructed_static(kgc, a, b):
+    """x_a * X_b with X_b rebuilt from D: the product that x*D saves."""
+    return scalar_mult(a.secret, reconstruct_pub(b.record, kgc.public))
+
+
 def test_cached_and_recomputed_paths_agree_byte_for_byte(setup):
     kgc, a, b = setup
-    cached = aq_shared_static(a, b.record)
-    recomputed = aq_shared_static(SelfCertKeypair(a.record, a.secret, None), b.record,
-                                  system_public=kgc.public)
-    assert cached.encode() == recomputed.encode()
+    assert aq_shared_static(a, b.record).encode() == _reconstructed_static(kgc, a, b).encode()
 
 
 def test_shared_secret_costs(setup):
     kgc, a, b = setup
-    uncached = SelfCertKeypair(a.record, a.secret, None)
     with OpCounter() as ctr:
         aq_shared_static(a, b.record)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 1)
     with OpCounter() as ctr:
-        aq_shared_static(uncached, b.record, system_public=kgc.public)
+        _reconstructed_static(kgc, a, b)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)
 
 
@@ -169,16 +170,6 @@ def test_identity_peer_commitment_rejected(setup):
     bogus = IdentityRecord(b"drone-z", IDENTITY)
     with pytest.raises(InvalidIdentity):
         aq_shared_static(a, bogus)
-
-
-def test_cacheless_keypair_falls_back_to_reconstruction(setup):
-    kgc, a, b = setup
-    bare = SelfCertKeypair(a.record, a.secret, None)
-    assert aq_shared_static(bare, b.record, system_public=kgc.public) == aq_shared_static(
-        a, b.record
-    )
-    with pytest.raises(ValueError):
-        aq_shared_static(bare, b.record)
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +225,6 @@ def test_handshake_costs_without_a_table(setup):
         sa = aq_hang_initiate(a, rng)
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
     sb = aq_hang_initiate(b, rng)
-    assert a.cached_term is not None
     with OpCounter() as ctr:
         first = aq_hang_finalize(a, sa, sb.message)
     assert (ctr.scalar_mults, ctr.point_adds) == (2, 1)  # first contact
@@ -305,24 +295,21 @@ def test_handshake_key_rebuilt_from_the_affine_oracle(setup):
 
 
 def test_known_peers_give_the_keys_of_a_fresh_computation(setup):
-    # Interleaved peers, on a station with x*D and on one without it (keyed by D too).
+    # Interleaved peers, each finalized several times.  The fourth slot is read by
+    # nothing: None, D or another realm's D give the same key and one entry per peer.
     kgc, _, _ = setup
     rng = random.Random(17)
     peers = [aq_kg(kgc, b"peer-%d" % i, rng) for i in range(4)]
-    issued = aq_kg(kgc, b"station", rng)
-    bare = SelfCertKeypair(issued.record, issued.secret, None)
-    other_system = kgc_setup(rng).public
-    for station, systems in ((issued, [None]), (bare, [kgc.public, other_system])):
-        for _ in range(3):
-            for peer in rng.sample(peers, len(peers)):
-                for system in systems:
-                    ss, sp = aq_hang_initiate(station, rng), aq_hang_initiate(peer, rng)
-                    key = aq_hang_finalize(station, ss, sp.message, system).key
-                    assert key == aq_hang_finalize(_fresh(station), ss, sp.message, system).key
-                    assert key == aq_hang_finalize(station, ss, bytearray(sp.message), system).key
-                    if system is not other_system:
-                        assert key == aq_hang_finalize(peer, sp, ss.message).key
-        assert len(station._known_peers) == len(peers) * len(systems)
+    station = aq_kg(kgc, b"station", rng)
+    for _ in range(3):
+        for peer in rng.sample(peers, len(peers)):
+            for system in (None, kgc.public, kgc_setup(rng).public):
+                ss, sp = aq_hang_initiate(station, rng), aq_hang_initiate(peer, rng)
+                key = aq_hang_finalize(station, ss, sp.message, system).key
+                assert key == aq_hang_finalize(_fresh(station), ss, sp.message).key
+                assert key == aq_hang_finalize(station, ss, bytearray(sp.message), system).key
+                assert key == aq_hang_finalize(peer, sp, ss.message).key
+    assert len(station._known_peers) == len(peers)
 
 
 def _failure(call):
@@ -448,12 +435,6 @@ def test_key_file_error_mapping(setup):
         deserialize_system_public(serialize_system_public(kgc.public)[:-4])
     with pytest.raises(TruncatedFile):
         deserialize_record(serialize_record(a.record) + b"\x00")
-
-
-def test_key_file_needs_the_cached_term(setup):
-    _, a, _ = setup
-    with pytest.raises(ValueError, match="cached x\\*D"):
-        serialize_drone_keypair(SelfCertKeypair(a.record, a.secret, None))
 
 
 def test_record_prefix_parsing(setup):
