@@ -67,10 +67,12 @@ Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
 bytes, off-curve points, and points outside the prime-order subgroup, so
 every live ``GroupElement`` behaves as a member of a group of prime
-order ``N``.  Sealed table files keep points in a third encoding, the
-64-byte affine x | y: :func:`_write_xy` writes it from the stored form of
-:func:`addends` with no inversion, and :func:`_read_xy` checks it and
-reads it back into that form with no square root.
+order ``N``.  A decode takes x and the check's u from one exponentiation,
+folded as the mixed addition is, and no inversion.  Sealed table files
+keep points in a third encoding, the 64-byte affine x | y:
+:func:`_write_xy` writes it from the stored form of :func:`addends` with
+no inversion, and :func:`_read_xy` checks it and reads it back into that
+form with no square root.
 
 Importing the module takes no exponentiation, inversion or square root:
 d, 2d, 1/d, sqrt(-1), G, G's (u, v) and 1/8 mod N are written out.  Every
@@ -211,6 +213,9 @@ DOMAIN_SIG = 0x02  # signature challenge hashing
 # One fold is enough for a, b and c, which only feed the four sums; each output,
 # the next call's input, takes two.  Every fold is exact mod P, so the final % P
 # gives the coordinates of a % P at every product.
+# _sq_mul, the decode's exponentiation, folds each product twice too: for two
+# factors in [0, M + 2^9) the product is under M^2 + 2^10 * M + 2^18, its first
+# fold under 20M + 2^15 < 21M and its second in [0, M + 2^9) again.
 
 _IDENT_COORDS = (0, 1, 1, 0)
 _LOW = 2**255 - 1  # the low 255 bits of a fold
@@ -598,36 +603,74 @@ class GroupElement:
         return (y | ((x & 1) << 255)).to_bytes(ELEMENT_LEN, "little")
 
 
-def _lift(data: bytes) -> GroupElement:
-    """The curve point that 32 bytes encode, before any subgroup check.
+def _sq_mul(t, n, m):
+    # t^(2^n) * m, up to a multiple of P, for t and m in [0, 2^255 + 2^9): each of the
+    # n squarings and the product folded twice, which keeps every value in that range
+    # (the band comment above _madd_raw).
+    for _ in range(n):
+        t *= t
+        t = (t & _LOW) + 19 * (t >> 255)
+        t = (t & _LOW) + 19 * (t >> 255)
+    t *= m
+    t = (t & _LOW) + 19 * (t >> 255)
+    return (t & _LOW) + 19 * (t >> 255)
+
+
+def _pow_p58(z):
+    # z^((P-5)/8) = z^(2^252 - 3) for 0 <= z < P on the chain of ref10 (Bernstein et al.,
+    # CHES 2011), 251 squarings and 11 products, one % P at the end: about two thirds of
+    # pow's cost.  e_k is z^(2^k - 1).
+    z2 = _sq_mul(z, 0, z)
+    z9 = _sq_mul(z2, 2, z)
+    z11 = _sq_mul(z9, 0, z2)
+    e5 = _sq_mul(z11, 1, z9)
+    e10 = _sq_mul(e5, 5, e5)
+    e20 = _sq_mul(e10, 10, e10)
+    e50 = _sq_mul(_sq_mul(e20, 20, e20), 10, e10)
+    e100 = _sq_mul(e50, 50, e50)
+    e250 = _sq_mul(_sq_mul(e100, 100, e100), 50, e50)
+    return _sq_mul(e250, 2, z) % P
+
+
+def _lift(data: bytes) -> tuple[GroupElement, int]:
+    """The curve point that 32 bytes encode, before any subgroup check, and its u.
 
     Rejects wrong lengths, non-canonical y (>= field prime), y with no
-    matching x on the curve, and sign bit set on x = 0.  x is a square
-    root of (y^2 - 1) / (d*y^2 + 1): the candidate u*v^3 * (u*v^7)^((P-5)/8)
-    is right up to a factor sqrt(-1), which is applied when it squares to
-    -u/v.
+    matching x on the curve, and sign bit set on x = 0, in that order.  u
+    is the Montgomery u = (1 + y)/(1 - y), and 0 for y = +-1.  One
+    exponentiation and no inversion (RFC 8032 section 5.1.3, with 1/(1 - y)
+    folded in): for num = y^2 - 1, den = d*y^2 + 1, w = 1 - y and
+    a = num*den*w^4, t = a^((P-5)/8) gives a*t^2 = a^((P-1)/4).  That is 1
+    or -1 when num/den is a square, and t*sqrt(-1) in place of t turns -1
+    into 1; any other value means num/den is not a square.  With a*t^2 = 1,
+    x = num*w^2*t squares to num/den and 1/w = num*den*w^3*t^2.  For
+    y = +-1, a = 0 = t, so x = 0.
     """
     if len(data) != ELEMENT_LEN:
         raise MalformedElement(f"element must be {ELEMENT_LEN} bytes, got {len(data)}")
     val = int.from_bytes(data, "little")
     sign = val >> 255
-    y = val & ((1 << 255) - 1)
+    y = val & _LOW
     if y >= P:
         raise MalformedElement("non-canonical y coordinate")
     y2 = y * y % P
-    u = (y2 - 1) % P
-    v = (_D * y2 + 1) % P
-    x = u * pow(v, 3, P) % P * pow(u * pow(v, 7, P) % P, (P - 5) // 8, P) % P
-    vx2 = v * x * x % P
-    if vx2 != u:
-        if vx2 != (P - u) % P:
+    num = y2 - 1
+    w = 1 - y
+    w2 = w * w % P
+    ndw3 = num * (_D * y2 + 1) % P * w2 % P * w % P
+    a = ndw3 * w % P
+    t = _pow_p58(a)
+    root = a * t % P * t % P
+    if root != 1 and a:
+        if root != P - 1:
             raise MalformedElement("not a curve point")
-        x = x * _SQRT_M1 % P
+        t = t * _SQRT_M1 % P
+    x = num * w2 % P * t % P
     if x == 0 and sign:
         raise MalformedElement("non-canonical sign bit")
     if x & 1 != sign:
         x = P - x
-    return GroupElement((x, y, 1, x * y % P))
+    return GroupElement((x, y, 1, x * y % P)), (1 + y) * ndw3 % P * t % P * t % P
 
 
 def decode_element(data: bytes) -> GroupElement:
@@ -636,12 +679,13 @@ def decode_element(data: bytes) -> GroupElement:
     Rejects what :func:`_lift` rejects, and points outside the prime-order
     subgroup: for R = Q + T (Q in the subgroup, 8T = 0) and the clamp form c
     of 1 (c = +-1 mod N, c = 0 mod 8), R passes iff u(c * R), which is
-    u(+-Q), equals u(R), that is iff T is the identity.
+    u(+-Q), equals u(R), that is iff T is the identity.  Its cost is
+    :func:`_lift`'s one exponentiation and the check's one X25519 call, with
+    u from :func:`_lift`: no inversion.
     """
-    point = _lift(data)
-    y = point.coords[1]
-    if y != 1:  # the identity, the one point with no u, needs no check
-        decode_u(((1 + y) * pow(1 - y, -1, P) % P).to_bytes(ELEMENT_LEN, "little"))
+    point, u = _lift(data)
+    if point.coords[1] != 1:  # the identity, the one point with no u, needs no check
+        decode_u(u.to_bytes(ELEMENT_LEN, "little"))
     return point
 
 

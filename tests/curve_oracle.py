@@ -8,9 +8,13 @@
 * The Montgomery u of an affine point, and back: the affine points of a u
   by the birational map and a square root, so a u can be judged by the
   affine arithmetic above.
+* ``oracle_decode``, the decode of RFC 8032 section 5.1.3 with its square
+  root by ``pow`` and the check's u by an inversion, which the library's
+  one-exponentiation decode must match, error for error.
 """
 
-from iodcrypt.group import IDENTITY, N, P, GroupElement
+from iodcrypt.errors import MalformedElement
+from iodcrypt.group import IDENTITY, N, P, GroupElement, decode_u
 
 _A = -1
 _D = (-121665 * pow(121666, -1, P)) % P
@@ -90,3 +94,32 @@ def points_of_u(u):
     if x * x % P != xx:
         return []
     return sorted({(x, y), (-x % P, y)})
+
+
+def oracle_decode(data):
+    """``decode_element`` by ``pow``: the same point, or the same error class and message.
+
+    The candidate x = u*v^3 * (u*v^7)^((P-5)/8) of x^2 = u/v is right up to
+    a factor sqrt(-1); the subgroup check takes u = (1 + y)/(1 - y) by an
+    inversion and hands it to the library's ``decode_u``.
+    """
+    if len(data) != 32:
+        raise MalformedElement(f"element must be 32 bytes, got {len(data)}")
+    val = int.from_bytes(data, "little")
+    sign, y = val >> 255, val % 2**255
+    if y >= P:
+        raise MalformedElement("non-canonical y coordinate")
+    u = (y * y - 1) % P
+    v = (_D * y * y + 1) % P
+    x = u * pow(v, 3, P) * pow(u * pow(v, 7, P), (P - 5) // 8, P) % P
+    if v * x * x % P != u:
+        if v * x * x % P != (P - u) % P:
+            raise MalformedElement("not a curve point")
+        x = x * pow(2, (P - 1) // 4, P) % P
+    if x == 0 and sign:
+        raise MalformedElement("non-canonical sign bit")
+    if x & 1 != sign:
+        x = P - x
+    if y != 1:
+        decode_u(((1 + y) * pow(1 - y, -1, P) % P).to_bytes(32, "little"))
+    return GroupElement((x, y, 1, x * y % P))

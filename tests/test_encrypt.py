@@ -479,6 +479,9 @@ def test_second_decrypt_under_one_key_derives_no_key_and_takes_no_square_root(
     assert (len(counting_keys.built), len(counting_keys.exchanges)) == (0, 2)
     assert lifts == []
     assert (ctr.scalar_mults, ctr.point_adds) == (1, 0)
+    # The spy sees what every Edwards decode calls.
+    group.decode_element(G.encode())
+    assert len(lifts) == 1
 
 
 def test_decrypt_after_a_handshake_derives_no_key(setup, counting_keys):

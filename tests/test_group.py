@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iodcrypt import bpv, group
 from iodcrypt.bpv import BpvParams, dbpv_offline, deserialize_table, serialize_table, verify_table
@@ -49,8 +49,8 @@ from iodcrypt.selfcert import (IdentityRecord, aq_hang_finalize, aq_hang_initiat
 from iodcrypt.sign import (Signature, SignerContext, VerifierContext, reference_sign,
                            reference_verify, sign, verify)
 
-from curve_oracle import (AFFINE_IDENTITY, T8, affine, affine_add, affine_mul, affine_u, points_of_u,
-                          times)
+from curve_oracle import (AFFINE_IDENTITY, T8, affine, affine_add, affine_mul, affine_u,
+                          oracle_decode, points_of_u, times)
 
 scalars = st.integers(min_value=0, max_value=N - 1).map(Scalar)
 nonzero_scalars = st.integers(min_value=1, max_value=N - 1).map(Scalar)
@@ -96,7 +96,9 @@ def test_inverse_of_eight_is_derived_modulo_the_order():
 def test_base_point_lifts_from_y_four_fifths_with_even_x_and_has_order_n():
     y = 4 * pow(5, -1, P) % P
     x = group._GX
-    assert group._lift(y.to_bytes(ELEMENT_LEN, "little")).coords == G.coords == (x, y, 1, x * y % P)
+    point, u = group._lift(y.to_bytes(ELEMENT_LEN, "little"))
+    assert point.coords == G.coords == (x, y, 1, x * y % P)
+    assert u == 9  # the check's u: u(G), RFC 7748 section 4.1
     assert x % 2 == 0 and group._GY == y
     d = -121665 * pow(121666, -1, P) % P
     assert (y * y - x * x - 1 - d * x * x * y * y) % P == 0
@@ -901,6 +903,94 @@ def test_decode_rejects_every_torsion_component(j):
 def test_identity_round_trips():
     assert decode_element(IDENTITY.encode()).is_identity()
     assert IDENTITY.encode() == (1).to_bytes(32, "little")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=P - 1))
+@example(0)
+@example(1)
+@example(2)
+@example(P - 2)
+@example(P - 1)
+def test_square_root_chain_is_pow(z):
+    assert group._pow_p58(z) == pow(z, (P - 5) // 8, P)
+
+
+def _decode_outcome(decode, data):
+    # The point's coordinates, or the error's class and message.
+    try:
+        return decode(data).coords
+    except MalformedElement as exc:
+        return type(exc), str(exc)
+
+
+def _matches_oracle(data):
+    return _decode_outcome(decode_element, data) == _decode_outcome(oracle_decode, data)
+
+
+def _with_sign(y, sign):
+    return (y | sign << 255).to_bytes(ELEMENT_LEN, "little")
+
+
+def _root_class(data):
+    # a^((P-1)/4) by pow for _lift's a = num*den*w^4, which _lift reads as a*t^2: 1 or 0
+    # takes x as it comes, -1 the sqrt(-1) branch, and anything else is no square.
+    y = int.from_bytes(data, "little") % 2**255
+    a = (y * y - 1) * (group._D * y * y + 1) * (1 - y) ** 4 % P
+    return pow(a, (P - 1) // 4, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=ELEMENT_LEN, max_size=ELEMENT_LEN))
+def test_decode_matches_the_pow_oracle_on_random_bytes(data):
+    assert _matches_oracle(data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonzero_scalars)
+def test_decode_matches_the_pow_oracle_on_encodings_and_their_sign_flips(k):
+    data = (k * G).encode()
+    flipped = (int.from_bytes(data, "little") ^ 1 << 255).to_bytes(ELEMENT_LEN, "little")
+    assert _matches_oracle(data) and _matches_oracle(flipped)
+    assert decode_element(data) == k * G
+
+
+def test_decode_matches_the_pow_oracle_at_the_edges():
+    edges = [_with_sign(y, sign) for y in (0, 1, 2, P - 2, P - 1) for sign in (0, 1)]
+    non_canonical = [_with_sign(y, sign) for y in (P, P + 1, P + 7, 2**255 - 1) for sign in (0, 1)]
+    torsion = [(q + times(j, T8)).encode() for q in (G, _OTHER_BASE) for j in range(8)]
+    lengths = [b"", bytes(31), bytes(33)]
+    for data in edges + non_canonical + torsion + lengths:
+        assert _matches_oracle(data), data.hex()
+
+
+def test_decode_reaches_the_sqrt_m1_branch_and_the_non_square_branch():
+    # Scanned from fixed starts: a subgroup point whose candidate x needs the factor
+    # sqrt(-1), and a y that is no curve point.
+    sqrt_m1 = next(data for data in ((Scalar(k) * G).encode() for k in range(2, 100))
+                   if _root_class(data) == P - 1)
+    non_square = next(data for data in (_with_sign(y, 0) for y in range(2, 100))
+                      if _root_class(data) not in (0, 1, P - 1))
+    assert _matches_oracle(sqrt_m1) and _matches_oracle(non_square)
+    assert decode_element(sqrt_m1).encode() == sqrt_m1
+    with pytest.raises(MalformedElement, match="not a curve point"):
+        decode_element(non_square)
+
+
+def test_decode_makes_no_pow_call_and_one_x25519_call(monkeypatch):
+    # Neither the square root nor the check's u takes pow: no exponentiation by it and no
+    # inversion.  The check is the one X25519 call.
+    calls = []
+    monkeypatch.setattr(group, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    exchanges = _count_calls(monkeypatch, "_ladder_u")
+    for k in (3, 0xD1CE, N - 1):
+        expected = Scalar(k) * _OTHER_BASE
+        wire = expected.encode()
+        del calls[:], exchanges[:]
+        point = decode_element(wire)
+        assert (calls, len(exchanges)) == ([], 1)
+        assert point == expected
 
 
 # --------------------------------------------------------------------------
