@@ -23,7 +23,6 @@ time, memory, bandwidth, energy) and line-delimited JSON.
 from __future__ import annotations
 
 import json
-import random
 import statistics
 import time
 from typing import Callable, Sequence
@@ -72,7 +71,6 @@ class BenchResult:
 class EnergyReport:
     """E = V * I * t for one operation on one device profile."""
 
-    profile: DeviceProfile
     time_seconds: float
     energy_joules: float
 
@@ -87,7 +85,6 @@ class ReferenceRow:
     the bytes a party transmits.
     """
 
-    op_name: str
     cycles: int
     energy_mj: float
     memory_bytes: int
@@ -95,18 +92,18 @@ class ReferenceRow:
 
 
 REFERENCE_ROWS: dict[tuple[str, str], ReferenceRow] = {
-    ("avr", "aq_shared"): ReferenceRow("aq_shared", 6_940_000, 43.38, 32, "32"),
-    ("avr", "aq_hang"): ReferenceRow("aq_hang", 9_140_000, 57.14, 16_416, "32"),
-    ("avr", "sign"): ReferenceRow("sign", 2_490_000, 15.57, 16_416, "64"),
-    ("avr", "verify"): ReferenceRow("verify", 8_310_000, 51.94, 32, "64"),
-    ("avr", "encrypt"): ReferenceRow("encrypt", 4_290_000, 26.80, 24_608, "32+|c|+16"),
-    ("avr", "decrypt"): ReferenceRow("decrypt", 6_980_000, 43.61, 32, "32+|c|+16"),
-    ("arm", "aq_shared"): ReferenceRow("aq_shared", 556_000, 0.44, 32, "32"),
-    ("arm", "aq_hang"): ReferenceRow("aq_hang", 764_000, 0.60, 16_416, "32"),
-    ("arm", "sign"): ReferenceRow("sign", 302_000, 0.24, 16_416, "64"),
-    ("arm", "verify"): ReferenceRow("verify", 695_000, 0.55, 32, "64"),
-    ("arm", "encrypt"): ReferenceRow("encrypt", 374_000, 0.29, 24_608, "32+|c|+16"),
-    ("arm", "decrypt"): ReferenceRow("decrypt", 570_000, 0.45, 32, "32+|c|+16"),
+    ("avr", "aq_shared"): ReferenceRow(6_940_000, 43.38, 32, "32"),
+    ("avr", "aq_hang"): ReferenceRow(9_140_000, 57.14, 16_416, "32"),
+    ("avr", "sign"): ReferenceRow(2_490_000, 15.57, 16_416, "64"),
+    ("avr", "verify"): ReferenceRow(8_310_000, 51.94, 32, "64"),
+    ("avr", "encrypt"): ReferenceRow(4_290_000, 26.80, 24_608, "32+|c|+16"),
+    ("avr", "decrypt"): ReferenceRow(6_980_000, 43.61, 32, "32+|c|+16"),
+    ("arm", "aq_shared"): ReferenceRow(556_000, 0.44, 32, "32"),
+    ("arm", "aq_hang"): ReferenceRow(764_000, 0.60, 16_416, "32"),
+    ("arm", "sign"): ReferenceRow(302_000, 0.24, 16_416, "64"),
+    ("arm", "verify"): ReferenceRow(695_000, 0.55, 32, "64"),
+    ("arm", "encrypt"): ReferenceRow(374_000, 0.29, 24_608, "32+|c|+16"),
+    ("arm", "decrypt"): ReferenceRow(570_000, 0.45, 32, "32+|c|+16"),
 }
 
 REFERENCE_OP_ORDER = ("aq_shared", "aq_hang", "sign", "verify", "encrypt", "decrypt")
@@ -133,7 +130,6 @@ def project_energy(
     if seconds <= 0:
         raise InvalidMeasurement("execution time must be strictly positive")
     return EnergyReport(
-        profile=profile,
         time_seconds=seconds,
         energy_joules=profile.voltage * profile.current * seconds,
     )
@@ -234,7 +230,7 @@ BENCH_OPS = (
 )
 
 
-def run_bench(op_names: Sequence[str], iterations: int, rng=None) -> list[BenchResult]:
+def run_bench(op_names: Sequence[str], iterations: int, rng) -> list[BenchResult]:
     """Measure ``op_names`` round-robin: warm-up, timed rounds, one counted run each.
 
     Each round calls every op once, in reverse order every other round, so
@@ -243,8 +239,6 @@ def run_bench(op_names: Sequence[str], iterations: int, rng=None) -> list[BenchR
     """
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"iterations must be at least {MIN_ITERATIONS}")
-    if rng is None:
-        rng = random.SystemRandom()
     works = [_prepare_workload(op_name, rng) for op_name in op_names]
     for work in works:
         for _ in range(WARMUP_ITERATIONS):

@@ -55,10 +55,13 @@ which checks its header, length, id and x but decodes neither U nor x*D,
 so they accept a file whose U or x*D is malformed; ``keyver`` and
 ``exchange`` decode and check both, x*D against x times the system key
 too.  A ``sign`` process so loads no X25519 and no OpenSSL backend
-module.  ``main`` builds the parser of the first command word in argv
-alone; where its top level would print usage or help, or no command
-word is given, it starts over with the whole parser, so every help text
-and usage error reads as the whole one's.
+module.  Only ``encrypt`` on the direct path builds the comb of G (about
+6 ms): it calls ``reference_encrypt``, a textbook baseline.
+
+``main`` builds the parser of the first command word in argv alone;
+where its top level would print usage or help, or no command word is
+given, it starts over with the whole parser, so every help text and
+usage error reads as the whole one's.
 """
 
 from __future__ import annotations

@@ -171,7 +171,9 @@ def reference_encrypt(recipient_key: GroupElement, message: bytes, rng) -> Ciphe
     """Seal with direct scalar multiplications instead of a table.
 
     Produces ciphertexts byte-compatible with :func:`encrypt`; serves as
-    the cross-check oracle and the two-multiplication baseline.
+    the cross-check oracle and the two-multiplication baseline, and as
+    ``iodcrypt encrypt``'s direct path.  Its r*G runs on the comb of G,
+    so the first call in a process builds the comb (about 6 ms).
     """
     if recipient_key.is_identity():
         raise InvalidDesignatedPoint("recipient key must not be the identity")

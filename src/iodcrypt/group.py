@@ -8,9 +8,10 @@ doubling and for identity operands alike.
 
 Two layers of API:
 
-* ``GroupElement`` / ``Scalar`` support plain operators (``P + Q``,
-  ``k * P``) for oracles, tests, and internal use.  These are never
-  counted.
+* ``GroupElement`` and ``Scalar`` support plain operators, never
+  counted: ``P + Q`` and ``k * P`` on elements, ``a + b``, ``a - b`` and
+  ``a * b`` on scalars.  Neither negates and elements do not subtract,
+  since no caller does.
 * :func:`scalar_mult`, :func:`mul_u` and :func:`point_add` are the
   counted entry points used by the protocol layers, :func:`comb_mult`
   the one used by the textbook baselines, and
@@ -511,9 +512,6 @@ class Scalar:
             return Scalar(self.v * other.v)
         return NotImplemented
 
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.v)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Scalar) and self.v == other.v
 
@@ -560,13 +558,6 @@ class GroupElement:
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(_add_raw(self.coords, other.coords))
-
-    def __neg__(self) -> "GroupElement":
-        x, y, z, t = self.coords
-        return GroupElement(((-x) % P, y, z, (-t) % P))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
 
     def __rmul__(self, k) -> "GroupElement":
         if isinstance(k, Scalar):

@@ -186,14 +186,8 @@ def aq_kg(kgc: KgcKeypair, drone_id: bytes, rng) -> SelfCertKeypair:
 
 
 def reconstruct_pub(record: IdentityRecord, system_public: GroupElement) -> GroupElement:
-    """X = H(id, U)*U + D, the implicitly certified public key.
-
-    The product runs on a copy of U, so a record kept for long, as a
-    ``VerifierContext`` keeps one, holds no Montgomery form or X25519
-    key of U.
-    """
-    commitment = GroupElement(record.commitment.coords)
-    return point_add(scalar_mult(record.key_hash(), commitment), system_public)
+    """X = H(id, U)*U + D, the implicitly certified public key."""
+    return point_add(scalar_mult(record.key_hash(), record.commitment), system_public)
 
 
 def key_ver(record: IdentityRecord, secret: Scalar, system_public: GroupElement) -> bool:

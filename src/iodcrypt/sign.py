@@ -88,21 +88,20 @@ class SignerContext:
 
 @record
 class VerifierContext:
-    """Verifier-side state with the signer's public key already reconstructed.
+    """Verifier-side state: the signer's public key, already reconstructed.
 
     ``cached_key`` must equal the reconstruction H(id, U)*U + D; build
-    through :meth:`build` to guarantee that.  It holds the three points;
-    the first verify leaves cached_key's Montgomery form and X25519 public
-    key on it, so each later verify is e * cached_key on two X25519 calls.
+    through :meth:`build` to guarantee that.  It is the one point the
+    context holds; the first verify leaves its Montgomery form and X25519
+    public key on it, so each later verify is e * cached_key on two X25519
+    calls.
     """
 
-    record: IdentityRecord
-    system_public: GroupElement
     cached_key: GroupElement
 
     @classmethod
     def build(cls, record: IdentityRecord, system_public: GroupElement) -> "VerifierContext":
-        return cls(record, system_public, reconstruct_pub(record, system_public))
+        return cls(reconstruct_pub(record, system_public))
 
 
 def sign_kg(kgc: KgcKeypair, drone_id: bytes, params: BpvParams, rng) -> SignerContext:

@@ -115,7 +115,7 @@ def test_bench_times_the_ops_round_robin(monkeypatch):
         return lambda: calls.append(op_name)
 
     monkeypatch.setattr(bench, "_prepare_workload", logging_workload)
-    results = run_bench(("a", "b", "c"), 11)
+    results = run_bench(("a", "b", "c"), 11, random.Random(1))
     rounds = (["a", "b", "c"] + ["c", "b", "a"]) * 5 + ["a", "b", "c"]
     warm_up = [name for name in "abc" for _ in range(WARMUP_ITERATIONS)]
     assert calls == warm_up + rounds + ["a", "b", "c"]
@@ -124,7 +124,7 @@ def test_bench_times_the_ops_round_robin(monkeypatch):
 
     calls.clear()
     with pytest.raises(UnknownOp):
-        run_bench(("a", "made_up_op"), 10)
+        run_bench(("a", "made_up_op"), 10, random.Random(1))
     assert calls == []
 
 

@@ -124,15 +124,26 @@ def test_verify_accepts_signature(realm, capsys):
     assert "good signature" in capsys.readouterr().out
 
 
-def test_a_verify_process_never_builds_the_comb_of_g(realm):
-    # verify's s * G runs on X25519 like its e * X; only the textbook baselines
-    # take the comb, so a whole `iodcrypt verify` process builds none.
+@pytest.mark.parametrize("command", ["sign", "verify", "encrypt", "decrypt", "encrypt-direct"])
+def test_only_a_direct_path_encrypt_process_builds_the_comb_of_g(realm, tmp_path, command):
+    # Only the textbook baselines take the comb: verify's s * G runs on X25519 like
+    # its e * X, and sign, table-path encrypt and decrypt take no product of G.  The
+    # direct path of encrypt is reference_encrypt, whose r * G builds the comb.
+    message, ciphertext = str(realm["message"]), tmp_path / "msg.enc"
+    assert cli(realm, "encrypt", "--to", "bravo", "--out", str(ciphertext), message) == 0
+    argv = {
+        "sign": ["sign", "--key", "alpha", "--out", str(tmp_path / "msg.sig"), message],
+        "verify": ["verify", "--sig", str(realm["signature"]), message],
+        "encrypt": ["encrypt", "--to", "bravo", "--out", str(tmp_path / "table.enc"), message],
+        "decrypt": ["decrypt", "--key", "bravo", "--out", str(tmp_path / "msg.dec"), str(ciphertext)],
+        "encrypt-direct": ["encrypt", "--to", "alpha", "--out", str(tmp_path / "direct.enc"), message],
+    }[command]
     code = ("import sys; from iodcrypt import cli, group; "
-            "assert cli.main(sys.argv[1:]) == 0 and group._G_COMB is None")
-    argv = ["verify", "--sig", str(realm["signature"]), str(realm["message"]),
-            "--home", str(realm["home"])]
+            "assert cli.main(sys.argv[1:]) == 0; print(group._G_COMB is not None)")
     env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
-    subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--home", str(realm["home"])],
+                          check=True, env=env, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == str(command == "encrypt-direct")
 
 
 def test_encrypt_decrypt_roundtrip_table_mode(realm, capsys):

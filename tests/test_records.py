@@ -35,13 +35,13 @@ FIELDS = {
     SessionKey: ("key", "transcript_hash"),
     Signature: ("s", "e"),
     SignerContext: ("keypair", "table"),
-    VerifierContext: ("record", "system_public", "cached_key"),
+    VerifierContext: ("cached_key",),
     Ciphertext: ("ephemeral", "body", "tag"),
     SenderContext: ("table", "receiver"),
     DeviceProfile: ("name", "voltage", "current", "clock_hz"),
     BenchResult: ("op_name", "iterations", "median_seconds", "scalar_mults", "point_adds"),
-    EnergyReport: ("profile", "time_seconds", "energy_joules"),
-    ReferenceRow: ("op_name", "cycles", "energy_mj", "memory_bytes", "bandwidth"),
+    EnergyReport: ("time_seconds", "energy_joules"),
+    ReferenceRow: ("cycles", "energy_mj", "memory_bytes", "bandwidth"),
 }
 # These hold a PrecompTable, which is mutable and so unhashable.
 UNHASHABLE = (SignerContext, SenderContext)
@@ -62,8 +62,8 @@ def records():
     found = [params, kgc, a.record, a, read_drone_key(serialize_drone_keypair(a)), state, session, sign(signer, b"m", rng), signer,
              VerifierContext.build(a.record, kgc.public), encrypt(sender, b"m", rng),
              sender, profile,
-             BenchResult("sign", 10, 1e-4, 0, 27), EnergyReport(profile, 1e-4, 1.3e-5),
-             ReferenceRow("sign", 2_490_000, 15.57, 16_416, "64")]
+             BenchResult("sign", 10, 1e-4, 0, 27), EnergyReport(1e-4, 1.3e-5),
+             ReferenceRow(2_490_000, 15.57, 16_416, "64")]
     return {type(record): record for record in found}
 
 
