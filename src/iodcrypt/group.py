@@ -57,12 +57,13 @@ calls ``_mul`` too.  Points only ever multiplied travel as
 Montgomery u (RFC 7748 section 5): :func:`decode_u` and :func:`mul_u` take no square root.
 
 Every sum of stored points, a table's subset sum or a round of the comb,
-runs on a mixed addition that reduces lazily: it folds each product with
-2^255 = 19 (mod P), about half the cost of a ``% P``, once inside the
-formula and twice at its four outputs, which keeps every coordinate within
-2^22 of [0, 2^255).  Folds keep each value mod P, and each chain reduces
-``% P`` once at its end, so every point that leaves the raw layer is in
-canonical coordinates, the same as with a ``% P`` at every product.
+is one call of ``_madd_chain``: a loop of mixed additions over the run of
+points, the sum's coordinates kept in locals, that reduces lazily.  It folds
+each product with 2^255 = 19 (mod P), about half the cost of a ``% P``, once
+inside the formula and twice at its four outputs, which keeps every
+coordinate within 2^22 of [0, 2^255).  Folds keep each value mod P, and each
+chain reduces ``% P`` once at its end, so every point that leaves the raw
+layer is in canonical coordinates, the same as with a ``% P`` at every product.
 
 Elements decode from/encode to the canonical 32-byte little-endian form
 (y with the sign of x in the top bit).  Decoding rejects non-canonical
@@ -194,15 +195,15 @@ DOMAIN_SIG = 0x02  # signature challenge hashing
 # Raw extended-coordinate arithmetic (uncounted; tuples for speed)
 # ---------------------------------------------------------------------------
 #
-# Two formula bodies: the unified law _add_raw and its mixed form _madd_raw
-# for affine operands.  _add_raw reduces every product % P.  _madd_raw reduces
-# lazily with a fold, w -> (w & _LOW) + 19 * (w >> 255): it keeps w mod P, since
-# 2^255 = 19 mod P, and costs about half a % P.  For -2^(255+n) <= w < 2^(255+n)
-# it lands in [-19 * 2^n, 2^255 + 19 * 2^n).  So _madd_raw takes and returns
-# coordinates in a band, (-2^22, 2^255 + 2^22), and each chain of calls
-# (_sum_cached, _comb_mul) ends with one % P per coordinate.  With M = 2^255,
-# x1, y1, z1, t1 in the band, the cached yp, ym in [0, P) and |t2d| < P (the
-# comb negates t2d):
+# Two formula bodies: the unified law _add_raw and _madd_chain, its mixed form for
+# affine operands, run over a list of them.  _add_raw reduces every product % P.
+# _madd_chain reduces lazily with a fold, w -> (w & _LOW) + 19 * (w >> 255): it
+# keeps w mod P, since 2^255 = 19 mod P, and costs about half a % P.  For
+# -2^(255+n) <= w < 2^(255+n) it lands in [-19 * 2^n, 2^255 + 19 * 2^n).  So each
+# step of _madd_chain takes and returns coordinates in a band, (-2^22, 2^255 + 2^22),
+# and each chain (_sum_cached, _comb_mul) ends with one % P per coordinate.  With
+# M = 2^255, x1, y1, z1, t1 in the band, the cached yp, ym in [0, P) and |t2d| < P
+# (the comb negates t2d):
 #   a = (y1 - x1) * ym and c = t1 * t2d lie within +-(M + 2^23) * M;
 #     one fold each: (-19M - 2^28, 20M + 2^28);
 #   b = (y1 + x1) * yp lies in (-2^23 * M, (2M + 2^23) * M); one fold: (-2^28, 39M + 2^28);
@@ -212,7 +213,7 @@ DOMAIN_SIG = 0x02  # signature challenge hashing
 #   its first fold lies in [-66158M, 66159M), about 2^271, and its second in
 #   (-2^21, M + 2^21), since 19 * 66159 < 2^21: inside the band again.
 # One fold is enough for a, b and c, which only feed the four sums; each output,
-# the next call's input, takes two.  Every fold is exact mod P, so the final % P
+# the next step's input, takes two.  Every fold is exact mod P, so the final % P
 # gives the coordinates of a % P at every product.
 # _sq_mul, the decode's exponentiation, folds each product twice too: for two
 # factors in [0, M + 2^9) the product is under M^2 + 2^10 * M + 2^18, its first
@@ -259,42 +260,43 @@ def _normalize(coords_list):
 
 def _cached(affine):
     # (y+x, y-x, 2d*x*y) of each affine point: the form in which
-    # _madd_raw takes its second operand.
+    # _madd_chain takes its entries.
     return [((y + x) % P, (y - x) % P, x * y % P * _2D % P) for x, y in affine]
 
 
-def _madd_raw(p1, cached):
-    # Mixed addition: the unified law of _add_raw with an affine second
-    # operand (Z2 = 1) given in the form of _cached, one product fewer.
-    # Takes and returns coordinates in the band above, folding where
-    # _add_raw reduces: once per product inside, twice per output.
-    x1, y1, z1, t1 = p1
-    yp, ym, t2d = cached
-    a = (y1 - x1) * ym
-    a = (a & _LOW) + 19 * (a >> 255)
-    b = (y1 + x1) * yp
-    b = (b & _LOW) + 19 * (b >> 255)
-    c = t1 * t2d
-    c = (c & _LOW) + 19 * (c >> 255)
-    d = 2 * z1
-    e = b - a
-    f = d - c
-    g = d + c
-    h = b + a
-    x = e * f
-    x = (x & _LOW) + 19 * (x >> 255)
-    y = g * h
-    y = (y & _LOW) + 19 * (y >> 255)
-    z = f * g
-    z = (z & _LOW) + 19 * (z >> 255)
-    t = e * h
-    t = (t & _LOW) + 19 * (t >> 255)
-    return (
-        (x & _LOW) + 19 * (x >> 255),
-        (y & _LOW) + 19 * (y >> 255),
-        (z & _LOW) + 19 * (z >> 255),
-        (t & _LOW) + 19 * (t >> 255),
-    )
+def _madd_chain(acc, entries):
+    # acc plus each of entries in turn, by mixed addition: the unified law of
+    # _add_raw with an affine second operand (Z2 = 1) given in the form of
+    # _cached, one product fewer.  One call per run of entries, so acc's four
+    # coordinates stay in locals.  Takes and returns coordinates in the band
+    # above, folding where _add_raw reduces: once per product inside, twice per
+    # output; the caller reduces % P at the end of its chain.
+    x, y, z, t = acc
+    for yp, ym, t2d in entries:
+        a = (y - x) * ym
+        a = (a & _LOW) + 19 * (a >> 255)
+        b = (y + x) * yp
+        b = (b & _LOW) + 19 * (b >> 255)
+        c = t * t2d
+        c = (c & _LOW) + 19 * (c >> 255)
+        d = 2 * z
+        e = b - a
+        f = d - c
+        g = d + c
+        h = b + a
+        x = e * f
+        x = (x & _LOW) + 19 * (x >> 255)
+        x = (x & _LOW) + 19 * (x >> 255)
+        y = g * h
+        y = (y & _LOW) + 19 * (y >> 255)
+        y = (y & _LOW) + 19 * (y >> 255)
+        z = f * g
+        z = (z & _LOW) + 19 * (z >> 255)
+        z = (z & _LOW) + 19 * (z >> 255)
+        t = e * h
+        t = (t & _LOW) + 19 * (t >> 255)
+        t = (t & _LOW) + 19 * (t >> 255)
+    return x, y, z, t
 
 
 # The comb of G (Lim-Lee, CRYPTO 1994, with the signed recoding of Hedabou, Pinel
@@ -362,22 +364,18 @@ def _comb_mul(k):
             entries.append((ym, yp, -t2d))
     acc = _sum_cached(entries[:4])
     for i in range(4, 32, 4):
-        acc = _add_raw(acc, acc)
-        for entry in entries[i : i + 4]:
-            acc = _madd_raw(acc, entry)
+        acc = _madd_chain(_add_raw(acc, acc), entries[i : i + 4])
     x, y, z, t = acc
     return (x % P, y % P, z % P, t % P)
 
 
 def _sum_cached(entries):
     # The sum of points in the form of _cached: the first converted to
-    # (2x, 2y, 2, 2xy) with one product, then one mixed addition per entry,
-    # and one % P of each coordinate at the end of the chain.
+    # (2x, 2y, 2, 2xy) with one product, then one chain of mixed additions over
+    # the rest, and one % P of each coordinate at its end.
     yp, ym, t2d = entries[0]
     acc = ((yp - ym) % P, (yp + ym) % P, 2, t2d * _INV_D % P)
-    for i in range(1, len(entries)):
-        acc = _madd_raw(acc, entries[i])
-    x, y, z, t = acc
+    x, y, z, t = _madd_chain(acc, entries[1:])
     return (x % P, y % P, z % P, t % P)
 
 
@@ -455,9 +453,10 @@ def _montgomery(coords):
     return (z + y) * x % P * inv % P, _SQRT_M486664 * (z + y) % P * z % P * inv % P
 
 
-# G's (u, v) (RFC 7748 section 4.1), written out; the tests derive it.  None stands for its
-# X25519 public key: _ladder_u reads u(s * G) off the key of s.
-_G_FORM = (9, 14781619447589544791020593568409986887264606134616475288964881837755586237401, None)
+# G's (u, v) (RFC 7748 section 4.1), written out, with u named for mul_u's callers; the tests
+# derive it.  None stands for its X25519 public key: _ladder_u reads u(s * G) off the key of s.
+G_U = 9
+_G_FORM = (G_U, 14781619447589544791020593568409986887264606134616475288964881837755586237401, None)
 
 
 def _form(point):
@@ -597,7 +596,7 @@ class GroupElement:
 def _sq_mul(t, n, m):
     # t^(2^n) * m, up to a multiple of P, for t and m in [0, 2^255 + 2^9): each of the
     # n squarings and the product folded twice, which keeps every value in that range
-    # (the band comment above _madd_raw).
+    # (the band comment above _add_raw).
     for _ in range(n):
         t *= t
         t = (t & _LOW) + 19 * (t >> 255)
@@ -810,9 +809,12 @@ def comb_mult(k: Scalar) -> GroupElement:
 
 
 def mul_u(k: Scalar, u: int) -> int:
-    """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product."""
+    """Return u(k * B) (0 if k = 0) from u = u(B), B in the subgroup, counting one product.
+
+    For B = G (u = :data:`G_U`) it is the kept key's own public key, with no exchange.
+    """
     _tick(1)
-    return _ladder_u(k.v, (_x25519_base(u),), _last_key)[0]
+    return _ladder_u(k.v, (None if u == G_U else _x25519_base(u),), _last_key)[0]
 
 
 def point_add(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -44,6 +44,7 @@ from .errors import InvalidEphemeral, InvalidIdentity, TruncatedFile
 from .group import (
     DOMAIN_KEY,
     G,
+    G_U,
     GroupElement,
     OpCounter,
     Scalar,
@@ -230,17 +231,19 @@ def aq_hang_initiate(
     """First handshake half: build the outgoing message record | u(T).
 
     With ``table`` the ephemeral point comes from the subset-sum
-    precomputation (additions only); otherwise it costs one scalar
-    multiplication.  Both handshake halves still take a trailing ``ctr``,
-    bound for the call as in :func:`~iodcrypt.sign.sign`.
+    precomputation (additions only); otherwise u(T) costs one product,
+    :func:`~iodcrypt.group.mul_u` of G's u: one X25519 key load, which
+    :func:`aq_hang_finalize` then reuses.  Both handshake halves still take
+    a trailing ``ctr``, bound for the call as in :func:`~iodcrypt.sign.sign`.
     """
     with ctr or _UNBOUND:
         if table is not None:
             t, big_t = bpv_online(table, rng)
+            u = montgomery_u([big_t])[0]
         else:
             t = random_scalar(rng)
-            big_t = scalar_mult(t, G)
-        message = serialize_record(own.record) + montgomery_u([big_t])[0].to_bytes(32, "little")
+            u = mul_u(t, G_U)
+        message = serialize_record(own.record) + u.to_bytes(32, "little")
         return HangState(ephemeral_secret=t, message=message)
 
 

@@ -141,7 +141,7 @@ def test_table_paths_add_nothing_in_python_and_never_reach_the_comb(monkeypatch)
     plain, (designated, _, point) = toy_table(), toy_designated()
     files = serialize_table(plain), serialize_table(designated)
     calls = []
-    for name in ("_add_raw", "_madd_raw", "_g_comb"):
+    for name in ("_add_raw", "_madd_chain", "_g_comb"):
         real = getattr(group, name)
         monkeypatch.setattr(group, name,
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))

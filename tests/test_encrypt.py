@@ -6,6 +6,7 @@ ciphertexts are re-derived step by step in-test from the ephemeral
 scalar, with the Montgomery u of each point taken from the affine oracle.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -506,3 +507,35 @@ def test_decrypt_after_a_handshake_derives_no_key(setup, counting_keys):
     # The first decrypt builds the check key and the secret's; the handshake
     # builds its two static keys and t's.
     assert built == [2, 0, 3, 0]
+
+
+# SHA-256 over the key and transcript of a first-contact handshake and then a
+# known-peer one, alice with bob, for seeds 1-3.
+_HANDSHAKE_DIGESTS = {
+    1: "d94c31bfba58dad94c6d01c35404416d8d71bc1e395e9c4c7c16de844ba2f763",
+    2: "b7c42f2ee62d4be0433a34f4d3d050e92c5b8ed1376cfa8277b5881e2db93053",
+    3: "7cf77b655f1afcc99f23c7016df1caf877683f03edf221a579c50c8a81921824",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_HANDSHAKE_DIGESTS))
+def test_a_table_less_handshake_with_a_known_peer_loads_one_key(seed, counting_keys):
+    # The initiate reads u(t*G) off the public key of t's key (mul_u of G's u), and the
+    # finalize multiplies the peer's u(T) with that same kept key: one key load for both
+    # halves with a known peer.  Keys and transcripts are pinned.
+    rng = random.Random(seed)
+    kgc = kgc_setup(rng)
+    alice, bob = aq_kg(kgc, b"alice", rng), aq_kg(kgc, b"bob", rng)
+    digest, builds = hashlib.sha256(), []
+    for _ in range(2):  # a first contact, then a known peer
+        theirs = aq_hang_initiate(bob, rng)
+        group._last_key.cache_clear()
+        del counting_keys.built[:]
+        with OpCounter() as ctr:
+            ours = aq_hang_initiate(alice, rng)
+            session = aq_hang_finalize(alice, ours, theirs.message)
+        builds.append(len(counting_keys.built))
+        assert session == aq_hang_finalize(bob, theirs, ours.message)
+        digest.update(session.key + session.transcript_hash)
+    assert builds[1] == 1 and (ctr.scalar_mults, ctr.point_adds) == (2, 0)
+    assert digest.hexdigest() == _HANDSHAKE_DIGESTS[seed]

@@ -287,6 +287,15 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_entries(monkeypatch):
+    # The entries each _madd_chain call adds, one mixed addition each.
+    counts = []
+    real = group._madd_chain
+    monkeypatch.setattr(group, "_madd_chain",
+                        lambda acc, entries: counts.append(len(entries)) or real(acc, entries))
+    return counts
+
+
 @pytest.mark.parametrize("k", [3, 64, *_EDGE_SCALARS])
 def test_second_product_runs_no_doubling(monkeypatch, k):
     # A decode is one X25519 exchange and a product of k > 0 two, by the operator,
@@ -297,7 +306,7 @@ def test_second_product_runs_no_doubling(monkeypatch, k):
     # product only.
     wire = (Scalar(0xD1CE) * G).encode()
     expected = affine_mul(k, affine(decode_element(wire)))
-    calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw", "_g_comb")]
+    calls = [_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_chain", "_g_comb")]
     exchanges = _count_calls(monkeypatch, "_ladder_u")
     conversions = _count_calls(monkeypatch, "_montgomery")
     point = decode_element(wire)
@@ -367,13 +376,14 @@ def test_nothing_is_built_at_import_time():
 
 
 def test_every_comb_product_runs_7_doublings_and_31_mixed_additions(monkeypatch):
-    # 0 too, which the comb takes as the odd N: N * G is the identity.
+    # 0 too, which the comb takes as the odd N: N * G is the identity.  One chain per
+    # round: 3 entries after the first round's first, then 4 after each doubling.
     group._g_comb()
-    adds, madds = (_count_calls(monkeypatch, name) for name in ("_add_raw", "_madd_raw"))
+    adds, madds = _count_calls(monkeypatch, "_add_raw"), _count_entries(monkeypatch)
     for k in (*_EDGE_SCALARS, 0xC0FFEE << 200):
         del adds[:], madds[:]
         assert affine(comb_mult(Scalar(k))) == affine_mul(k, affine(G))
-        assert (len(adds), len(madds)) == (7, 31)
+        assert (len(adds), sum(madds)) == (7, 31) and madds == [3] + [4] * 7
     assert affine(comb_mult(Scalar(0))) == AFFINE_IDENTITY
 
 
@@ -630,12 +640,13 @@ def test_decode_u_makes_no_call_for_what_it_rejects_on_sight(monkeypatch):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=N - 1), st.integers(min_value=1, max_value=N - 1))
 def test_mul_u_matches_the_affine_oracle(k, b):
-    base = affine_mul(b, affine(G))
-    u = affine_u(base)
-    for scalar in [k, *_EDGE_SCALARS]:
-        product = affine_mul(scalar, base)
-        expected = 0 if product == (0, 1) else affine_u(product)
-        assert mul_u(Scalar(scalar), u) == expected
+    # For G's u too, which mul_u reads off the key's own public key with no exchange.
+    for base in (affine_mul(b, affine(G)), affine(G)):
+        u = affine_u(base)
+        for scalar in [k, *_EDGE_SCALARS]:
+            product = affine_mul(scalar, base)
+            expected = 0 if product == (0, 1) else affine_u(product)
+            assert mul_u(Scalar(scalar), u) == expected
 
 
 def test_mul_u_counts_one_product_and_makes_one_x25519_call(monkeypatch):
@@ -675,14 +686,14 @@ def test_subset_sum_matches_affine_oracle(pts, data):
 
 
 def test_subset_sum_counts_one_add_fewer_than_indices(monkeypatch):
-    # The count is the work: one mixed addition per index after the first.
+    # The count is the work: one mixed addition per index after the first, all in one chain.
     stored = addends([Scalar(k) * G for k in (3, 5, 7)])
-    madds = _count_calls(monkeypatch, "_madd_raw")
+    madds = _count_entries(monkeypatch)
     for indices, adds in (([1], 0), ([0, 2], 1), ([2, 0, 1], 2)):
         del madds[:]
         with OpCounter() as ctr:
             subset_sum(stored, indices)
-        assert (ctr.scalar_mults, ctr.point_adds) == (0, adds) and len(madds) == adds
+        assert (ctr.scalar_mults, ctr.point_adds) == (0, adds) and madds == [adds]
     assert subset_sum(stored, [2, 0, 1]) == Scalar(15) * G
     assert affine(subset_sum(stored, [1])) == affine_mul(5, affine(G))
 
@@ -734,7 +745,7 @@ def _mod_p(coords):
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(band, band, band, band), cached_entries)
 def test_mixed_addition_stays_in_the_band_and_congruent_mod_p(p1, cached):
-    out = group._madd_raw(p1, cached)
+    out = group._madd_chain(p1, [cached])
     assert _in_band(out)
     assert _mod_p(out) == _madd_exact(_mod_p(p1), cached)
 
@@ -742,11 +753,13 @@ def test_mixed_addition_stays_in_the_band_and_congruent_mod_p(p1, cached):
 @settings(max_examples=10, deadline=None)
 @given(st.tuples(band, band, band, band), st.randoms(use_true_random=False))
 def test_a_chain_of_200_mixed_additions_stays_in_the_band(p1, rng):
-    acc, exact = p1, _mod_p(p1)
+    # Step by step, and then as one chain over all 200 entries, which must agree.
+    acc, exact, entries = p1, _mod_p(p1), []
     for _ in range(200):
-        cached = (rng.randrange(P), rng.randrange(P), rng.randrange(-P + 1, P))
-        acc, exact = group._madd_raw(acc, cached), _madd_exact(exact, cached)
+        entries.append((rng.randrange(P), rng.randrange(P), rng.randrange(-P + 1, P)))
+        acc, exact = group._madd_chain(acc, entries[-1:]), _madd_exact(exact, entries[-1])
         assert _in_band(acc) and _mod_p(acc) == exact
+    assert group._madd_chain(p1, entries) == acc
 
 
 def _canonical(coords):
@@ -765,13 +778,14 @@ def test_sums_and_products_of_g_leave_the_raw_layer_reduced(ks, data):
 
 
 def test_chains_reduce_what_the_mixed_addition_leaves_unreduced(monkeypatch):
-    # An output of _madd_raw lies outside [0, P) less often than once in 2^230 calls,
-    # too rarely to draw; a _madd_raw that returns every coordinate minus P stands in.
+    # An output of _madd_chain lies outside [0, P) less often than once in 2^230 steps,
+    # too rarely to draw; a _madd_chain that returns every coordinate minus P stands in.
     stored = addends([Scalar(k) * G for k in range(1, 29)])
     k = 0xC0FFEE << 200
     expected = group._sum_cached(stored), group._comb_mul(k)
-    real = group._madd_raw
-    monkeypatch.setattr(group, "_madd_raw", lambda p1, cached: tuple(v - P for v in real(p1, cached)))
+    real = group._madd_chain
+    monkeypatch.setattr(group, "_madd_chain",
+                        lambda acc, entries: tuple(v - P for v in real(acc, entries)))
     assert (group._sum_cached(stored), group._comb_mul(k)) == expected
     assert all(_canonical(coords) for coords in expected)
 
