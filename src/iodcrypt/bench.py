@@ -198,12 +198,11 @@ def _prepare_workload(op_name: str, rng) -> Callable[[], object]:
         b = aq_kg(kgc, b"bench-b", rng)
         if op_name == "aq_shared":
             return lambda: aq_shared_static(a, b.record)
-        table = bpv_offline(params, rng)
         # One peer throughout: from the warm-up on, a knows its record (a known-peer handshake).
         peer_message = aq_hang_initiate(b, rng).message
 
         def one_handshake(own=a):
-            return aq_hang_finalize(own, aq_hang_initiate(own, rng, table=table), peer_message)
+            return aq_hang_finalize(own, aq_hang_initiate(own, rng), peer_message)
 
         if op_name == "aq_hang_first":  # a copy of a, whose empty peer cache makes a first contact
             return lambda: one_handshake(SelfCertKeypair(a.record, a.secret, a.cached_term))

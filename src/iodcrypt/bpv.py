@@ -1,13 +1,13 @@
 """Subset-sum precomputation that trades table storage for online speed.
 
-One table type serves signing, the handshake and encryption.  The
-offline phase fixes k random scalars r_i and their products r_i*B over a
-tuple of bases: ``(G,)`` for signing and the handshake, ``(G, X)`` for
-encryption to a receiver key X.  A table holds each product once, in the
-form that :func:`~iodcrypt.group.subset_sum` adds.  The online phase
-sums a secret random v-subset of the entries, producing a fresh r with
-r*B for every base at a cost of v-1 point additions per base and no
-scalar multiplication.
+One table type serves signing and encryption.  The offline phase fixes
+k random scalars r_i and their products r_i*B over a tuple of bases:
+``(G,)`` for signing, ``(G, X)`` for encryption to a receiver key X.  A
+table holds each product once, in the form that
+:func:`~iodcrypt.group.subset_sum` adds.  The online phase sums a secret
+random v-subset of the entries, producing a fresh r with r*B for every
+base at a cost of v-1 point additions per base and no scalar
+multiplication.
 
 Security rests on the hardness of recovering the hidden subset from the
 outputs, so subset indices are sampled fresh per call from the caller's
@@ -74,7 +74,6 @@ as an explicit deep check.
 from __future__ import annotations
 
 import math
-import random
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -147,12 +146,12 @@ class BpvParams:
 class PrecompTable:
     """k nonce scalars r_i and their products r_i * B over a tuple of bases B.
 
-    ``bases`` is ``(G,)`` for signing and the handshake, or ``(G, X)``
-    for encryption to a receiver key X; ``owner_binding`` is then the
-    32-byte hash of that receiver's identity record, so a loaded table
-    can be matched to the receiver it was built for, and is empty for a
-    ``(G,)`` table.  Any other length raises :class:`InvalidOwnerBinding`
-    when the table is made, since the file has room for exactly that.
+    ``bases`` is ``(G,)`` for signing, or ``(G, X)`` for encryption to a
+    receiver key X; ``owner_binding`` is then the 32-byte hash of that
+    receiver's identity record, so a loaded table can be matched to the
+    receiver it was built for, and is empty for a ``(G,)`` table.  Any
+    other length raises :class:`InvalidOwnerBinding` when the table is
+    made, since the file has room for exactly that.
     A base X that is the identity raises :class:`InvalidDesignatedPoint`.
 
     ``stored[c][i]`` is r_i * bases[c] in the form of
@@ -301,16 +300,17 @@ def serialize_table(table: PrecompTable, *, seal_key: bytes | None = None, rng=N
     """Serialize to one of the two layouts described above.
 
     Without ``seal_key`` the open, integrity-hashed ``IODCBPV3``, with no
-    r_i*B; with it the sealed ``IODCBPV2``, under a nonce drawn from
-    ``rng``, or from ``random.SystemRandom()`` when ``rng`` is None.
-    Each point's affine x | y comes from its stored form with no inversion.
+    r_i*B, and ``rng`` is not read; with it the sealed ``IODCBPV2``, under
+    a nonce drawn from ``rng``, which sealing requires (``TypeError``
+    without it).  Each point's affine x | y comes from its stored form with
+    no inversion.
     """
     if seal_key is None:
         out = _header(MAGIC, table, *(base.encode() for base in table.bases[1:]),
                       table.owner_binding, b"".join(r.encode() for r in table.scalars))
         return out + digest(out)
     if rng is None:
-        rng = random.SystemRandom()
+        raise TypeError("sealing a table needs an rng for its nonce")
     nonce = rng.randrange(1 << (8 * _NONCE_LEN)).to_bytes(_NONCE_LEN, "little")
     clear = _header(MAGIC_SEALED, table, table.owner_binding, nonce)
     return clear + _aead(seal_key).encrypt(nonce, _sealed_body(table), clear)

@@ -15,11 +15,12 @@ secret then costs one scalar multiplication plus one addition instead of
 three multiplications.
 
 An ephemeral handshake on top contributes fresh randomness per session:
-each side sends its identity record plus T = t*G (optionally from a
-precomputed table, making the online cost pure additions) and the
-session key is derived from the static point and u(t_a * T_b), bound to
-a transcript hash of both messages.  T travels as its Montgomery u (RFC
-7748 section 5), since it is only multiplied; U, which is added, does not.
+each side sends its identity record plus T = t*G, and the session key is
+derived from the static point and u(t_a * T_b), bound to a transcript
+hash of both messages.  T travels as its Montgomery u (RFC 7748 section
+5), since it is only multiplied; U, which is added, does not.  One X25519
+key load gives u(T) for less than a subset sum from a precomputed table
+would, plus the inversion that makes its u, so no initiate takes a table.
 
 File formats (magic | group id byte | payload, little-endian lengths)::
 
@@ -39,7 +40,6 @@ from collections import OrderedDict
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .bpv import PrecompTable, bpv_online
 from .errors import InvalidEphemeral, InvalidIdentity, TruncatedFile
 from .group import (
     DOMAIN_KEY,
@@ -56,7 +56,6 @@ from .group import (
     decode_u,
     digest,
     hash_to_scalar,
-    montgomery_u,
     mul_u,
     point_add,
     random_scalar,
@@ -222,28 +221,17 @@ def aq_shared_static(own: SelfCertKeypair, peer: IdentityRecord) -> GroupElement
 # ---------------------------------------------------------------------------
 
 
-def aq_hang_initiate(
-    own: SelfCertKeypair,
-    rng,
-    table: PrecompTable | None = None,
-    ctr: OpCounter | None = None,
-) -> HangState:
+def aq_hang_initiate(own: SelfCertKeypair, rng, ctr: OpCounter | None = None) -> HangState:
     """First handshake half: build the outgoing message record | u(T).
 
-    With ``table`` the ephemeral point comes from the subset-sum
-    precomputation (additions only); otherwise u(T) costs one product,
-    :func:`~iodcrypt.group.mul_u` of G's u: one X25519 key load, which
-    :func:`aq_hang_finalize` then reuses.  Both handshake halves still take
-    a trailing ``ctr``, bound for the call as in :func:`~iodcrypt.sign.sign`.
+    u(T) costs one product, :func:`~iodcrypt.group.mul_u` of G's u: one
+    X25519 key load, which :func:`aq_hang_finalize` then reuses.  Both
+    handshake halves still take a trailing ``ctr``, bound for the call as in
+    :func:`~iodcrypt.sign.sign`.
     """
     with ctr or _UNBOUND:
-        if table is not None:
-            t, big_t = bpv_online(table, rng)
-            u = montgomery_u([big_t])[0]
-        else:
-            t = random_scalar(rng)
-            u = mul_u(t, G_U)
-        message = serialize_record(own.record) + u.to_bytes(32, "little")
+        t = random_scalar(rng)
+        message = serialize_record(own.record) + mul_u(t, G_U).to_bytes(32, "little")
         return HangState(ephemeral_secret=t, message=message)
 
 

@@ -525,11 +525,11 @@ def test_sealed_table_round_trips_bit_exact_with_no_group_operation(kind):
     assert draw(again, random.Random(41)) == draw(table, random.Random(41))
 
 
-def test_sealing_without_an_rng_draws_the_nonce_from_system_randomness():
+def test_sealing_without_an_rng_is_refused_and_the_open_format_needs_none():
     table = toy_table()
-    first, second = (serialize_table(table, seal_key=SEAL) for _ in range(2))
-    assert deserialize_table(first, seal_key=SEAL) == table
-    assert first[: _clear_len(first)] != second[: _clear_len(second)]  # a fresh nonce each
+    with pytest.raises(TypeError, match="^sealing a table needs an rng for its nonce$"):
+        serialize_table(table, seal_key=SEAL)
+    assert serialize_table(table) == serialize_table(table, rng=random.Random(1))
 
 
 def test_tables_at_production_size_are_8_kib_open_and_24_and_40_kib_sealed():

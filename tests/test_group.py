@@ -417,9 +417,8 @@ def test_only_the_textbook_baselines_reach_the_comb(monkeypatch):
     assert verify(vctx, b"frame", sig)
     sender = enc_kg_sender(bob.record, kgc.public, params, rng)
     assert decrypt(bob, encrypt(sender, b"frame", rng)) == b"frame"
-    for table in (None, signer.table):
-        state = aq_hang_initiate(alice, rng, table=table)
-        aq_hang_finalize(alice, state, aq_hang_initiate(bob, rng, table=table).message)
+    state = aq_hang_initiate(alice, rng)
+    aq_hang_finalize(alice, state, aq_hang_initiate(bob, rng).message)
     assert calls == [[], []]
     public, recipient_key = alice.secret * G, reconstruct_pub(bob.record, kgc.public)
     for baseline in (lambda: reference_sign(alice.secret, b"frame", rng),

@@ -44,7 +44,7 @@ KEPT_CTR = {
     "iodcrypt.sign.verify": 3,
     "iodcrypt.encrypt.encrypt": 3,
     "iodcrypt.encrypt.decrypt": 2,
-    "iodcrypt.selfcert.aq_hang_initiate": 3,
+    "iodcrypt.selfcert.aq_hang_initiate": 2,
     "iodcrypt.selfcert.aq_hang_finalize": 4,
 }
 # aq_hang_finalize keeps ``system_public`` too, unread, because perfbench passes ``ctr``
@@ -161,14 +161,12 @@ def _kept_calls(world):
     peer_message = aq_hang_initiate(peer, rng).message
     aq_hang_finalize(station, aq_hang_initiate(station, rng), peer_message)
     state = aq_hang_initiate(station, rng)
-    table = world.signer.table
     return {
         "sign": (sign_module, lambda f, ctr: f(world.signer, MESSAGE, rng, ctr)),
         "verify": (sign_module, lambda f, ctr: f(world.vctx, MESSAGE, world.sig, ctr)),
         "encrypt": (encrypt_module, lambda f, ctr: f(world.sender, MESSAGE, rng, ctr)),
         "decrypt": (encrypt_module, lambda f, ctr: f(world.receiver, world.ct, ctr)),
-        "aq_hang_initiate": (selfcert_module,
-                             lambda f, ctr: f(station, rng, table=table, ctr=ctr)),
+        "aq_hang_initiate": (selfcert_module, lambda f, ctr: f(station, rng, ctr=ctr)),
         "aq_hang_finalize": (selfcert_module,
                              lambda f, ctr: f(station, state, peer_message, None, ctr)),
     }
@@ -315,8 +313,7 @@ def _measured(world):
         "verify": [_count(sign_module.verify, world.vctx, MESSAGE, world.sig)],
         "decrypt": [_count(encrypt_module.decrypt, b, world.ct)],
         "static shared secret": [_count(aq_shared_static, a, b.record)],
-        "handshake initiate (no table)": [_count(aq_hang_initiate, a, rng)],
-        "handshake initiate (table)": [_count(aq_hang_initiate, a, rng, table=tables[0])],
+        "handshake initiate": [_count(aq_hang_initiate, a, rng)],
         "handshake finalize (cached x·D)": [_count(aq_hang_finalize, a, aq_hang_initiate(a, rng),
                                                    aq_hang_initiate(b, rng).message)],
         "handshake finalize (known peer)": [
@@ -337,7 +334,7 @@ def _measured(world):
 def test_every_readme_budget_cell_holds_at_the_default_table_size(world):
     rows = _readme_budget_rows()
     measured = _measured(world)
-    assert len(rows) == 15
+    assert len(rows) == 14
     assert [op for op, _, _ in rows] == list(measured)
     for op, mults, adds in rows:
         runs = measured[op]
