@@ -1,6 +1,8 @@
 """The summary arithmetic of tools/pairs.py, on fixed run records: no timing, no subprocess."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,42 @@ def test_a_workload_sums_failures_and_skips_a_pair_without_the_metric():
     # The second pair has no msgs_per_s on the parent's side, so two pairs remain.
     assert (msgs["pairs"], msgs["wins"], msgs["change"]["median"]) == (2, 1, 50.0)
     assert msgs["loss"] == 0
+
+
+def test_a_metric_too_few_pairs_carry_is_reported_not_dropped():
+    # Every run of the change failed before measuring: its metrics are gone.
+    runs = {"parent": [_run(0, setup_s=1.0, msgs_per_s=50.0)] * 3, "change": [_run(1)] * 3}
+    out = pairs.summarize_workload(runs, END_TO_END)
+    assert out["metrics"]["setup_s"] == {
+        "better": "lower", "bound": 0.25, "pairs": 0,
+        "runs_with_metric": {"parent": 3, "change": 0}, "verdict": "worse"}
+    assert out["metrics"]["msgs_per_s"]["verdict"] == "worse"
+    # Neither side carries it: nothing to compare, and no loss to blame on the change.
+    both = pairs.summarize_workload({"parent": [_run(1)] * 3, "change": [_run(1)] * 3},
+                                    END_TO_END)
+    assert {m["verdict"] for m in both["metrics"].values()} == {"missing"}
+
+
+def _child(returncode, *lines):
+    def run(args, **kwargs):
+        return subprocess.CompletedProcess(args, returncode, "\n".join(lines) + "\n", "boom")
+    return run
+
+
+def test_a_run_keeps_its_info_line_and_a_crash_counts_as_one_failed_attempt(monkeypatch):
+    info = {"workload": "w", "env": {"python": "3"}}
+    result = {"correct": True, "attempted": 5, "failed": 0, "metrics": {}}
+    monkeypatch.setattr(pairs.subprocess, "run",
+                        _child(0, "noise", json.dumps(info), json.dumps(result)))
+    assert pairs._run(Path("."), "w", 1, 20) == {**result, "info": info}
+    for child in (_child(1, json.dumps(info), json.dumps(result)), _child(0, "Traceback")):
+        monkeypatch.setattr(pairs.subprocess, "run", child)
+        crashed = pairs._run(Path("."), "w", 1, 20)
+        assert (crashed["correct"], crashed["attempted"], crashed["failed"],
+                crashed["metrics"]) == (False, 1, 1, {})
+
+
+def test_fewer_pairs_than_a_verdict_needs_are_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        pairs.main([str(tmp_path), "--pairs", "9", "--out", str(tmp_path / "out.json")])
+    assert not (tmp_path / "out.json").exists()

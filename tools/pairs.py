@@ -1,28 +1,33 @@
 """Alternating parent/change pairs of perfbench runs, summarised in one BENCH file.
 
-    python3 tools/pairs.py PARENT_TREE --pairs 10 --seconds 10 --seeds 4401 4402 --out BENCH_36.json
+    python3 tools/pairs.py PARENT_TREE --pairs 10 --seeds 4401 4402 --out BENCH_36.json
 
 PARENT_TREE is a second checkout of the code to compare with, made for
 example with ``git archive <commit> | tar -x -C PARENT_TREE``.  For each
 workload and each pair, ``perfbench/run.py`` runs once in PARENT_TREE and
-once in this checkout, unchanged and untraced, with the same seed and
-``--seconds``.  The parent runs first in even pairs and second in odd ones,
-so drift in host speed falls on both sides alike.  Pair i takes seed
-``seeds[i % len(seeds)]``.  Both trees must hold compiled bytecode under
-``src/``, or neither, as a fresh checkout holds none.
+once in this checkout, unchanged and untraced, with the same seed and the
+run length ``BENCHMARK.json`` sets (``run_seconds``).  The parent runs
+first in even pairs and second in odd ones, so drift in host speed falls
+on both sides alike.  Pair i takes seed ``seeds[i % len(seeds)]``.  At
+least 10 pairs are run, as many as a gain or a regression is judged on.
+Both trees must hold compiled bytecode under ``src/``, or neither, as a
+fresh checkout holds none.
 
-Each run's last line of output, perfbench's result (``correct``,
-``attempted``, ``failed`` and ``metrics``), is kept in the output file.
-For every workload and every end-to-end metric of ``BENCHMARK.json`` the
-file also holds both sides' medians and quartiles, the pairs the change
-won, the change's relative loss against the parent's median, and a
-verdict against the metric's bound.
+Each run's result line (``correct``, ``attempted``, ``failed`` and
+``metrics``) is kept in the output file, with the line perfbench prints
+before it (the environment and code measured, and per-operation detail)
+under ``info``.  A run that exits non-zero or prints no result counts as
+one failed attempt with no metrics, as perfbench counts a run that could
+not finish.  For every workload and every end-to-end metric of
+``BENCHMARK.json`` the file also holds both sides' medians and quartiles,
+the pairs the change won, the change's relative loss against the
+parent's median, and a verdict against the metric's bound.  The file is
+rewritten after each workload.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import statistics
 import subprocess
@@ -31,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
 
 
 def _spread(values: list[float]) -> dict:
@@ -80,7 +86,10 @@ def summarize_workload(runs: dict[str, list[dict]], end_to_end: list[dict]) -> d
 
     ``runs`` maps "parent" and "change" to perfbench result lines in pair
     order.  A run without a metric (it failed before measuring) leaves its
-    pair out of that metric.
+    pair out of that metric.  A metric with fewer than two complete pairs
+    is still reported, with how many runs of each side carry it: "worse"
+    when the change carries it in fewer runs than the parent, else
+    "missing".
     """
     out = {side: {"attempted": sum(r["attempted"] for r in runs[side]),
                   "failed": sum(r["failed"] for r in runs[side]),
@@ -95,6 +104,13 @@ def summarize_workload(runs: dict[str, list[dict]], end_to_end: list[dict]) -> d
         if len(pairs) >= 2:
             parent, change = map(list, zip(*pairs))
             out["metrics"][name] = summarize_metric(parent, change, spec["better"], spec["bound"])
+            continue
+        carried = {side: sum(name in r["metrics"] for r in runs[side]) for side in SIDES}
+        out["metrics"][name] = {
+            "better": spec["better"], "bound": spec["bound"], "pairs": len(pairs),
+            "runs_with_metric": carried,
+            "verdict": "worse" if carried["change"] < carried["parent"] else "missing",
+        }
     return out
 
 
@@ -103,36 +119,30 @@ def _cached(tree: Path) -> bool:
     return any((tree / "src").rglob("*.pyc"))
 
 
-def _code(tree: Path) -> dict:
-    """The code a tree runs: its commit if it is a git checkout, and a digest of its sources."""
-    digest = hashlib.sha256()
-    for path in sorted((tree / "src" / "iodcrypt").rglob("*.py")):
-        digest.update(path.relative_to(tree / "src").as_posix().encode() + b"\0")
-        digest.update(path.read_bytes())
-    commit = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
-                            capture_output=True, text=True, check=False).stdout.strip()
-    return {"commit": commit or None, "src_sha256": digest.hexdigest(),
-            "bytecode_cache": _cached(tree)}
-
-
 def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in ``tree``; its last line of output."""
+    """One untraced perfbench run in ``tree``: its result line, the line before under ``info``."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+                          cwd=tree, capture_output=True, text=True, check=False)
+    try:
+        info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+        if proc.returncode == 0:
+            return {**result, "info": info}
+    except ValueError:
+        pass
+    return {"correct": False, "attempted": 1, "failed": 1, "metrics": {},
+            "crash": {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_tree", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seeds", type=int, nargs="+", default=[4401])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent_tree.resolve(), "change": ROOT}
     if not (trees["parent"] / "perfbench" / "run.py").is_file():
@@ -143,22 +153,25 @@ def main(argv=None) -> int:
         parser.error("one tree holds compiled bytecode under src/ and the other does not; "
                      "delete its __pycache__ directories or compile both")
 
-    report = {"seconds": args.seconds, "seeds": args.seeds, "pairs": args.pairs,
-              "python": sys.version.split()[0],
-              "code": {side: _code(tree) for side, tree in trees.items()},
-              "workloads": {}}
+    seconds = spec["run_seconds"]
+    report = {"seconds": seconds, "seeds": args.seeds, "pairs": args.pairs,
+              "bytecode_cache": _cached(ROOT), "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             seed = args.seeds[i % len(args.seeds)]
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                runs[side].append(_run(trees[side], workload, seed, args.seconds))
+                runs[side].append(_run(trees[side], workload, seed, seconds))
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
         report["workloads"][workload] = {**summarize_workload(runs, spec["end_to_end"]),
                                          "runs": runs}
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, summary in report["workloads"].items():
         for name, m in summary["metrics"].items():
+            if "loss" not in m:
+                print(f"{workload} {name}: {m['pairs']} complete pairs, runs with it "
+                      f"{m['runs_with_metric']}: {m['verdict']}")
+                continue
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"({m['parent']['q1']:.6g}-{m['parent']['q3']:.6g}), change "
                   f"{m['change']['median']:.6g}, change better in {m['wins']}/{m['pairs']}, "
