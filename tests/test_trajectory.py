@@ -157,7 +157,8 @@ def test_every_block_runs_once_into_the_file_and_the_summary(monkeypatch, tmp_pa
     source = report["source"]
     assert source["src"]["code"] == sum(m["code"] for m in source["modules"].values())
     assert set(source["modules"]) == {p.name for p in (ROOT / "src" / "iodcrypt").glob("*.py")}
-    assert "iodcrypt.cli" in report["imports"]["library"] and len(report["imports"]["largest"]) == 15
+    assert "iodcrypt.cli" in report["imports"]["library"]
+    assert len(report["imports"]["largest"]) == 15
     assert report["process"]["ms"].keys() == {"sign", "verify", "encrypt", "decrypt"}
     assert report["process"]["encrypt_slower"] in (0, 1, 2)
     from iodcrypt.bench import BENCH_OPS, REFERENCE_OP_ORDER
@@ -170,4 +171,4 @@ def test_every_block_runs_once_into_the_file_and_the_summary(monkeypatch, tmp_pa
     assert report["paper"]["sign"] == {"host": 1.0, "avr": 1.0, "arm": 1.0}
     summary = capsys.readouterr().out
     assert all(f"### {block}\n" in summary for block in trajectory.BLOCKS)
-    assert "| `source.src.code` |" not in summary and "| `src.code` |" in summary
+    assert f"| `src.code` | {source['src']['code']} |" in summary

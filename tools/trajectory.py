@@ -1,6 +1,6 @@
 """Every measurement of this checkout in one JSON file, with a markdown summary on stdout.
 
-    python3 tools/trajectory.py [PARENT_TREE --pairs 10 --seeds 4401 4402] --out BENCH_37.json
+    python3 tools/trajectory.py [PARENT_TREE --pairs 10 --seeds 4401 4402] --out BENCH.json
 
 Its blocks: ``env`` (the code measured, versions, usable CPUs, a child
 interpreter's flags and preloaded modules, bytecode under ``src/``);
