@@ -76,7 +76,6 @@ from __future__ import annotations
 import math
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .errors import (
     IntegrityMismatch,
@@ -88,6 +87,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .group import (
+    ChaCha20Poly1305,
     G,
     GroupElement,
     Scalar,

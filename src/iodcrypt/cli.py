@@ -54,9 +54,11 @@ and x) and ``decrypt`` (x) read the key file with ``read_drone_key``,
 which checks its header, length, id and x but decodes neither U nor x*D,
 so they accept a file whose U or x*D is malformed; ``keyver`` and
 ``exchange`` decode and check both, x*D against x times the system key
-too.  A ``sign`` process so loads no X25519 and no OpenSSL backend
-module.  Only ``encrypt`` on the direct path builds the comb of G (about
-6 ms): it calls ``reference_encrypt``, a textbook baseline.
+too.  A ``sign`` process so builds no X25519 key.  No process loads
+``cryptography``'s OpenSSL backend module or its ``ciphers`` package:
+``group`` takes X25519 and the AEAD from the binding under the public
+wrappers.  Only ``encrypt`` on the direct path builds the comb of G
+(about 6 ms): it calls ``reference_encrypt``, a textbook baseline.
 
 ``main`` builds the parser of the first command word in argv alone;
 where its top level would print usage or help, or no command word is

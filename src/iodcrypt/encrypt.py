@@ -32,7 +32,6 @@ keys, a raw stream cipher and a separate MAC) raise UnsupportedVersion.
 from __future__ import annotations
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
@@ -46,6 +45,7 @@ from .errors import (
     UnsupportedParams,
 )
 from .group import (
+    ChaCha20Poly1305,
     GroupElement,
     OpCounter,
     _UNBOUND,

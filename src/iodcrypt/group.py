@@ -26,7 +26,7 @@ Two layers of API:
 Products run on two paths:
 
 * **every product**, of G or any other base, single or in a table column:
-  X25519 (RFC 7748, in C in ``cryptography``, imported on first use) with
+  X25519 (RFC 7748, in C in ``cryptography``'s binding) with
   two private keys, for k and k+1 (k-1 for k = N-1), whose exchanges with B
   give u(k*B) and u((k+1)*B); the Okeya-Sakurai formula recovers v from
   them and B's (u, v).  For B = G each key's own public key, which loading
@@ -80,9 +80,15 @@ Importing the module takes no exponentiation, inversion or square root:
 d, 2d, 1/d, sqrt(-1), G, G's (u, v) and 1/8 mod N are written out.  Every
 SHA-256 and SHA-512 of the package is :func:`digest`, on the OpenSSL inside
 ``cryptography``, so no process loads ``hashlib``'s as a second one.
-X25519, and with it ``cryptography``'s OpenSSL backend module, loads on
-the first decode, table column or product other than :func:`comb_mult`'s,
-so a process that signs from a sealed table loads neither.
+X25519 keys and ``ChaCha20Poly1305`` come straight from the Rust binding
+that ``cryptography``'s public wrappers call, which that hashing already
+loaded: the same objects, but no process imports the OpenSSL backend
+module (about 5 ms, which the key wrappers import on each call to check
+for FIPS mode), the public ``x25519`` module or the ``ciphers`` package
+(about 4 ms, which the AEAD's import runs).  The wrappers refused X25519
+under FIPS mode with ``UnsupportedAlgorithm``; a key that the binding
+cannot build raises its ``ValueError`` instead, never
+:class:`MalformedElement`.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ from contextlib import nullcontext
 from functools import lru_cache
 from operator import attrgetter
 
+from cryptography.hazmat.bindings._rust import openssl as _openssl  # what the public wrappers call
 from cryptography.hazmat.primitives.hashes import SHA256, SHA512, Hash
 
 from .errors import BadMagic, MalformedElement, MalformedScalar, TruncatedFile, UnsupportedVersion
@@ -110,6 +117,9 @@ _SQRT_M1 = 196811613767075059568070793049885420154460665159238901627440210731238
 ELEMENT_LEN = 32
 SCALAR_LEN = 32
 GROUP_ID = 0x01
+
+# The AEAD of sealed tables and ciphertexts (RFC 8439): the class ``ciphers.aead`` re-exports.
+ChaCha20Poly1305 = _openssl.aead.ChaCha20Poly1305
 
 
 def _frame(magic: bytes, *parts: bytes) -> bytes:
@@ -403,15 +413,11 @@ def _clamp_form(k):
 # element's first product, reuses.
 @lru_cache(maxsize=1)
 def _x25519_base(u):
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
-
-    return X25519PublicKey.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
+    return _openssl.x25519.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
 
 
 def _private_key(s):
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
-    return X25519PrivateKey.from_private_bytes(s.to_bytes(SCALAR_LEN, "little"))
+    return _openssl.x25519.from_private_bytes(s.to_bytes(SCALAR_LEN, "little"))
 
 
 # Kept: the check key, built on first use, and mul_u's last two (_mul's scalars change each
@@ -425,8 +431,8 @@ def _ladder_u(k, bases, key=None):
     # s of k (default _private_key): an exchange with B's X25519 public key, or for B = G,
     # given as None, the key's own public key, which the load already computed.  A k with no
     # clamp form is 8j: it takes u(j * B) by the same rule, then three x-only doublings on
-    # (X : Z).  ValueError when an exchange's output is all-zero (s * B is the identity:
-    # s = 0 mod 8 clears order 2).
+    # (X : Z).  MalformedElement when an exchange's output is all-zero (s * B is the identity:
+    # s = 0 mod 8 clears order 2); a key that cannot be built raises what its constructor does.
     if k == 0:
         return [0] * len(bases)
     doublings = 0
@@ -437,7 +443,10 @@ def _ladder_u(k, bases, key=None):
     private = (key or _private_key)(s)
     out = []
     for base in bases:
-        raw = private.public_key().public_bytes_raw() if base is None else private.exchange(base)
+        try:
+            raw = private.public_key().public_bytes_raw() if base is None else private.exchange(base)
+        except ValueError:  # the binding's refusal of an all-zero output: B is a torsion point
+            raise MalformedElement("point outside the prime-order subgroup") from None
         x, z = int.from_bytes(raw, "little"), 1
         for _ in range(doublings):
             xx, zz, xz = x * x % P, z * z % P, x * z % P
@@ -696,12 +705,9 @@ def decode_u(data: bytes) -> int:
     u = int.from_bytes(data, "little")
     if len(data) != ELEMENT_LEN or not 0 < u < P:
         raise MalformedElement("not a canonical 32-byte u other than 0")
-    try:
-        if _ladder_u(1, (_x25519_base(u),), _check_key) == [u]:
-            return u
-    except ValueError:  # c * R is the identity: R is a torsion point
-        pass
-    raise MalformedElement("point outside the prime-order subgroup")
+    if _ladder_u(1, (_x25519_base(u),), _check_key) != [u]:  # c * R is not +-R
+        raise MalformedElement("point outside the prime-order subgroup")
+    return u
 
 
 _HALF = (P + 1) // 2  # 1/2 mod P

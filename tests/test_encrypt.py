@@ -422,7 +422,7 @@ def test_ciphertext_carries_u_of_the_ephemeral_point(setup):
 
 
 class _CountingKey:
-    """Stands in for X25519PrivateKey, counting what a decrypt derives and runs."""
+    """Stands in for the X25519 private keys group builds, counting what a decrypt derives and runs."""
 
     real = built = exchanges = None
 
@@ -432,7 +432,7 @@ class _CountingKey:
     @classmethod
     def from_private_bytes(cls, data):
         cls.built.append(data)
-        return cls(cls.real.from_private_bytes(data))
+        return cls(cls.real(data))
 
     def exchange(self, peer):
         self.exchanges.append(peer)
@@ -444,13 +444,12 @@ class _CountingKey:
 
 @pytest.fixture
 def counting_keys(monkeypatch):
-    """X25519 private keys that count; none is kept after the test."""
-    from cryptography.hazmat.primitives.asymmetric import x25519
-
-    monkeypatch.setattr(_CountingKey, "real", x25519.X25519PrivateKey)
+    """X25519 private keys that count, from group's own constructor; none is kept after the test."""
+    x25519 = group._openssl.x25519
+    monkeypatch.setattr(_CountingKey, "real", x25519.from_private_bytes)
     monkeypatch.setattr(_CountingKey, "built", [])
     monkeypatch.setattr(_CountingKey, "exchanges", [])
-    monkeypatch.setattr(x25519, "X25519PrivateKey", _CountingKey)
+    monkeypatch.setattr(x25519, "from_private_bytes", _CountingKey.from_private_bytes)
     yield _CountingKey
     for cache in (group._check_key, group._last_key):
         cache.cache_clear()

@@ -370,7 +370,8 @@ def test_g_never_gets_a_ladder(monkeypatch):
 def test_nothing_is_built_at_import_time():
     code = ("import sys, iodcrypt.cli, iodcrypt.group as g; "
             "assert g._G_COMB is None and g._check_key.cache_info().currsize == 0; "
-            "assert 'cryptography.hazmat.primitives.asymmetric.x25519' not in sys.modules")
+            "assert not {'cryptography.hazmat.primitives.asymmetric.x25519', "
+            "'cryptography.hazmat.primitives.ciphers'} & set(sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(group.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -1010,6 +1011,39 @@ def test_decode_makes_no_pow_call_and_one_x25519_call(monkeypatch):
         point = decode_element(wire)
         assert (calls, len(exchanges)) == ([], 1)
         assert point == expected
+
+
+def test_the_binding_gives_the_public_wrappers_objects_and_bytes():
+    # group takes X25519 keys and the AEAD from the binding under cryptography's public
+    # wrappers: the same classes, and the same public keys and exchanges.
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
+    assert group.ChaCha20Poly1305 is ChaCha20Poly1305
+    rng = random.Random(38)
+    for _ in range(4):
+        s, t = rng.randrange(2**256), rng.randrange(2**256)
+        public = X25519PrivateKey.from_private_bytes(t.to_bytes(32, "little")).public_key()
+        key, base = group._private_key(s), group._x25519_base(_le(public.public_bytes_raw().hex()))
+        assert isinstance(key, X25519PrivateKey) and isinstance(base, X25519PublicKey)
+        theirs = X25519PrivateKey.from_private_bytes(s.to_bytes(32, "little"))
+        assert key.public_key().public_bytes_raw() == theirs.public_key().public_bytes_raw()
+        assert key.exchange(base) == theirs.exchange(public)
+
+
+@pytest.mark.parametrize("constructor", ["from_private_bytes", "from_public_bytes"])
+def test_a_key_the_binding_cannot_build_is_not_a_malformed_element(monkeypatch, constructor):
+    # As under FIPS mode, where the public wrappers raised UnsupportedAlgorithm: the
+    # subgroup check must not report the failure as a point outside the subgroup.
+    def refuse(data):
+        raise ValueError("no X25519 here")
+
+    monkeypatch.setattr(group._openssl.x25519, constructor, refuse)
+    for cache in (group._check_key, group._x25519_base):
+        cache.cache_clear()
+    for decode, wire in ((decode_u, _u_bytes(9)), (decode_element, G.encode())):
+        with pytest.raises(ValueError, match="no X25519 here"):
+            decode(wire)
 
 
 # --------------------------------------------------------------------------

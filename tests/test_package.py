@@ -122,11 +122,25 @@ def test_crypto_commands_load_no_bench_json_or_dataclasses_module(tmp_path):
                                            "decrypt"]
 
 
+def test_only_group_names_cryptographys_binding():
+    # group takes X25519 and ChaCha20-Poly1305 from the binding under the public
+    # wrappers; every other module takes them from group, so one module alone
+    # depends on the binding's layout.
+    naming = [path.name for path in sorted(Path(iodcrypt.__file__).parent.glob("*.py"))
+              if "cryptography.hazmat.bindings" in path.read_text()]
+    assert naming == ["group.py"]
+
+
+# What no process loads: cryptography's public wrappers of X25519 and the AEAD.  The
+# key wrappers import the OpenSSL backend module on each call, to check for FIPS mode,
+# and ``ciphers.aead`` runs the whole ``ciphers`` package; group takes the same keys and
+# AEAD from the binding they call.
+WRAPPERS = ("cryptography.hazmat.backends.openssl.backend",
+            "cryptography.hazmat.primitives.asymmetric.x25519",
+            "cryptography.hazmat.primitives.ciphers")
 # What a sign process leaves unloaded: hashlib's OpenSSL, a second one next to
-# cryptography's, and cryptography's OpenSSL backend with X25519, which only a decode
-# or a product of a point other than G would import.
-NOT_IN_SIGN = ("_hashlib", "hashlib", "cryptography.hazmat.backends.openssl.backend",
-               "cryptography.hazmat.primitives.asymmetric.x25519")
+# cryptography's, and the wrappers.
+NOT_IN_SIGN = ("_hashlib", "hashlib", *WRAPPERS)
 
 
 def test_sign_loads_no_x25519_no_openssl_backend_and_no_hashlib(tmp_path):
@@ -140,13 +154,18 @@ def test_sign_loads_no_x25519_no_openssl_backend_and_no_hashlib(tmp_path):
         "from iodcrypt.cli import main\n"
         f"code = main(['sign', '--key', 'alpha', {str(message)!r}, '--home', {home!r}])\n"
         f"print(json.dumps([code, sorted(set({NOT_IN_SIGN!r}) & set(sys.modules))]))\n"
+        "from iodcrypt import group\n"
+        "print(group._check_key.cache_info().currsize)\n"
         f"main(['verify', '--sig', {str(message) + '.sig'!r}, {str(message)!r}, '--home', {home!r}])\n"
-        f"print(json.dumps(sorted(set({NOT_IN_SIGN!r}) & set(sys.modules))))\n"
+        "print(json.dumps([group._check_key.cache_info().currsize,\n"
+        f"                  sorted(set({NOT_IN_SIGN!r}) & set(sys.modules))]))\n"
     )
     lines = out.splitlines()
     assert json.loads(lines[1]) == [0, []]
-    # The control: verify's product of the signer's key imports the backend and X25519.
-    assert json.loads(lines[-1]) == list(NOT_IN_SIGN[2:])
+    # Sign built no X25519 key.  The control: verify builds them, the subgroup check's
+    # among them, for its decodes and products, and still loads none of the wrappers.
+    assert lines[2] == "0"
+    assert json.loads(lines[-1]) == [1, []]
 
 
 def test_no_command_loads_hashlib(tmp_path):
@@ -167,7 +186,7 @@ def test_no_command_loads_hashlib(tmp_path):
         "import json, sys\n"
         "from iodcrypt.cli import main\n"
         f"codes = [main([*argv, '--home', {home!r}]) for argv in {commands!r}]\n"
-        "print(json.dumps([codes, sorted({'hashlib', '_hashlib'} & set(sys.modules))]))\n"
+        f"print(json.dumps([codes, sorted({{'hashlib', '_hashlib', *{WRAPPERS!r}}} & set(sys.modules))]))\n"
     )
     assert json.loads(out.splitlines()[-1]) == [[0] * len(commands), []]
     assert Path(f"{message}.dec").read_bytes() == Path(message).read_bytes()

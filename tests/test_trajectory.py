@@ -1,6 +1,7 @@
 """tools/trajectory.py: the pair summaries on fixed run records, the source split on a fixed
 snippet, and one run of every block at lowered round counts, which checks no timing."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -112,14 +113,46 @@ def test_fewer_pairs_than_a_verdict_needs_are_refused(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_the_pair_mode_writes_the_keys_of_bench_36(monkeypatch, tmp_path):
-    bench_36 = json.loads((ROOT / "BENCH_36.json").read_text())
+def _tree(root, edit=None):
+    """A parent tree under ``root``: this perfbench/run.py and library, ``edit`` appended to group."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_bytes((ROOT / "perfbench" / "run.py").read_bytes())
+    (root / "src" / "iodcrypt").mkdir(parents=True)
+    for path in (ROOT / "src" / "iodcrypt").glob("*.py"):
+        text = path.read_text() + (edit if edit and path.name == "group.py" else "")
+        (root / "src" / "iodcrypt" / path.name).write_text(text)
+    return root
+
+
+def _pairs(monkeypatch, parent):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     record = {**_run(0, setup_s=1.0, msgs_per_s=50.0), "info": {"env": {}}}
     monkeypatch.setattr(trajectory, "_run", lambda tree, workload, seed, seconds: record)
     report, writes = {}, []
-    trajectory.pair_runs(tmp_path, 10, [4401, 4402], spec, report, lambda: writes.append(1))
-    assert report.keys() == bench_36.keys() and len(writes) == len(spec["workloads"])
+    trajectory.pair_runs(parent, 10, [4401, 4402], spec, report, lambda: writes.append(1))
+    assert len(writes) == len(spec["workloads"])
+    return report
+
+
+def test_each_side_of_the_pairs_is_named_by_its_own_source_digest(monkeypatch, tmp_path):
+    # Each tree's own perfbench digests its own src/, whatever its path: a byte-for-byte
+    # copy of the library names the same code, one more line in group does not.
+    ours = trajectory._perfbench(ROOT)._source_digest()
+    same = _pairs(monkeypatch, _tree(tmp_path / "same"))
+    assert same["src_sha256"] == {"parent": ours, "change": ours} and not same["src_differs"]
+    edited = _pairs(monkeypatch, _tree(tmp_path / "edited", "# one more line\n"))
+    assert edited["src_sha256"]["change"] == ours and edited["src_differs"]
+    expected = hashlib.sha256()
+    for path in sorted((tmp_path / "edited" / "src" / "iodcrypt").glob("*.py")):
+        expected.update(f"iodcrypt/{path.name}".encode() + b"\0" + path.read_bytes())
+    assert edited["src_sha256"]["parent"] == expected.hexdigest()
+
+
+def test_the_pair_mode_writes_the_keys_of_bench_36(monkeypatch, tmp_path):
+    bench_36 = json.loads((ROOT / "BENCH_36.json").read_text())
+    report = _pairs(monkeypatch, _tree(tmp_path))
+    # BENCH_36's keys, and since then each side's source digest.
+    assert report.keys() == bench_36.keys() | {"src_sha256", "src_differs"}
     assert report["workloads"].keys() == bench_36["workloads"].keys()
     for name, workload in bench_36["workloads"].items():
         ours = report["workloads"][name]
@@ -160,6 +193,12 @@ def test_every_block_runs_once_into_the_file_and_the_summary(monkeypatch, tmp_pa
     assert "iodcrypt.cli" in report["imports"]["library"]
     assert len(report["imports"]["largest"]) == 15
     assert report["process"]["ms"].keys() == {"sign", "verify", "encrypt", "decrypt"}
+    # What each command's process loads: none of cryptography's public X25519 and AEAD
+    # wrappers, which group takes from their binding.
+    loads = report["process"]["loads"]
+    assert loads.keys() == report["process"]["ms"].keys()
+    assert report["process"]["watched"] == list(trajectory.WATCHED)
+    assert all(load["modules"] > 0 and load["loaded"] == [] for load in loads.values())
     assert report["process"]["encrypt_slower"] in (0, 1, 2)
     from iodcrypt.bench import BENCH_OPS, REFERENCE_OP_ORDER
     in_process = report["in_process"]

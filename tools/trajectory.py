@@ -6,8 +6,9 @@ Its blocks: ``env`` (the code measured, versions, usable CPUs, a child
 interpreter's flags and preloaded modules, bytecode under ``src/``);
 ``source`` (``src/iodcrypt``'s lines by kind); ``imports`` (``-X
 importtime`` of ``iodcrypt.cli``, µs); ``process`` (whole ``iodcrypt``
-processes, ms); ``in_process`` (``bench.run_bench``, and ``group``'s
-additions, comb build and decode); ``paper`` (each op of
+processes, ms, and per command one untimed process's module count and
+which of ``WATCHED`` it loaded); ``in_process`` (``bench.run_bench``, and
+``group``'s additions, comb build and decode); ``paper`` (each op of
 ``bench.REFERENCE_OP_ORDER`` as a ratio to ``sign``, here and in the
 paper's cycle counts).  Repeated timings alternate their order each round.
 
@@ -16,12 +17,14 @@ PARENT_TREE``), ``perfbench/run.py`` first runs unchanged and untraced for
 each workload of ``BENCHMARK.json`` in at least 10 pairs, once in each tree
 with seed ``seeds[i % len(seeds)]`` and the run length ``run_seconds``, the
 parent first in even pairs.  Both trees must hold bytecode under ``src/``,
-or neither.  Each run's result line is kept, with perfbench's line before
-it under ``info``; a run that exits non-zero or prints no result counts as
-one failed attempt.  Per workload and end-to-end metric the file holds
-both sides' medians and quartiles, the pairs the change won, its loss
-against the parent's median and a verdict against the metric's bound.
-The file is rewritten after each block and each workload.
+or neither.  Each tree's ``src/`` is named by its own perfbench's source
+digest, and the file says whether the two differ.  Each run's result line
+is kept, with perfbench's line before it under ``info``; a run that exits
+non-zero or prints no result counts as one failed attempt.  Per workload
+and end-to-end metric the file holds both sides' medians and quartiles,
+the pairs the change won, its loss against the parent's median and a
+verdict against the metric's bound.  The file is rewritten after each
+block and each workload.
 """
 
 import argparse
@@ -52,6 +55,11 @@ LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, token
 DEFS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 KINDS = ("code", "docstring", "comment", "blank", "total")
 BLOCKS = ("env", "source", "imports", "process", "in_process", "paper")
+# cryptography's public wrappers of X25519 and the AEAD and what they import, which no
+# iodcrypt process needs: the process block reports which of them each command loads.
+WATCHED = ("cryptography.hazmat.backends.openssl.backend",
+           "cryptography.hazmat.primitives.asymmetric.x25519",
+           "cryptography.hazmat.primitives.ciphers")
 
 
 def _spread(values: list[float]) -> dict:
@@ -73,10 +81,16 @@ def _timed(f, *args) -> float:
     return 1e6 * (time.perf_counter() - start)
 
 
-def env() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+def _perfbench(tree: Path):
+    """``tree``'s own ``perfbench/run.py`` as a module, whose paths name that tree."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", tree / "perfbench" / "run.py")
     perfbench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perfbench)
+    return perfbench
+
+
+def env() -> dict:
+    perfbench = _perfbench(ROOT)
     child = _python("-c", "import sys; m = sorted(sys.modules); "
                     "print(sys.flags.dont_write_bytecode, sys.flags.no_site, *m)")
     dont_write_bytecode, no_site, *preloaded = child.stdout.split()
@@ -122,6 +136,10 @@ def imports() -> dict:
 
 def process() -> dict:
     entry = "import sys; from iodcrypt.cli import main; sys.exit(main())"
+    # The same command in a process that then reports what it loaded: untimed.
+    probe = ("import sys; from iodcrypt.cli import main; code = main(); "
+             f"print(len(sys.modules), *(m for m in {WATCHED!r} if m in sys.modules)); "
+             "sys.exit(code)")
     cached = _cached(ROOT)  # after the imports block, which may have left bytecode
     with tempfile.TemporaryDirectory() as home:
         message = os.path.join(home, "frame.bin")
@@ -142,12 +160,18 @@ def process() -> dict:
                "decrypt": ["decrypt", "--key", "bravo", message + ".enc"]}
         run(*ops["sign"])
         run(*ops["encrypt"])
+        loads = {}
+        for op, argv in ops.items():
+            last = _python("-c", probe, "--home", home, *argv).stdout.splitlines()[-1]
+            count, *loaded = last.split()
+            loads[op] = {"modules": int(count), "loaded": loaded}
         times = {op: [] for op in ops}
         for i in range(PROCESS_ROUNDS):
             for op in (list(ops) if i % 2 == 0 else list(ops)[::-1]):
                 times[op].append(run(*ops[op]))
     return {"rounds": PROCESS_ROUNDS, "bytecode_cache": cached,
             "ms": {op: _spread(values) for op, values in times.items()},
+            "watched": list(WATCHED), "loads": loads,
             "encrypt_slower": sum(e > d for e, d in zip(times["encrypt"], times["decrypt"]))}
 
 
@@ -274,8 +298,10 @@ def pair_runs(parent_tree: Path, pairs: int, seeds: list[int], spec: dict, repor
     """Every workload's alternating pairs into ``report``, calling ``write`` after each."""
     trees = {"parent": parent_tree, "change": ROOT}
     seconds = spec["run_seconds"]
+    digests = {side: _perfbench(tree)._source_digest() for side, tree in trees.items()}
     report.update({"seconds": seconds, "seeds": seeds, "pairs": pairs,
-                   "bytecode_cache": _cached(ROOT), "workloads": {}})
+                   "bytecode_cache": _cached(ROOT), "src_sha256": digests,
+                   "src_differs": digests["parent"] != digests["change"], "workloads": {}})
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
         for i in range(pairs):
