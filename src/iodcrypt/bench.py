@@ -5,16 +5,18 @@ Two jobs live here:
 * ``run_bench`` measures operations on the host, round-robin: fixed
   warm-up, median wall time over N rounds, and the exact per-call
   group-operation counts from an :class:`~iodcrypt.group.OpCounter`.
-* ``project_energy`` converts an execution time (or a cycle count at a
-  known clock rate) into energy via E = V * I * t for a device profile.
+* ``project_energy`` converts an execution time into joules via
+  E = V * I * t for a device profile.  A cycle count converts to a time
+  first, as ``cycles / profile.clock_hz``.
 
 The module also carries previously reported reference measurements for
 two embedded targets — an 8-bit AVR (ATmega2560-class: 5 V, 20 mA,
 16 MHz) and a Cortex-M4 (STM32F4-class: 3.3 V, 40 mA, 168 MHz) — cycle
 counts, storage footprints, message sizes, and published energy figures
-per operation.  Feeding a row's cycle count through ``project_energy``
-reproduces its published energy figure to well within rounding, which
-pins the energy arithmetic to the reference data.
+per operation.  Feeding a row's time, its cycles over the profile's
+clock rate, through ``project_energy`` reproduces its published energy
+figure to well within rounding, which pins the energy arithmetic to the
+reference data.
 
 Report emission supports an aligned text table (operation, cycles or
 time, memory, bandwidth, energy) and line-delimited JSON.
@@ -68,14 +70,6 @@ class BenchResult:
 
 
 @record
-class EnergyReport:
-    """E = V * I * t for one operation on one device profile."""
-
-    time_seconds: float
-    energy_joules: float
-
-
-@record
 class ReferenceRow:
     """Previously reported embedded-target figures for one operation.
 
@@ -109,30 +103,15 @@ REFERENCE_ROWS: dict[tuple[str, str], ReferenceRow] = {
 REFERENCE_OP_ORDER = ("aq_shared", "aq_hang", "sign", "verify", "encrypt", "decrypt")
 
 
-def project_energy(
-    profile: DeviceProfile,
-    cycles: int | None = None,
-    seconds: float | None = None,
-) -> EnergyReport:
-    """Energy for one execution: E = V * I * t.
+def project_energy(profile: DeviceProfile, seconds: float) -> float:
+    """Joules one execution of ``seconds`` spends on ``profile``: E = V * I * t.
 
-    Give either ``cycles`` (converted through the profile's clock rate)
-    or ``seconds`` directly; both must be strictly positive.
+    A cycle count converts to seconds first, as ``cycles / profile.clock_hz``.
+    A time that is not strictly positive raises InvalidMeasurement.
     """
-    if (cycles is None) == (seconds is None):
-        raise InvalidMeasurement("give exactly one of cycles or seconds")
-    if cycles is not None:
-        if cycles <= 0:
-            raise InvalidMeasurement("cycle count must be strictly positive")
-        if profile.clock_hz is None:
-            raise InvalidMeasurement(f"profile {profile.name!r} has no clock rate")
-        seconds = cycles / profile.clock_hz
     if seconds <= 0:
         raise InvalidMeasurement("execution time must be strictly positive")
-    return EnergyReport(
-        time_seconds=seconds,
-        energy_joules=profile.voltage * profile.current * seconds,
-    )
+    return profile.voltage * profile.current * seconds
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +249,16 @@ def device_report(profile_name: str) -> list[dict]:
     rows = []
     for op_name in REFERENCE_OP_ORDER:
         ref = REFERENCE_ROWS[(profile_name, op_name)]
-        projected = project_energy(profile, cycles=ref.cycles)
+        seconds = ref.cycles / profile.clock_hz
         rows.append(
             {
                 "profile": profile_name,
                 "op": op_name,
                 "cycles": ref.cycles,
-                "time_s": projected.time_seconds,
+                "time_s": seconds,
                 "memory_bytes": ref.memory_bytes,
                 "bandwidth_bytes": ref.bandwidth,
-                "energy_mj": projected.energy_joules * 1e3,
+                "energy_mj": project_energy(profile, seconds) * 1e3,
                 "reported_energy_mj": ref.energy_mj,
             }
         )
@@ -299,8 +278,7 @@ def host_report(results: list[BenchResult], profile: DeviceProfile | None = None
             "point_adds": result.point_adds,
         }
         if profile is not None:
-            projected = project_energy(profile, seconds=result.median_seconds)
-            row["energy_mj"] = projected.energy_joules * 1e3
+            row["energy_mj"] = project_energy(profile, result.median_seconds) * 1e3
         rows.append(row)
     return rows
 

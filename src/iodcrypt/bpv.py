@@ -152,7 +152,9 @@ class PrecompTable:
     receiver it was built for, and is empty for a ``(G,)`` table.  Any
     other length raises :class:`InvalidOwnerBinding` when the table is
     made, since the file has room for exactly that.
-    A base X that is the identity raises :class:`InvalidDesignatedPoint`.
+    Any other tuple of bases raises :class:`UnsupportedParams`, since
+    the file's kind byte names one of these two, and a base X that is the
+    identity raises :class:`InvalidDesignatedPoint`.
 
     ``stored[c][i]`` is r_i * bases[c] in the form of
     :func:`~iodcrypt.group.addends`, the one form that
@@ -170,7 +172,10 @@ class PrecompTable:
     owner_binding: bytes = b""
 
     def __post_init__(self):
-        _check_designated(self.bases)
+        if self.bases[:1] != (G,) or len(self.bases) > 2:
+            raise UnsupportedParams("a table's bases are (G,) or (G, X)")
+        if self.bases[1:] and self.bases[1].is_identity():
+            raise InvalidDesignatedPoint("designated point must not be the identity")
         expected = 32 * (len(self.bases) - 1)
         if len(self.owner_binding) != expected:
             raise InvalidOwnerBinding(
@@ -186,17 +191,6 @@ class PrecompTable:
         return self.params.k * 32 * (1 + len(self.bases))
 
 
-def _check_designated(bases) -> None:
-    if any(base.is_identity() for base in bases[1:]):
-        raise InvalidDesignatedPoint("designated point must not be the identity")
-
-
-def _columns(bases, scalars):
-    """The stored column r_i*B of each base B, k scalar mults each, once X is not the identity."""
-    _check_designated(bases)
-    return table_columns(bases, scalars)
-
-
 def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
     """Uniform random v-subset of [0, k-1] as distinct indices, by rejection of repeats."""
     chosen: set[int] = set()
@@ -207,7 +201,7 @@ def sample_subset(params: BpvParams, rng) -> tuple[int, ...]:
 
 def _build(params, bases, owner_binding, rng) -> PrecompTable:
     scalars = [random_scalar(rng) for _ in range(params.k)]
-    return PrecompTable(params, bases, scalars, _columns(bases, scalars), owner_binding)
+    return PrecompTable(params, bases, scalars, table_columns(bases, scalars), owner_binding)
 
 
 def _draw(table: PrecompTable, rng) -> tuple:
@@ -241,7 +235,12 @@ def dbpv_offline(
 
 
 def dbpv_online(table: PrecompTable, rng) -> tuple[Scalar, GroupElement, GroupElement]:
-    """Fresh (r, r*G, r*X) from a (G, X) table by subset sums: 2(v-1) adds, no mults."""
+    """Fresh (r, r*G, r*X) from a (G, X) table by subset sums: 2(v-1) adds, no mults.
+
+    A standard (G,) table raises UnsupportedParams: its draws are for :func:`bpv_online`.
+    """
+    if len(table.bases) != 2:
+        raise UnsupportedParams("needs a designated (G, X) table, not a standard one")
     return _draw(table, rng)
 
 
@@ -254,7 +253,7 @@ def verify_table(table: PrecompTable) -> None:
     scalar for all the bases).  An open load computes every point afresh;
     a sealed load reads the stored points, and relies on the seal instead.
     """
-    fresh = _columns(table.bases, table.scalars)
+    fresh = table_columns(table.bases, table.scalars)
     for name, stored, recomputed in zip(("generator", "designated"), table.stored, fresh):
         for idx, (point, expected) in enumerate(zip(stored, recomputed)):
             if point != expected:
@@ -392,4 +391,4 @@ def deserialize_table(data: bytes, *, seal_key: bytes | None = None) -> PrecompT
         owner_binding = body[off + 32 : off + 64]
         off += 64
     scalars = [decode_scalar(body[s : s + 32]) for s in range(off, off + 32 * k, 32)]
-    return PrecompTable(params, bases, scalars, _columns(bases, scalars), owner_binding)
+    return PrecompTable(params, bases, scalars, table_columns(bases, scalars), owner_binding)

@@ -102,7 +102,8 @@ from operator import attrgetter
 from cryptography.hazmat.bindings._rust import openssl as _openssl  # what the public wrappers call
 from cryptography.hazmat.primitives.hashes import SHA256, SHA512, Hash
 
-from .errors import BadMagic, MalformedElement, MalformedScalar, TruncatedFile, UnsupportedVersion
+from .errors import (BadMagic, InvalidDesignatedPoint, MalformedElement, MalformedScalar,
+                     TruncatedFile, UnsupportedVersion)
 
 # Field prime, curve constants, and prime subgroup order for Ed25519: d = -121665/121666,
 # 2d, 1/d and sqrt(-1) = 2^((P-1)/4), written out (RFC 8032 section 5.1); the tests
@@ -845,8 +846,11 @@ def table_columns(bases: tuple[GroupElement, ...], scalars: list[Scalar]) -> lis
     two X25519 keys, for r and its neighbour, and serves every base from
     them: G from each key's own public key, with no exchange and no comb,
     any other base with one exchange per key.  One shared field inversion
-    per base.  The bases must not be the identity.
+    per base.  A base that is the identity raises InvalidDesignatedPoint,
+    before any product is counted or key loaded.
     """
+    if any(base.is_identity() for base in bases):
+        raise InvalidDesignatedPoint("designated point must not be the identity")
     _tick(len(bases) * len(scalars))
     products = [p for r in scalars for p in _mul(bases, r.v)]
     return [_cached(_normalize(products[c :: len(bases)])) for c in range(len(bases))]

@@ -188,6 +188,23 @@ def test_table_needs_exactly_k_entries(k, columns):
                      columns(table.stored), table.owner_binding)
 
 
+# A table over (X,) used to save as kind 0 and load back over G, another table with no
+# error; one over (G, X, X) saved as kind 0x2, which neither reader accepts.  The bases
+# are refused before the identity and the owner binding are looked at.
+@pytest.mark.parametrize("bases,binding", [
+    (lambda x: (x,), b""),
+    (lambda x: (IDENTITY,), b""),
+    (lambda x: (G, x, x), bytes(64)),
+    (lambda x: (G, IDENTITY, x), b""),
+    (lambda x: (), b""),
+], ids=["X", "identity", "G-X-X", "G-identity-X", "none"])
+def test_a_table_is_over_g_or_over_g_and_one_point(bases, binding):
+    table, _, point = toy_designated()
+    bases = bases(point)
+    with pytest.raises(UnsupportedParams, match=r"\(G,\) or \(G, X\)"):
+        PrecompTable(TOY, bases, table.scalars, table.stored[1:] * len(bases), binding)
+
+
 def test_entry_bytes_accounting():
     assert toy_table().entry_bytes == TOY.k * 64
     table, _, _ = toy_designated()
@@ -261,6 +278,13 @@ def test_designated_online_cost_is_twice_the_additions():
     with OpCounter() as ctr:
         dbpv_online(table, random.Random(14))
     assert (ctr.scalar_mults, ctr.point_adds) == (0, 2 * (params.v - 1))
+
+
+def test_designated_online_refuses_a_standard_table():
+    # It used to return a (G,) table's pair (r, R), which a caller unpacking three values
+    # met as a bare ValueError.
+    with pytest.raises(UnsupportedParams, match="not a standard one"):
+        dbpv_online(toy_table(), random.Random(15))
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from iodcrypt import bpv, group
 from iodcrypt.bpv import BpvParams, dbpv_offline, deserialize_table, serialize_table, verify_table
 from iodcrypt.encrypt import decrypt, enc_kg_sender, encrypt, reference_encrypt
-from iodcrypt.errors import MalformedElement, MalformedScalar
+from iodcrypt.errors import InvalidDesignatedPoint, MalformedElement, MalformedScalar
 from iodcrypt.group import (
     DOMAIN_KEY,
     DOMAIN_SIG,
@@ -277,7 +277,7 @@ def test_check_scalar_clears_the_torsion_part(j):
 
 def _column(base, ks):
     # The stored column of ``base`` over ``ks``, as a table builds, loads and checks it.
-    return bpv._columns((base,), [Scalar(k) for k in ks])[0]
+    return group.table_columns((base,), [Scalar(k) for k in ks])[0]
 
 
 def _count_calls(monkeypatch, name):
@@ -471,14 +471,23 @@ def test_table_columns_load_two_keys_per_nonzero_scalar(monkeypatch):
     ks = [0, 3, 7, 8, 16, 64, N - 1]
     scalars = [Scalar(k) for k in ks]
     uses = _key_uses(monkeypatch)
-    plain = bpv._columns((G,), scalars)
+    plain = group.table_columns((G,), scalars)
     assert uses == ["load", "public"] * 2 * (len(ks) - 1)
     del uses[:]
-    designated = bpv._columns((G, base), scalars)
+    designated = group.table_columns((G, base), scalars)
     assert uses == ["load", "public", "exchange"] * 2 * (len(ks) - 1)
     assert designated[0] == plain[0]
     assert [group._affine(column) for column in designated] == [
         [affine_mul(k, affine(b)) for k in ks] for b in (G, _OTHER_BASE)]
+
+
+def test_table_columns_refuse_an_identity_base_before_any_product(monkeypatch):
+    # They used to count 4 products and load keys, then meet a bare ValueError in the inversion.
+    uses = _key_uses(monkeypatch)
+    with OpCounter() as ctr, pytest.raises(InvalidDesignatedPoint):
+        group.table_columns((G, IDENTITY), [Scalar(3), Scalar(5)])
+    assert (ctr.scalar_mults, ctr.point_adds) == (0, 0)
+    assert uses == []
 
 
 def test_an_open_load_leaves_the_comb_of_g_unbuilt(tmp_path):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from iodcrypt.bench import BenchResult, DeviceProfile, EnergyReport, ReferenceRow
+from iodcrypt.bench import BenchResult, DeviceProfile, ReferenceRow
 from iodcrypt.bpv import BpvParams, PrecompTable, bpv_offline
 from iodcrypt.encrypt import Ciphertext, SenderContext, enc_kg_sender, encrypt
 from iodcrypt.errors import (InvalidIdentity, InvalidMeasurement, TableIntegrity,
@@ -40,7 +40,6 @@ FIELDS = {
     SenderContext: ("table", "receiver"),
     DeviceProfile: ("name", "voltage", "current", "clock_hz"),
     BenchResult: ("op_name", "iterations", "median_seconds", "scalar_mults", "point_adds"),
-    EnergyReport: ("time_seconds", "energy_joules"),
     ReferenceRow: ("cycles", "energy_mj", "memory_bytes", "bandwidth"),
 }
 # These hold a PrecompTable, which is mutable and so unhashable.
@@ -62,7 +61,7 @@ def records():
     found = [params, kgc, a.record, a, read_drone_key(serialize_drone_keypair(a)), state, session, sign(signer, b"m", rng), signer,
              VerifierContext.build(a.record, kgc.public), encrypt(sender, b"m", rng),
              sender, profile,
-             BenchResult("sign", 10, 1e-4, 0, 27), EnergyReport(1e-4, 1.3e-5),
+             BenchResult("sign", 10, 1e-4, 0, 27),
              ReferenceRow(2_490_000, 15.57, 16_416, "64")]
     return {type(record): record for record in found}
 

@@ -187,6 +187,8 @@ def test_every_block_runs_once_into_the_file_and_the_summary(monkeypatch, tmp_pa
     assert tuple(report) == trajectory.BLOCKS
     assert {"python", "cryptography", "nproc", "dont_write_bytecode", "no_site", "bytecode_cache",
             "preloaded"} <= report["env"].keys() and "sys" in report["env"]["preloaded"]
+    # The measured src/ by its digest, beside perfbench's commit, which names HEAD alone.
+    assert report["env"]["src_sha256"] == trajectory._perfbench(ROOT)._source_digest()
     source = report["source"]
     assert source["src"]["code"] == sum(m["code"] for m in source["modules"].values())
     assert set(source["modules"]) == {p.name for p in (ROOT / "src" / "iodcrypt").glob("*.py")}

@@ -2,8 +2,10 @@
 
     python3 tools/trajectory.py [PARENT_TREE --pairs 10 --seeds 4401 4402] --out BENCH.json
 
-Its blocks: ``env`` (the code measured, versions, usable CPUs, a child
-interpreter's flags and preloaded modules, bytecode under ``src/``);
+Its blocks: ``env`` (the code measured: perfbench's commit and this
+tree's ``src/`` digest, which tells uncommitted changes from HEAD;
+versions, usable CPUs, a child interpreter's flags and preloaded
+modules, bytecode under ``src/``);
 ``source`` (``src/iodcrypt``'s lines by kind); ``imports`` (``-X
 importtime`` of ``iodcrypt.cli``, µs); ``process`` (whole ``iodcrypt``
 processes, ms, and per command one untimed process's module count and
@@ -94,7 +96,8 @@ def env() -> dict:
     child = _python("-c", "import sys; m = sorted(sys.modules); "
                     "print(sys.flags.dont_write_bytecode, sys.flags.no_site, *m)")
     dont_write_bytecode, no_site, *preloaded = child.stdout.split()
-    return {**perfbench.environment(trace=False), "dont_write_bytecode": int(dont_write_bytecode),
+    return {**perfbench.environment(trace=False), "src_sha256": perfbench._source_digest(),
+            "dont_write_bytecode": int(dont_write_bytecode),
             "no_site": int(no_site), "bytecode_cache": _cached(ROOT), "preloaded": preloaded}
 
 
